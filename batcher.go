@@ -129,10 +129,6 @@ type batcherOptions struct {
 	snapThreshold int
 	durDir        string
 	walCodec      wal.Codec
-	groupSyncK    int
-	groupSyncWait time.Duration
-	groupSyncAuto bool
-	ckptEvery     int
 }
 
 // WithMaxBatch sets the epoch size target: the dispatcher commits as soon
@@ -189,39 +185,6 @@ func WithWALCodec(name string) BatcherOption {
 	return func(o *batcherOptions) { o.walCodec = c }
 }
 
-// WithGroupSync enables group-commit fsync scheduling on a durable Batcher:
-// up to k mutating epochs share one fsync, and their callers stay blocked
-// until the shared sync point — acknowledged still means fsynced, the
-// scheduler only batches the barrier. maxWait bounds the added
-// acknowledgement latency: the sync fires at most that long after the first
-// unsynced epoch even if the group never fills (<= 0 selects the engine
-// default).
-//
-// k == 0 selects the adaptive width: instead of a static knob, the
-// scheduler tracks an EWMA of observed fsync latency and picks k so that
-// one fsync amortized over the group costs each epoch at most maxWait/8 —
-// a fast volume converges to per-epoch fsyncs, a slow one widens the group,
-// and nothing needs tuning per deployment (benchconn e18 records the
-// curve). k < 0 or k == 1 keeps the classic fsync-per-epoch pipeline.
-// No-op without WithDurability.
-func WithGroupSync(k int, maxWait time.Duration) BatcherOption {
-	return func(o *batcherOptions) {
-		o.groupSyncK = k
-		o.groupSyncWait = maxWait
-		o.groupSyncAuto = k == 0
-	}
-}
-
-// WithCheckpointEvery makes every m-th Checkpoint call write a full snapshot
-// and the m-1 between write incremental deltas against the last full — a
-// checkpoint chain. Deltas cost O(changes) instead of O(graph) and never
-// truncate the WAL, so a damaged delta degrades restore to the full
-// snapshot plus a longer replay, never to data loss. m <= 1 keeps every
-// checkpoint full. No-op without WithDurability.
-func WithCheckpointEvery(m int) BatcherOption {
-	return func(o *batcherOptions) { o.ckptEvery = m }
-}
-
 // WithSnapshotThreshold tunes the ReadRecent labelling's incremental-repair
 // budget: an epoch whose dirty components hold more than k vertices in
 // total triggers one full relabelling instead of per-component walks.
@@ -246,10 +209,6 @@ func NewBatcher(g *Graph, opts ...BatcherOption) *Batcher {
 		SnapshotThreshold: o.snapThreshold,
 		DurDir:            o.durDir,
 		WALCodec:          o.walCodec,
-		GroupSyncK:        o.groupSyncK,
-		GroupSyncMaxWait:  o.groupSyncWait,
-		GroupSyncAdaptive: o.groupSyncAuto,
-		CheckpointEvery:   o.ckptEvery,
 		// The hook indirects through the Batcher field so tests can install
 		// it after construction (but before the first submission), exactly
 		// as they always have.
@@ -349,10 +308,10 @@ func (b *Batcher) WALSeq() uint64 { return b.e.WALSeq() }
 func (b *Batcher) AppliedSeq() uint64 { return b.e.AppliedSeq() }
 
 // SyncedSeq returns the WAL's synced frontier: the highest sequence number
-// covered by a completed fsync. Equal to WALSeq except inside an open
-// group-commit window (WithGroupSync), where appended-but-unsynced records
-// sit above it; zero without durability. An acknowledged epoch's seq is
-// always at or below SyncedSeq — acked means fsynced, grouped or not.
+// covered by a completed fsync. Equal to WALSeq except between an epoch's
+// append and its fsync; zero without durability. An acknowledged, applied
+// or published epoch's seq is always at or below SyncedSeq — acked means
+// fsynced, and so does visible.
 func (b *Batcher) SyncedSeq() uint64 { return b.e.SyncedSeq() }
 
 // WALFloor returns the WAL's checkpoint floor: the sequence number already

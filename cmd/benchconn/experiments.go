@@ -14,6 +14,7 @@ import (
 
 	conn "repro"
 	"repro/client"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/ett"
 	"repro/internal/graph"
@@ -584,21 +585,20 @@ func runE14(cfg config) {
 
 func runE18(cfg config) {
 	// n is kept small on purpose: this experiment measures the durability
-	// pipeline (fsync scheduling and record encoding), and a large graph
-	// would bury the fsync share of epoch cost under structure-mutation CPU.
+	// pipeline (fsync cost and record encoding), and a large graph would
+	// bury the fsync share of epoch cost under structure-mutation CPU.
 	n := cfg.size(1<<13, 1<<12)
 	opsTotal := 1 << 15
 	if cfg.quick {
 		opsTotal = 1 << 11
 	}
 	const (
-		clients   = 128
-		maxBatch  = 8
-		window    = 50 * time.Microsecond
-		groupWait = 2 * time.Millisecond
+		clients  = 128
+		maxBatch = 8
+		window   = 50 * time.Microsecond
 	)
-	rec := newRecorder(cfg, "e18", "durability pipeline: WAL codec × group-commit fsync",
-		"the v2 delta+varint codec shrinks bytes per fsync and WithGroupSync(k) amortizes the fsync over k epochs — durable throughput rises and acked still means fsynced; k=0 (adaptive) sizes the group from the fsync-latency EWMA: per-epoch syncs on a fast volume, wide groups on a slow one")
+	rec := newRecorder(cfg, "e18", "durability pipeline: WAL codec × emulated fsync latency",
+		"one fsync per epoch is its own group commit: while an fsync runs, submissions pile up into the next epoch, so ops/epoch grows with fsync latency; the v2 codec shrinks bytes per fsync")
 	dir, err := os.MkdirTemp("", "benchconn-e18-*")
 	if err != nil {
 		fmt.Printf("skipping e18: %v\n", err)
@@ -606,20 +606,17 @@ func runE18(cfg config) {
 	}
 	defer os.RemoveAll(dir)
 	// MaxBatch is deliberately small: a burst of client ops splits into many
-	// small epochs instead of one big one, keeping several epochs in flight
-	// between sync points — the regime group commit exists for (one fsync
-	// per epoch would otherwise dominate the write path).
+	// small epochs, so fsync cost is a large share of every epoch. The
+	// emulated fsync latency is a chaos delay rule on the WAL's post-fsync
+	// site: every Sync stalls that much longer before it reports success.
 	fmt.Printf("n=%d; %d closed-loop clients issue %d mutations (60%% insert / 40%% delete)\n", n, clients, opsTotal)
-	fmt.Printf("(MaxBatch=%d; coalescing window %v; group-commit ack bound %v)\n", maxBatch, window, groupWait)
-	fmt.Printf("%6s %8s %12s %10s %12s %12s %12s %10s\n",
-		"codec", "K", "ops/sec", "fsyncs", "bytes/fsync", "enc/rawKB", "p99-ack", "speedup")
-	var base float64
+	fmt.Printf("(MaxBatch=%d; coalescing window %v; fsync per epoch; extra fsync latency via %s:delay)\n",
+		maxBatch, window, chaos.SiteWALAppendPostFsync)
+	fmt.Printf("%6s %8s %10s %8s %10s %8s %12s %12s\n",
+		"codec", "delay", "ops/sec", "epochs", "ops/epoch", "fsyncs", "enc/rawKB", "p99-ack")
 	for _, codec := range []string{"v1", "v2"} {
-		// k == 0 is the adaptive width: the scheduler picks K from the fsync
-		// latency EWMA instead of a static knob (WithGroupSync(0, maxWait)).
-		for _, k := range []int{1, 4, 16, 0} {
-			sub := filepath.Join(dir, fmt.Sprintf("%s-k%d", codec, k))
-			os.RemoveAll(sub)
+		for _, delay := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond} {
+			sub := filepath.Join(dir, fmt.Sprintf("%s-%v", codec, delay))
 			g := conn.New(n)
 			base0 := graphgen.RandomGraph(n, n/2, cfg.seed)
 			out := make([]conn.Edge, len(base0))
@@ -627,14 +624,13 @@ func runE18(cfg config) {
 				out[i] = conn.Edge{U: e.U, V: e.V}
 			}
 			g.InsertEdges(out)
-			opts := []conn.BatcherOption{
-				conn.WithMaxDelay(window), conn.WithMaxBatch(maxBatch),
-				conn.WithDurability(sub), conn.WithWALCodec(codec),
+			b := conn.NewBatcher(g, conn.WithMaxDelay(window), conn.WithMaxBatch(maxBatch),
+				conn.WithDurability(sub), conn.WithWALCodec(codec))
+			if delay > 0 {
+				if err := chaos.Arm(cfg.seed, chaos.SiteWALAppendPostFsync+":delay="+delay.String()); err != nil {
+					panic(err)
+				}
 			}
-			if k != 1 {
-				opts = append(opts, conn.WithGroupSync(k, groupWait))
-			}
-			b := conn.NewBatcher(g, opts...)
 			perClient := opsTotal / clients
 			lats := make([][]time.Duration, clients)
 			var wg sync.WaitGroup
@@ -662,6 +658,7 @@ func runE18(cfg config) {
 				wg.Wait()
 				b.Close()
 			})
+			chaos.Disarm()
 			s := b.Stats()
 			var all []time.Duration
 			for _, l := range lats {
@@ -673,44 +670,23 @@ func runE18(cfg config) {
 				p99 = all[len(all)*99/100]
 			}
 			rate := float64(s.Ops) / d.Seconds()
-			fsyncs := s.WALFsyncs
-			bytesPerFsync := float64(0)
-			if fsyncs > 0 {
-				bytesPerFsync = float64(s.WALBytes) / float64(fsyncs)
-			}
-			speedup := "-"
-			if codec == "v1" && k == 1 {
-				base = rate
-			} else if base > 0 {
-				speedup = fmt.Sprintf("%9.2fx", rate/base)
-			}
-			kLabel := fmt.Sprintf("%d", k)
-			if k == 0 {
-				// The adaptive row reports where the EWMA policy settled.
-				kLabel = fmt.Sprintf("auto(%d)", s.GroupSyncWidth)
-			}
-			fmt.Printf("%6s %8s %12.0f %10d %12.0f %6d/%-5d %12v %10s\n",
-				codec, kLabel, rate, fsyncs, bytesPerFsync,
-				s.WALBytes/1024, s.WALRawBytes/1024, p99.Round(time.Microsecond), speedup)
-			metrics := map[string]any{
-				"ops_per_sec": rate, "epochs": s.Epochs,
-				"wal_records": s.WALRecords, "wal_bytes": s.WALBytes,
-				"wal_raw_bytes": s.WALRawBytes, "fsyncs": fsyncs,
-				"fsyncs_saved": s.WALFsyncsSaved, "bytes_per_fsync": bytesPerFsync,
-				"p99_ack_us": float64(p99.Nanoseconds()) / 1e3,
-			}
-			if k == 0 {
-				metrics["group_sync_width"] = s.GroupSyncWidth
-			}
+			fmt.Printf("%6s %8v %10.0f %8d %10.1f %8d %6d/%-5d %12v\n",
+				codec, delay, rate, s.Epochs, s.AvgEpoch(), s.WALFsyncs,
+				s.WALBytes/1024, s.WALRawBytes/1024, p99.Round(time.Microsecond))
 			rec.row(
-				map[string]any{"codec": codec, "group_sync_k": k},
-				metrics)
+				map[string]any{"codec": codec, "fsync_delay_ms": float64(delay) / float64(time.Millisecond)},
+				map[string]any{
+					"ops_per_sec": rate, "epochs": s.Epochs, "ops_per_epoch": s.AvgEpoch(),
+					"fsyncs": s.WALFsyncs, "wal_bytes": s.WALBytes, "wal_raw_bytes": s.WALRawBytes,
+					"p99_ack_us": float64(p99.Nanoseconds()) / 1e3,
+				})
 		}
 	}
 	rec.flush()
-	fmt.Printf("(bytes/fsync falls with the v2 codec — varint deltas in place of fixed-width\n")
-	fmt.Printf(" pairs — and with K>1 one fsync covers up to K epochs; the p99 column is the\n")
-	fmt.Printf(" acked latency ceiling the group-commit window trades for the amortization)\n")
+	fmt.Printf("(a slower fsync lets more submissions pile up behind it: ops/epoch rises with the\n")
+	fmt.Printf(" delay, which is the coalescing buffer acting as group commit — up to half the\n")
+	fmt.Printf(" closed-loop clients, since the other half wait on the epoch being synced; v2\n")
+	fmt.Printf(" shrinks the bytes each fsync carries)\n")
 }
 
 // ---------------------------------------------------------------- E13

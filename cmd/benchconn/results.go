@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strings"
 )
 
 // benchRow is one measured cell of an experiment: the swept parameters and
@@ -12,6 +15,27 @@ import (
 type benchRow struct {
 	Params  map[string]any `json:"params"`
 	Metrics map[string]any `json:"metrics"`
+}
+
+// host identifies the machine and build a result file was measured on, so
+// numbers from different runs are only compared like for like.
+type host struct {
+	NProc      int    `json:"nproc"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+// currentHost samples the host block. The commit carries a "-dirty" suffix
+// when the working tree has uncommitted changes, and is "unknown" outside a
+// git checkout.
+func currentHost() host {
+	h := host{NProc: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), Commit: "unknown"}
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output(); err == nil {
+		h.Commit = strings.TrimSpace(string(out))
+	}
+	return h
 }
 
 // recorder accumulates an experiment's rows and writes them as a
@@ -24,6 +48,7 @@ type recorder struct {
 	Claim      string     `json:"claim"`
 	Quick      bool       `json:"quick"`
 	Seed       int64      `json:"seed"`
+	Host       host       `json:"host"`
 	Rows       []benchRow `json:"rows"`
 
 	dir string
@@ -35,7 +60,7 @@ func newRecorder(cfg config, id, title, claim string) *recorder {
 	header(id, title, claim)
 	return &recorder{
 		Experiment: id, Title: title, Claim: claim,
-		Quick: cfg.quick, Seed: cfg.seed, dir: cfg.outDir,
+		Quick: cfg.quick, Seed: cfg.seed, Host: currentHost(), dir: cfg.outDir,
 	}
 }
 

@@ -41,9 +41,6 @@ func main() {
 		duration = flag.Duration("duration", 4*time.Second, "length of the fault-injection phase")
 		schedule = flag.String("schedule", "", "chaos schedule for the primary (default: built-in fault mix)")
 		walCodec = flag.String("wal-codec", "", "primary WAL record encoding: v1 or v2 (empty = v1)")
-		grpSync  = flag.Int("group-sync", 0, "primary group-commit fsync: K epochs per fsync (0 or 1 = per epoch)")
-		grpWait  = flag.Duration("group-wait", 0, "primary group-commit ack-latency bound (0 = library default)")
-		ckptEv   = flag.Int("ckpt-every", 0, "primary full checkpoint cadence; the rest are deltas (0 or 1 = all full)")
 		verbose  = flag.Bool("v", false, "stream child server logs to stderr")
 	)
 	flag.Parse()
@@ -59,17 +56,14 @@ func main() {
 		childLog = os.Stderr
 	}
 	cfg := topo.Config{
-		Seed:            *seed,
-		Shards:          shards,
-		Replicas:        replicas,
-		Duration:        *duration,
-		Schedule:        *schedule,
-		WALCodec:        *walCodec,
-		GroupSyncK:      *grpSync,
-		GroupSyncWait:   *grpWait,
-		CheckpointEvery: *ckptEv,
-		Logf:            logger.Printf,
-		ChildLog:        childLog,
+		Seed:     *seed,
+		Shards:   shards,
+		Replicas: replicas,
+		Duration: *duration,
+		Schedule: *schedule,
+		WALCodec: *walCodec,
+		Logf:     logger.Printf,
+		ChildLog: childLog,
 	}
 	if err := topo.Run(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "connchaos: FAIL\n%v\n", err)

@@ -472,10 +472,9 @@ func (s *session) exec(text string) error {
 			}
 			fmt.Fprintf(s.out, "epochs=%d ops=%d maxepoch=%d publishes=%d rebuilds=%d\n",
 				st.Epochs, st.Ops, st.MaxEpoch, st.SnapshotPublishes, st.SnapshotRebuilds)
-			fmt.Fprintf(s.out, "wal: records=%d bytes=%d raw_bytes=%d fsyncs=%d fsyncs_saved=%d\n",
-				st.WALRecords, st.WALBytes, st.WALRawBytes, st.WALFsyncs, st.WALFsyncsSaved)
-			fmt.Fprintf(s.out, "checkpoints: full=%d delta=%d\n",
-				st.Checkpoints, st.CheckpointsDelta)
+			fmt.Fprintf(s.out, "wal: records=%d bytes=%d raw_bytes=%d fsyncs=%d\n",
+				st.WALRecords, st.WALBytes, st.WALRawBytes, st.WALFsyncs)
+			fmt.Fprintf(s.out, "checkpoints=%d\n", st.Checkpoints)
 			fmt.Fprintf(s.out, "repl: subscribers=%d last_shipped=%d max_lag=%d applied=%d\n",
 				st.Subscribers, st.LastShippedSeq, st.MaxFollowerLag, st.AppliedSeq)
 			fmt.Fprintf(s.out, "events: subscribers=%d delivered=%d dropped=%d\n",
@@ -497,11 +496,10 @@ func (s *session) exec(text string) error {
 			s.g.NumEdges(), st.Inserts, st.Deletes, st.Replaced, st.Pushdowns+st.TreePushes)
 		if s.b != nil {
 			bs := s.b.Stats()
-			fmt.Fprintf(s.out, "wal: records=%d bytes=%d raw_bytes=%d fsyncs=%d fsyncs_saved=%d floor=%d last=%d\n",
-				bs.WALRecords, bs.WALBytes, bs.WALRawBytes, bs.WALFsyncs, bs.WALFsyncsSaved,
+			fmt.Fprintf(s.out, "wal: records=%d bytes=%d raw_bytes=%d fsyncs=%d floor=%d last=%d\n",
+				bs.WALRecords, bs.WALBytes, bs.WALRawBytes, bs.WALFsyncs,
 				s.b.WALFloor(), s.b.WALSeq())
-			fmt.Fprintf(s.out, "checkpoints: full=%d delta=%d\n",
-				bs.Checkpoints, bs.CheckpointsDelta)
+			fmt.Fprintf(s.out, "checkpoints=%d\n", bs.Checkpoints)
 		}
 	case "checkpoint":
 		if err := s.flush(); err != nil {

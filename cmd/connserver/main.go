@@ -33,12 +33,9 @@
 // the boundary graph (internal/shard). Durable sharded namespaces keep one
 // WAL and checkpoint stream per shard under <data>/<ns>/shard-<i>/.
 //
-// The durability pipeline is tunable: -wal-codec picks the record encoding
-// for fresh logs (v1 raw, v2 delta+varint — existing logs keep the codec in
-// their header), -group-sync K shares one fsync across up to K epochs with
-// -group-wait bounding the added ack latency, and -ckpt-every M makes only
-// every M-th checkpoint a full snapshot (the rest are incremental deltas).
-// Acked writes are fsynced under every combination.
+// -wal-codec picks the WAL record encoding for fresh logs (v1 raw, v2
+// delta+varint — existing logs keep the codec in their header). Every
+// mutating epoch is fsynced before it is applied, published or acked.
 package main
 
 import (
@@ -61,9 +58,6 @@ func main() {
 	shards := flag.Int("shards", 0, "default hash partition count for new namespaces (0 or 1 = unsharded)")
 	replicaOf := flag.String("replica-of", "", "primary connserver address to follow as a read-only replica (memory only)")
 	walCodec := flag.String("wal-codec", "", "WAL record encoding for fresh logs: v1 (raw) or v2 (delta+varint); empty = v1")
-	groupSync := flag.Int("group-sync", 0, "group-commit fsync: up to K epochs share one fsync (0 or 1 = fsync per epoch)")
-	groupWait := flag.Duration("group-wait", 0, "max ack latency added by group-commit before the fsync fires anyway (0 = library default)")
-	ckptEvery := flag.Int("ckpt-every", 0, "every M-th checkpoint is a full snapshot, the rest incremental deltas (0 or 1 = all full)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "connserver: unexpected arguments %q\n", flag.Args())
@@ -72,16 +66,13 @@ func main() {
 
 	logger := log.New(os.Stderr, "connserver: ", log.LstdFlags)
 	srv, err := server.New(server.Options{
-		DataDir:          *data,
-		MaxBatch:         *maxBatch,
-		MaxDelay:         *maxDelay,
-		DefaultShards:    *shards,
-		ReplicaOf:        *replicaOf,
-		WALCodec:         *walCodec,
-		GroupSyncK:       *groupSync,
-		GroupSyncMaxWait: *groupWait,
-		CheckpointEvery:  *ckptEvery,
-		Logf:             logger.Printf,
+		DataDir:       *data,
+		MaxBatch:      *maxBatch,
+		MaxDelay:      *maxDelay,
+		DefaultShards: *shards,
+		ReplicaOf:     *replicaOf,
+		WALCodec:      *walCodec,
+		Logf:          logger.Printf,
 	})
 	if err != nil {
 		logger.Fatal(err)

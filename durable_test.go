@@ -2,7 +2,10 @@ package conn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -200,14 +203,11 @@ func TestDurableCrashRecovery(t *testing.T) {
 	}{
 		{"wal-only", false, nil},
 		{"checkpoint-plus-tail", true, nil},
-		// Group-commit fsync scheduling plus the v2 delta codec: crashes now
-		// land mid-group (several epochs appended, the fsync shared), and the
-		// WAL records are compressed. The differential contract is identical:
-		// restore must equal the oracle replay of exactly the record prefix
-		// that survived the cut.
-		{"group-sync-codec-v2", true, []BatcherOption{
-			WithGroupSync(4, 300*time.Microsecond), WithWALCodec("v2"),
-		}},
+		// The v2 delta+varint codec: the WAL records are compressed, so cuts
+		// land inside variable-length payloads. The differential contract is
+		// identical: restore must equal the oracle replay of exactly the
+		// record prefix that survived the cut.
+		{"codec-v2", true, []BatcherOption{WithWALCodec("v2")}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -503,6 +503,90 @@ func TestDoSeqIsExact(t *testing.T) {
 		}
 		if seqs[w] != logged {
 			t.Fatalf("writer %d: DoSeq reported %d but its edge committed at %d", w, seqs[w], logged)
+		}
+	}
+}
+
+// TestCheckpointChainCorruptDeltaFallsBack: directories written while
+// incremental checkpoints existed may hold a chain — a full checkpoint,
+// then delta-*.dckpt files newer than it. Deltas never truncated the WAL,
+// so the full checkpoint plus the log restores the exact state; restore
+// falls back to exactly that whatever the deltas hold — a well-formed one
+// (planted here claiming an edge that was never written), a corrupt one, a
+// stray temp file — and the directory keeps working afterwards: the next
+// checkpoint prunes the retired files.
+func TestCheckpointChainCorruptDeltaFallsBack(t *testing.T) {
+	const n = 64
+	dir := t.TempDir()
+	b := NewBatcher(New(n), WithMaxDelay(0), WithDurability(dir))
+	b.InsertEdges([]Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	if _, err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	b.Insert(5, 6)
+	b.Delete(1, 2)
+	seq := b.WALSeq()
+	b.Insert(6, 7)
+	b.Close()
+
+	// The legacy delta layout: magic | seq, base u64 | n, nAdd, nDel u32 |
+	// edges | crc32c of everything between magic and checksum.
+	legacyDelta := func(seq, base uint64, add ...Edge) []byte {
+		buf := append([]byte("conndlt\x01"), make([]byte, 28+8*len(add)+4)...)
+		binary.LittleEndian.PutUint64(buf[8:], seq)
+		binary.LittleEndian.PutUint64(buf[16:], base)
+		binary.LittleEndian.PutUint32(buf[24:], n)
+		binary.LittleEndian.PutUint32(buf[28:], uint32(len(add)))
+		for i, e := range add {
+			binary.LittleEndian.PutUint32(buf[36+8*i:], uint32(e.U))
+			binary.LittleEndian.PutUint32(buf[40+8*i:], uint32(e.V))
+		}
+		binary.LittleEndian.PutUint32(buf[len(buf)-4:],
+			crc32.Checksum(buf[8:len(buf)-4], crc32.MakeTable(crc32.Castagnoli)))
+		return buf
+	}
+	plant := map[string][]byte{
+		fmt.Sprintf("delta-%016x.dckpt", seq):       legacyDelta(seq, b.WALFloor(), Edge{U: 40, V: 41}),
+		fmt.Sprintf("delta-%016x.dckpt", seq+1):     []byte("scribble"),
+		fmt.Sprintf("delta-%016x.dckpt.tmp", seq+2): nil,
+	}
+	for name, data := range plant {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	verify := func(tag string, extra ...Edge) *Graph {
+		t.Helper()
+		g, err := Restore(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if g.NumEdges() != 3+len(extra) || !g.Connected(0, 1) || !g.Connected(5, 7) ||
+			g.Connected(1, 2) || g.Connected(40, 41) {
+			t.Fatalf("%s: wrong state: edges=%d", tag, g.NumEdges())
+		}
+		for _, e := range extra {
+			if !g.Connected(e.U, e.V) {
+				t.Fatalf("%s: edge {%d,%d} lost", tag, e.U, e.V)
+			}
+		}
+		return g
+	}
+	g := verify("legacy deltas present")
+
+	// The restored graph continues durably on the same directory, through a
+	// fresh full checkpoint.
+	b = NewBatcher(g, WithMaxDelay(0), WithDurability(dir))
+	b.Insert(8, 9)
+	if _, err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	verify("after checkpoint", Edge{U: 8, V: 9})
+	for name := range plant {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("retired delta file %s survived the next checkpoint", name)
 		}
 	}
 }

@@ -155,7 +155,6 @@ func TestArmDisarm(t *testing.T) {
 func TestSiteConstantsRegistered(t *testing.T) {
 	consts := []string{
 		SiteWALAppendPreFsync, SiteWALAppendPostFsync, SiteWALOpenTornTail,
-		SiteEngineGroupSync, SiteEngineDeltaCheckpoint,
 		SiteEngineCheckpointReset, SiteReplStreamSend, SiteReplSnapshotSend,
 		SiteReplFollowerConn, SiteServerAccept, SiteServerConnRead,
 		SiteServerConnWrite,

@@ -6,15 +6,17 @@ package chaos
 // (the connvet `chaossite` analyzer enforces both), so a schedule can never
 // reference a site that no longer exists in the code.
 const (
-	// SiteWALAppendPreFsync fires in wal.Log.Append before the record
-	// reaches the file: Fail returns an append error (the engine treats
-	// that as fail-stop and panics — a real crash); Torn additionally
-	// leaves a partial frame on disk, the tail a crash mid-write leaves.
+	// SiteWALAppendPreFsync fires in wal.Log.AppendRecord before the
+	// record reaches the file: Fail returns an append error (the engine
+	// treats that as fail-stop and panics — a real crash); Torn
+	// additionally leaves a partial frame on disk, the tail a crash
+	// mid-write leaves; Delay stalls the write, then appends as usual.
 	SiteWALAppendPreFsync = "wal.append.pre-fsync"
 
-	// SiteWALAppendPostFsync fires in wal.Log.Append after the fsync: the
-	// record IS durable, but the append reports failure — a crash between
-	// fsync and acknowledgement. Restart replays a superset of acked ops.
+	// SiteWALAppendPostFsync fires in wal.Log.Sync after the fsync: Fail
+	// reports failure for a record that IS durable — a crash between fsync
+	// and acknowledgement, so restart replays a superset of acked ops;
+	// Delay stalls the barrier before it succeeds, emulating a slow volume.
 	SiteWALAppendPostFsync = "wal.append.post-fsync"
 
 	// SiteWALOpenTornTail fires in wal.Open on an existing log: garbage is
@@ -22,18 +24,6 @@ const (
 	// image a torn write leaves, which Open must truncate away without
 	// touching any durable record.
 	SiteWALOpenTornTail = "wal.open.torn-tail"
-
-	// SiteEngineGroupSync fires at the group-commit sync point, before the
-	// shared fsync that makes a whole group of epochs durable: Fail is a
-	// crash at the worst instant — several epochs appended, none synced,
-	// every caller still blocked; Delay stretches the grouping window.
-	SiteEngineGroupSync = "engine.group.sync"
-
-	// SiteEngineDeltaCheckpoint fires in the engine's checkpoint service
-	// before an incremental (delta) checkpoint is written: Fail makes the
-	// delta write fail, which the engine reports without touching the WAL —
-	// the chain simply stays at its previous link.
-	SiteEngineDeltaCheckpoint = "engine.checkpoint.delta"
 
 	// SiteEngineCheckpointReset fires in the engine's checkpoint service
 	// where the WAL is truncated behind a fresh checkpoint: the reset
@@ -73,11 +63,9 @@ const (
 // Sites is the registry: every valid injection site and what it simulates.
 // ParseSchedule rejects rules naming anything not in this table.
 var Sites = map[string]string{
-	SiteWALAppendPreFsync:     "WAL append fails (or tears a partial frame) before the fsync",
-	SiteWALAppendPostFsync:    "WAL append fails after the fsync: durable but unacknowledged",
+	SiteWALAppendPreFsync:     "WAL append fails, tears a partial frame, or stalls before the fsync",
+	SiteWALAppendPostFsync:    "WAL sync fails after the fsync (durable but unacknowledged) or stalls (slow volume)",
 	SiteWALOpenTornTail:       "WAL reopen finds a torn tail appended past the last valid record",
-	SiteEngineGroupSync:       "group-commit fsync point fails (crash) or stalls",
-	SiteEngineDeltaCheckpoint: "incremental checkpoint write fails; chain keeps previous link",
 	SiteEngineCheckpointReset: "checkpoint's WAL truncation fails; fallback keeps old state",
 	SiteReplStreamSend:        "replication pump to a follower stalls or drops",
 	SiteReplSnapshotSend:      "snapshot catch-up stream is cut mid-transfer",

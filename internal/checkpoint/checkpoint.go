@@ -180,8 +180,11 @@ func Load(dir string) (s Snapshot, ok bool, err error) {
 }
 
 // Prune removes every checkpoint file older than keepSeq (and any stray
-// temp files), keeping the checkpoint at keepSeq itself. Removal failures
-// are ignored — stale checkpoints are garbage, not corruption.
+// temp files), keeping the checkpoint at keepSeq itself. It also removes
+// delta-* files left by the retired incremental checkpoints: they never
+// truncated the WAL and no reader consults them, so the checkpoint at
+// keepSeq subsumes them. Removal failures are ignored — stale checkpoints
+// are garbage, not corruption.
 func Prune(dir string, keepSeq uint64) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -194,6 +197,8 @@ func Prune(dir string, keepSeq uint64) {
 		case strings.HasSuffix(name, ".tmp") && strings.HasPrefix(name, prefix):
 			os.Remove(filepath.Join(dir, name))
 		case strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) && name < keep:
+			os.Remove(filepath.Join(dir, name))
+		case strings.HasPrefix(name, "delta-"):
 			os.Remove(filepath.Join(dir, name))
 		}
 	}

@@ -99,6 +99,39 @@ func TestPruneKeepsCurrent(t *testing.T) {
 	}
 }
 
+// TestPruneDeltas: delta files left by the retired incremental checkpoints
+// (and their stray temp files) are garbage once a checkpoint lands — no
+// reader consults them — so Prune clears them while keeping the current
+// checkpoint, and Load never mistakes one for a snapshot.
+func TestPruneDeltas(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Write(dir, Snapshot{Seq: 9, N: 4, Edges: []graph.Edge{{U: 1, V: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"delta-0000000000000005.dckpt", "delta-000000000000000c.dckpt", "delta-000000000000000d.dckpt.tmp",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("legacy"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, ok, err := Load(dir); err != nil || !ok || s.Seq != 9 || len(s.Edges) != 1 {
+		t.Fatalf("Load beside delta files: seq %d ok=%v err=%v", s.Seq, ok, err)
+	}
+	Prune(dir, 9)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != fileName(9) {
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
+		}
+		t.Fatalf("after prune at 9: %v, want only %s", names, fileName(9))
+	}
+}
+
 // FuzzCheckpointDecode feeds arbitrary bytes to the snapshot decoder: it
 // must never panic, and anything it accepts must re-encode to exactly the
 // input (the format is canonical, so acceptance implies a clean CRC and

@@ -98,16 +98,7 @@ type Buffer struct {
 	//
 	//conn:dispatcher-only
 	//conn:fsync-barrier
-	exec func([]Op) ([]bool, uint64)
-	// ack, when non-nil, intercepts the acknowledgement of each drained
-	// epoch: instead of resolving the futures itself, the dispatcher hands
-	// ack the epoch's commit position and a release function that unblocks
-	// every caller in the drain. Whoever holds release MUST call it exactly
-	// once, and only once the epoch is actually committed under the
-	// executor's durability rules — a group-fsync scheduler uses this to
-	// defer acknowledgement to the shared sync point. ack itself must not
-	// block: it runs on the dispatcher goroutine.
-	ack      func(seq uint64, release func())
+	exec     func([]Op) ([]bool, uint64)
 	maxBatch int
 	maxDelay time.Duration
 
@@ -133,14 +124,6 @@ type Buffer struct {
 // flight. shards <= 0 selects GOMAXPROCS stripes; maxBatch <= 0 selects a
 // default of 8192.
 func NewBuffer(shards, maxBatch int, maxDelay time.Duration, exec func(ops []Op) ([]bool, uint64)) *Buffer {
-	return NewBufferAck(shards, maxBatch, maxDelay, exec, nil)
-}
-
-// NewBufferAck is NewBuffer with an acknowledgement interceptor: when ack is
-// non-nil the dispatcher passes each drained epoch's commit position and
-// release function to ack instead of resolving the futures itself (see the
-// ack field). ack == nil restores the direct-release behaviour of NewBuffer.
-func NewBufferAck(shards, maxBatch int, maxDelay time.Duration, exec func(ops []Op) ([]bool, uint64), ack func(seq uint64, release func())) *Buffer {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -155,7 +138,6 @@ func NewBufferAck(shards, maxBatch int, maxDelay time.Duration, exec func(ops []
 		kick:     make(chan struct{}, 1),
 		closing:  make(chan struct{}),
 		exec:     exec,
-		ack:      ack,
 		maxBatch: maxBatch,
 		maxDelay: maxDelay,
 	}
@@ -358,18 +340,9 @@ func (b *Buffer) drain() {
 			}
 		}
 		// The acknowledgement: closing the done channels unblocks every
-		// caller's Wait. With an ack interceptor installed the release is
-		// handed over instead — the interceptor fires it at its own commit
-		// point (the group fsync), never before.
-		release := func() {
-			for _, g := range groups {
-				close(g.done)
-			}
-		}
-		if b.ack != nil {
-			b.ack(seq, release)
-		} else {
-			release()
+		// caller's Wait.
+		for _, g := range groups {
+			close(g.done)
 		}
 	}
 }

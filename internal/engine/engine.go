@@ -43,11 +43,6 @@ const (
 	DefaultMaxDelay = 500 * time.Microsecond
 )
 
-// DefaultGroupSyncMaxWait bounds how long a group-commit fsync may be
-// deferred waiting for more epochs when GroupSyncK > 1 and no explicit
-// window was configured.
-const DefaultGroupSyncMaxWait = 2 * time.Millisecond
-
 // WALFileName is the write-ahead log's file name inside a durability
 // directory.
 const WALFileName = "wal.log"
@@ -79,27 +74,6 @@ type Options struct {
 	// header always wins until the next checkpoint resets the file — see
 	// wal.OpenWithCodec.
 	WALCodec wal.Codec
-	// GroupSyncK > 1 enables group-commit fsync scheduling: up to K
-	// mutating epochs share one fsync, and their callers stay blocked until
-	// the shared sync point (acked still means fsynced). <= 1 keeps the
-	// per-epoch fsync.
-	GroupSyncK int
-	// GroupSyncMaxWait bounds the acknowledgement latency grouping may add:
-	// the sync point fires at most this long after the first unsynced
-	// epoch, even if the group never reaches K. <= 0 selects
-	// DefaultGroupSyncMaxWait. Ignored unless grouping is enabled.
-	GroupSyncMaxWait time.Duration
-	// GroupSyncAdaptive enables group-commit with an adaptive width: the
-	// scheduler picks K from an EWMA of observed fsync latency (slow disks
-	// group more, fast disks converge to per-epoch) instead of the static
-	// GroupSyncK knob, keeping the amortized fsync cost per epoch below a
-	// fixed fraction of GroupSyncMaxWait. GroupSyncK is ignored when set.
-	GroupSyncAdaptive bool
-	// CheckpointEvery makes every M-th checkpoint a full snapshot and the
-	// ones between incremental deltas against the last full (the WAL is
-	// only truncated at fulls, so a damaged delta can always fall back).
-	// <= 1 keeps every checkpoint full.
-	CheckpointEvery int
 	// Hook, when non-nil, observes each committed epoch (concatenated ops
 	// and their results) from the dispatcher goroutine. Tests use it to
 	// replay epochs against an oracle.
@@ -147,15 +121,13 @@ type durability struct {
 	dir string
 	log *wal.Log
 
-	// Counters are written by the write pipeline (dispatcher, or the group
-	// scheduler's sync point) but read by Stats from any goroutine.
+	// Counters are written by the dispatcher but read by Stats from any
+	// goroutine.
 	records     atomic.Int64
 	bytes       atomic.Int64
 	rawBytes    atomic.Int64 // fixed-width size of the same records: the compression baseline
 	appendNanos atomic.Int64
-	fsyncsSaved atomic.Int64 // epochs that shared a group fsync instead of paying their own
-	checkpoints atomic.Int64 // full snapshots
-	deltas      atomic.Int64 // incremental (delta) checkpoints
+	checkpoints atomic.Int64
 }
 
 // ckptRequest is one pending Checkpoint call.
@@ -188,28 +160,11 @@ type Engine struct {
 	// structure, so an acknowledged write is a durable write.
 	dur *durability
 
-	// gs, when non-nil, is the group-commit fsync scheduler (GroupSyncK>1):
-	// logEpoch appends without syncing, acknowledgements detour through the
-	// coalesce ack hook into its queue, and the shared sync point resolves
-	// them.
-	gs *groupSync
-
 	// ckptReq hands a checkpoint request to the dispatcher, which services
 	// it at the end of an epoch — the one point where the graph is stable
 	// and every appended WAL record has been applied.
 	ckptReq atomic.Pointer[ckptRequest]
 	ckptMu  sync.Mutex // serializes Checkpoint callers
-
-	// Checkpoint-chain policy state, dispatcher-owned: every ckptEvery-th
-	// checkpoint is a full snapshot; between fulls, serviceCheckpoint
-	// writes deltas diffed against baseEdges (the edge set of the last full
-	// written this process lifetime, keyed by Edge.Key). baseEdges == nil
-	// forces the next checkpoint full — the state after restart or a
-	// failed full.
-	ckptEvery int
-	sinceFull int
-	baseSeq   uint64
-	baseEdges map[uint64]graph.Edge
 
 	closed atomic.Bool
 
@@ -242,7 +197,7 @@ func New(c *core.Conn, o Options) (*Engine, error) {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = DefaultMaxBatch
 	}
-	e := &Engine{c: c, hook: o.Hook, ckptEvery: o.CheckpointEvery}
+	e := &Engine{c: c, hook: o.Hook}
 	if o.DurDir != "" {
 		if err := os.MkdirAll(o.DurDir, 0o755); err != nil {
 			return nil, err
@@ -260,22 +215,12 @@ func New(c *core.Conn, o Options) (*Engine, error) {
 		// in the directory (fresh, or from Restore, which replays the full
 		// log), so the applied position starts at the log's end, not zero.
 		e.applied.Store(log.LastSeq())
-		if o.GroupSyncAdaptive || o.GroupSyncK > 1 {
-			e.gs = newGroupSync(e, o.GroupSyncK, o.GroupSyncMaxWait, o.GroupSyncAdaptive)
-		}
 	}
 	// core.Conn implements snapshot.Source (ComponentID / ComponentSize /
 	// ComponentVertices / ComponentLabels are read-only queries); the store
 	// computes the initial labelling from the structure's current state.
 	e.snap = snapshot.NewStore(c.N(), o.SnapshotThreshold, c)
-	var ack func(seq uint64, release func())
-	if e.gs != nil {
-		// Acknowledgements detour through the sync scheduler: the
-		// dispatcher hands over each epoch's release instead of resolving
-		// futures, and the group fsync fires them.
-		ack = e.gs.enqueue
-	}
-	e.buf = coalesce.NewBufferAck(o.Shards, o.MaxBatch, o.MaxDelay, e.execEpoch, ack) //conn:dispatcher-entry — hands execEpoch to the dispatcher goroutine
+	e.buf = coalesce.NewBuffer(o.Shards, o.MaxBatch, o.MaxDelay, e.execEpoch) //conn:dispatcher-entry — hands execEpoch to the dispatcher goroutine
 	return e, nil
 }
 
@@ -325,13 +270,13 @@ func (e *Engine) Apply(ops []coalesce.Op) ([]bool, uint64, error) {
 // ignore duplicates, already-present inserts and absent deletes — the same
 // filtering execEpoch's credit pre-scans perform.
 //
-// Per-epoch mode (no group scheduler) syncs inline and tees the record to
-// epoch subscribers here; the tee is an acknowledgement path (the
-// replication Hub ships the record to followers), so it must stay behind
-// the Sync barrier. Group mode stops at the append: the sync, the tee and
-// the callers' acknowledgements all move to the scheduler's sync point
-// (groupsync.go), which preserves the same order — fsync first, world
-// after.
+// This is the one durability policy: append, Sync, tee — and only then
+// does execEpoch apply, publish and acknowledge. The tee is an
+// acknowledgement path (the replication Hub ships the record to
+// followers), so it must stay behind the Sync barrier. The per-epoch fsync
+// is also the group commit: while it runs, new submissions pile up in the
+// coalescing buffer and form the next, larger epoch, so one fsync covers
+// everything that arrived during the previous one.
 //
 //conn:dispatcher-only
 //conn:ack-after-fsync
@@ -357,10 +302,8 @@ func (e *Engine) logEpoch(ops []coalesce.Op) {
 	if err != nil {
 		panic(fmt.Sprintf("engine: durable pipeline cannot append to WAL: %v", err))
 	}
-	if e.gs == nil {
-		if err := e.dur.log.Sync(); err != nil {
-			panic(fmt.Sprintf("engine: durable pipeline cannot sync WAL: %v", err))
-		}
+	if err := e.dur.log.Sync(); err != nil {
+		panic(fmt.Sprintf("engine: durable pipeline cannot sync WAL: %v", err))
 	}
 	e.dur.appendNanos.Add(time.Since(t0).Nanoseconds())
 	e.dur.records.Add(1)
@@ -368,13 +311,6 @@ func (e *Engine) logEpoch(ops []coalesce.Op) {
 	e.dur.rawBytes.Add(int64(wal.RawSize(rec)))
 	er := EpochRecord{Seq: rec.Seq, Ins: ins, Del: del,
 		Codec: e.dur.log.Codec().Version(), Enc: payload}
-	if e.gs != nil {
-		// Group mode: the record is appended but NOT yet durable. Park it
-		// with the scheduler; the sync point tees it once the shared fsync
-		// covers it.
-		e.gs.noteEpoch(er)
-		return
-	}
 	// Replication tee: the record is durable, so subscribers (the Hub
 	// shipping epochs to followers) may see it now — before the epoch is
 	// applied or acknowledged, exactly the ordering the WAL itself gets.
@@ -471,9 +407,10 @@ func (e *Engine) WALSeq() uint64 {
 }
 
 // SyncedSeq returns the WAL's synced frontier: the highest sequence number
-// covered by a completed fsync (equal to WALSeq except inside an open group-
-// commit window; zero without durability). Replication ships only records at
-// or below it. Safe from any goroutine.
+// covered by a completed fsync (equal to WALSeq except between an epoch's
+// append and its fsync; zero without durability). Replication ships only
+// records at or below it, and no epoch above it is ever applied, published
+// or acknowledged. Safe from any goroutine.
 func (e *Engine) SyncedSeq() uint64 {
 	if e.dur == nil {
 		return 0
@@ -508,89 +445,18 @@ func (e *Engine) WALFloor() uint64 {
 // the checkpoint.Write durability barrier.
 //
 //conn:dispatcher-only
+//conn:ack-after-fsync
 func (e *Engine) serviceCheckpoint() {
 	req := e.ckptReq.Swap(nil)
 	if req == nil {
 		return
 	}
-	if e.gs != nil {
-		// The sync point doubles as the checkpoint barrier: pending epochs
-		// are fsynced, teed and acknowledged first, and gs.mu is held
-		// across the checkpoint so the maxWait timer cannot race a Sync
-		// against the WAL reset's file swap.
-		e.gs.barrier(func() { e.runCheckpoint(req) })
-		return
-	}
-	e.runCheckpoint(req)
-}
-
-// runCheckpoint writes one checkpoint — a full snapshot, or an incremental
-// delta against the last full when the CheckpointEvery policy says so. Only
-// a full truncates the WAL; a delta leaves the log alone, which is what
-// makes the chain safe: if the delta file is later found damaged, restore
-// falls back to the full snapshot plus a complete WAL replay, losing
-// nothing. close(req.done) releases the Checkpoint caller, so it must stay
-// behind the durable write barriers.
-//
-//conn:dispatcher-only
-//conn:ack-after-fsync
-func (e *Engine) runCheckpoint(req *ckptRequest) {
 	seq := e.dur.log.LastSeq()
 	edges := e.c.SpanningForest()
 	edges = append(edges, e.c.NonTreeEdges()...)
-
-	if e.ckptEvery > 1 && e.baseEdges != nil && e.sinceFull < e.ckptEvery-1 {
-		// Delta turn: diff the live edge set against the last full
-		// snapshot. edges is spanning forest first, then non-tree edges, so
-		// Add inherits that order.
-		cur := make(map[uint64]graph.Edge, len(edges))
-		var add []graph.Edge
-		for _, ed := range edges {
-			k := ed.Key()
-			cur[k] = ed
-			if _, ok := e.baseEdges[k]; !ok {
-				add = append(add, ed)
-			}
-		}
-		var del []graph.Edge
-		for k, ed := range e.baseEdges {
-			if _, ok := cur[k]; !ok {
-				del = append(del, ed)
-			}
-		}
-		d := checkpoint.Delta{Seq: seq, Base: e.baseSeq, N: e.c.N(), Add: add, Del: del}
-		var path string
-		var err error
-		if flt := chaos.Inject(chaos.SiteEngineDeltaCheckpoint); flt != nil && flt.Action != chaos.ActDelay {
-			// The delta write fails; the chain keeps its previous link and
-			// the WAL (untouched by deltas) still covers everything.
-			err = flt.Err()
-		} else {
-			path, err = checkpoint.WriteDelta(e.dur.dir, d)
-		}
-		if err == nil {
-			e.sinceFull++
-			e.dur.deltas.Add(1)
-		}
-		req.path, req.err = path, err
-		close(req.done)
-		return
-	}
-
 	snap := checkpoint.Snapshot{Seq: seq, N: e.c.N(), Edges: edges}
 	path, err := checkpoint.Write(e.dur.dir, snap)
 	if err == nil {
-		// The full snapshot is durable: it is the newest full on disk, so
-		// it becomes the delta base whatever happens to the reset below
-		// (Chain only accepts deltas whose Base names the newest readable
-		// full).
-		e.sinceFull = 0
-		e.baseSeq = seq
-		base := make(map[uint64]graph.Edge, len(edges))
-		for _, ed := range edges {
-			base[ed.Key()] = ed
-		}
-		e.baseEdges = base
 		// Prune prior checkpoints and count the new one only after the WAL
 		// reset succeeds. If Reset fails, the directory must keep a usable
 		// (checkpoint, log) pair: the older snapshots stay as fallbacks and
@@ -600,7 +466,6 @@ func (e *Engine) runCheckpoint(req *ckptRequest) {
 		// the log's floor.
 		if err = e.resetLog(seq); err == nil {
 			checkpoint.Prune(e.dur.dir, seq)
-			checkpoint.PruneDeltas(e.dur.dir, seq)
 			e.dur.checkpoints.Add(1)
 		} else {
 			path = ""
@@ -882,12 +747,6 @@ func (e *Engine) Flush() {
 func (e *Engine) Close() error {
 	e.closed.Store(true)
 	e.buf.Close()
-	if e.gs != nil {
-		// The dispatcher has exited; one final sync point makes the tail
-		// group durable and releases any caller still parked on it, before
-		// the log handle goes away.
-		e.gs.close()
-	}
 	var err error
 	if e.dur != nil {
 		// The dispatcher has exited; every acknowledged epoch is already
@@ -917,27 +776,18 @@ type Stats struct {
 	SnapshotRebuilds  int64
 
 	// Durability counters (zero without durability): WAL records are
-	// mutating epochs; WALFsyncs is how many fsyncs they actually cost
-	// (equal to WALRecords per-epoch, fewer under group-commit) and
-	// WALFsyncsSaved the difference attributable to grouping. WALBytes is
-	// the encoded bytes appended, WALRawBytes what the same records would
-	// have cost fixed-width — the codec's compression baseline.
-	// WALAppendTime is the total wall time spent in appends, the per-epoch
-	// durable overhead benchconn e14 measures. Checkpoints counts full
-	// snapshots, CheckpointsDelta incremental deltas.
-	WALRecords       int64
-	WALBytes         int64
-	WALRawBytes      int64
-	WALFsyncs        int64
-	WALFsyncsSaved   int64
-	WALAppendTime    time.Duration
-	Checkpoints      int64
-	CheckpointsDelta int64
-
-	// GroupSyncWidth is the group-commit scheduler's current width target:
-	// the configured K for a static width, the EWMA-chosen K under
-	// GroupSyncAdaptive, zero when grouping is off.
-	GroupSyncWidth int64
+	// mutating epochs; WALFsyncs is how many fsyncs they cost (one per
+	// record). WALBytes is the encoded bytes appended, WALRawBytes what the
+	// same records would have cost fixed-width — the codec's compression
+	// baseline. WALAppendTime is the total wall time spent in append +
+	// fsync, the per-epoch durable overhead benchconn e14 measures.
+	// Checkpoints counts snapshots written.
+	WALRecords    int64
+	WALBytes      int64
+	WALRawBytes   int64
+	WALFsyncs     int64
+	WALAppendTime time.Duration
+	Checkpoints   int64
 }
 
 // AvgEpoch returns the mean operations per committed epoch.
@@ -961,13 +811,8 @@ func (e *Engine) Stats() Stats {
 		out.WALBytes = e.dur.bytes.Load()
 		out.WALRawBytes = e.dur.rawBytes.Load()
 		out.WALFsyncs = int64(e.dur.log.Fsyncs())
-		out.WALFsyncsSaved = e.dur.fsyncsSaved.Load()
 		out.WALAppendTime = time.Duration(e.dur.appendNanos.Load())
 		out.Checkpoints = e.dur.checkpoints.Load()
-		out.CheckpointsDelta = e.dur.deltas.Load()
-		if e.gs != nil {
-			out.GroupSyncWidth = int64(e.gs.width())
-		}
 	}
 	return out
 }

@@ -29,16 +29,15 @@ import (
 var ErrNoDurableState = errors.New("no durable state in directory")
 
 // Restore rebuilds a structure from a durability directory previously
-// written by a durable Engine: it loads the newest checkpoint chain that
-// validates — the newest readable full snapshot plus the newest delta
-// checkpoint chained to it, falling back to the full snapshot alone when no
-// delta validates (see checkpoint.LoadChain) — then replays the
-// write-ahead log's tail — records with sequence numbers past the chain —
-// in commit order. Deltas never truncate the WAL, so the fallback is
-// lossless: the log still covers everything since the full snapshot. A
-// torn WAL tail from a crash mid-append (or mid-group under group-commit
-// scheduling) is detected by CRC and ignored, exactly as the durability
-// contract allows: the torn epoch never acknowledged.
+// written by a durable Engine: it loads the newest readable checkpoint (see
+// checkpoint.Load), then replays the write-ahead log's tail — records with
+// sequence numbers past the checkpoint — in commit order. A torn WAL tail
+// from a crash mid-append is detected by CRC and ignored, exactly as the
+// durability contract allows: the torn epoch never acknowledged. Older
+// directories may also hold delta-*.dckpt files from the retired
+// incremental checkpoints; they are ignored, which loses nothing because
+// deltas never truncated the WAL — the newest full checkpoint plus the log
+// covers them.
 //
 // mk constructs the empty structure for the vertex count recorded in the
 // durable state (callers use it to apply algorithm options). The returned
@@ -46,7 +45,7 @@ var ErrNoDurableState = errors.New("no durable state in directory")
 // directory; the log continues where it left off. Errors are returned
 // unwrapped (no directory context) — callers add their own.
 func Restore(dir string, mk func(n int) *core.Conn) (*core.Conn, error) {
-	snap, haveSnap, err := checkpoint.LoadChain(dir)
+	snap, haveSnap, err := checkpoint.Load(dir)
 	if err != nil {
 		return nil, err
 	}

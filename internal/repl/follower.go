@@ -210,26 +210,6 @@ func streamOnce(stop <-chan struct{}, addr, ns string, a Applier, opts FollowerO
 				return progressed, err
 			}
 			progressed = true
-		case resp.Delta != nil:
-			// An incremental checkpoint riding behind the snapshot it chains
-			// to: valid only when the follower sits exactly at its base.
-			dl := resp.Delta
-			applied := a.AppliedSeq()
-			if dl.Seq <= applied {
-				continue
-			}
-			if dl.Base != applied {
-				return progressed, fmt.Errorf(
-					"repl: delta checkpoint chains to seq %d but follower applied through %d", dl.Base, applied)
-			}
-			if int(dl.N) != a.Universe() {
-				return progressed, fmt.Errorf(
-					"repl: delta checkpoint universe n=%d does not match follower n=%d", dl.N, a.Universe())
-			}
-			if err := a.ApplyEpoch(dl.Seq, pairsToEdges(dl.Add), pairsToEdges(dl.Del)); err != nil {
-				return progressed, err
-			}
-			progressed = true
 		default:
 			// Empty body: tolerated as a keep-alive.
 		}

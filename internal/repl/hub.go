@@ -7,17 +7,16 @@
 //
 // Primary side (Hub, one per durable namespace): a subscriber hook on the
 // Batcher tees every fsynced epoch into per-follower buffers, and Stream
-// serves one follower — catch-up first (the newest on-disk checkpoint
-// chain, if the follower's resume point predates the WAL floor, then the
-// WAL tail read from disk with a wal.Tail cursor), then the live buffer.
-// Catch-up never blocks writers: it reads checkpoint and log files with
-// independent descriptors while the dispatcher keeps appending — and it is
-// bounded by the source's synced frontier (Source.SyncedSeq), so an
-// appended-but-unsynced record under group-commit scheduling never reaches
-// a follower before its fsync. Records logged under a non-raw WAL codec
-// ship in their encoded form (wire epochraw frames) and the follower
-// decodes them through the codec registry: compressed bytes cross the wire
-// unchanged. A follower that cannot drain its buffer as fast as the
+// serves one follower — catch-up first (the newest on-disk checkpoint, if
+// the follower's resume point predates the WAL floor, then the WAL tail
+// read from disk with a wal.Tail cursor), then the live buffer. Catch-up
+// never blocks writers: it reads checkpoint and log files with independent
+// descriptors while the dispatcher keeps appending — and it is bounded by
+// the source's synced frontier (Source.SyncedSeq), so a record in the
+// window between its append and its fsync never reaches a follower.
+// Records logged under a non-raw WAL codec ship in their encoded form (wire
+// epochraw frames) and the follower decodes them through the codec
+// registry: compressed bytes cross the wire unchanged. A follower that cannot drain its buffer as fast as the
 // primary commits is dropped (the dispatcher must never block on a slow
 // follower); it reconnects and re-enters catch-up from its last applied
 // seq.
@@ -72,10 +71,9 @@ type Source interface {
 }
 
 // Frame is one element of a subscription stream: exactly one of Snapshot,
-// Delta, Epoch and EpochRaw is set.
+// Epoch and EpochRaw is set.
 type Frame struct {
 	Snapshot *wire.SnapshotBody
-	Delta    *wire.DeltaBody
 	Epoch    *wire.EpochBody
 	EpochRaw *wire.EpochRawBody
 }
@@ -246,8 +244,6 @@ func (h *Hub) send(sub *subscriber, send func(Frame) error, f Frame) error {
 		sub.sent.Store(f.Epoch.Seq)
 	case f.EpochRaw != nil:
 		sub.sent.Store(f.EpochRaw.Seq)
-	case f.Delta != nil:
-		sub.sent.Store(f.Delta.Seq)
 	case f.Snapshot != nil:
 		sub.sent.Store(f.Snapshot.Seq)
 	}
@@ -258,19 +254,18 @@ func (h *Hub) send(sub *subscriber, send func(Frame) error, f Frame) error {
 // log, returning the last seq shipped. If fromSeq predates the WAL floor
 // (the bridging records were truncated behind a checkpoint) or lies beyond
 // the primary's synced history (a diverged follower), the follower's state
-// is unusable and catch-up first ships the checkpoint chain to rebuild
-// from: the full snapshot in bounded chunks, then the newest delta chained
-// to it (when one validates), so the WAL replay that follows starts at the
-// delta's seq instead of the full's. The tail loop is bounded by the
-// source's synced frontier on every step — an appended-but-unsynced
-// record, one a crash could still take back, is never shipped.
+// is unusable and catch-up first ships the newest checkpoint to rebuild
+// from, in bounded chunks; the WAL replay that follows starts at its seq.
+// The tail loop is bounded by the source's synced frontier on every step —
+// an appended-but-unsynced record, one a crash could still take back, is
+// never shipped.
 func (h *Hub) catchUp(fromSeq uint64, sub *subscriber, send func(Frame) error) (uint64, error) {
 	const retries = 3
 	for attempt := 0; ; attempt++ {
 		start := fromSeq
 		floor, last := h.src.WALFloor(), h.src.SyncedSeq()
 		if fromSeq < floor || fromSeq > last {
-			snap, delta, err := h.loadChain(floor)
+			snap, err := h.loadSnapshot(floor)
 			if err != nil {
 				return 0, err
 			}
@@ -278,15 +273,6 @@ func (h *Hub) catchUp(fromSeq uint64, sub *subscriber, send func(Frame) error) (
 				return 0, err
 			}
 			start = snap.Seq
-			if delta != nil {
-				if err := h.send(sub, send, Frame{Delta: &wire.DeltaBody{
-					Seq: delta.Seq, Base: delta.Base, N: uint32(delta.N),
-					Add: graphToPairs(delta.Add), Del: graphToPairs(delta.Del),
-				}}); err != nil {
-					return 0, err
-				}
-				start = delta.Seq
-			}
 		}
 		t, err := wal.OpenTail(h.walPath, start)
 		if errors.Is(err, wal.ErrSeqGone) && attempt < retries {
@@ -317,28 +303,26 @@ func (h *Hub) catchUp(fromSeq uint64, sub *subscriber, send func(Frame) error) (
 	}
 }
 
-// loadChain returns the newest on-disk checkpoint chain — the full
-// snapshot plus the newest delta checkpoint chained to it, nil when none
-// validates — or an empty snapshot at seq zero when the log has never been
-// checkpointed (floor == 0): the follower rebuilds from nothing and
-// replays the whole log.
-func (h *Hub) loadChain(floor uint64) (checkpoint.Snapshot, *checkpoint.Delta, error) {
-	snap, delta, ok, err := checkpoint.Chain(h.dir)
+// loadSnapshot returns the newest on-disk checkpoint, or an empty snapshot
+// at seq zero when the log has never been checkpointed (floor == 0): the
+// follower rebuilds from nothing and replays the whole log.
+func (h *Hub) loadSnapshot(floor uint64) (checkpoint.Snapshot, error) {
+	snap, ok, err := checkpoint.Load(h.dir)
 	if err != nil {
-		return checkpoint.Snapshot{}, nil, err
+		return checkpoint.Snapshot{}, err
 	}
 	if !ok {
 		if floor > 0 {
-			return checkpoint.Snapshot{}, nil, fmt.Errorf(
+			return checkpoint.Snapshot{}, fmt.Errorf(
 				"repl: WAL floor is seq %d but no readable checkpoint covers it", floor)
 		}
-		return checkpoint.Snapshot{Seq: 0, N: h.n}, nil, nil
+		return checkpoint.Snapshot{Seq: 0, N: h.n}, nil
 	}
 	if snap.Seq < floor {
-		return checkpoint.Snapshot{}, nil, fmt.Errorf(
+		return checkpoint.Snapshot{}, fmt.Errorf(
 			"repl: newest readable checkpoint is seq %d, below the WAL floor %d", snap.Seq, floor)
 	}
-	return snap, delta, nil
+	return snap, nil
 }
 
 // sendSnapshot ships a full-state transfer in bounded chunks.

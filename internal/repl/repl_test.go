@@ -469,8 +469,8 @@ func TestFollowerSnapshotReset(t *testing.T) {
 }
 
 // replayFrames rebuilds follower state from a captured frame sequence the
-// way streamOnce would: snapshots replace, deltas chain to their base, raw
-// epochs decode through the codec registry. It returns the rebuilt graph
+// way streamOnce would: snapshots replace, raw epochs decode through the
+// codec registry. It returns the rebuilt graph
 // and the last applied seq.
 func replayFrames(t *testing.T, frames []Frame) (*conn.Graph, uint64) {
 	t.Helper()
@@ -486,13 +486,6 @@ func replayFrames(t *testing.T, frames []Frame) (*conn.Graph, uint64) {
 				fg.InsertEdges(snapEdges)
 				applied, snapEdges = f.Snapshot.Seq, nil
 			}
-		case f.Delta != nil:
-			if f.Delta.Base != applied {
-				t.Fatalf("delta chains to seq %d but follower applied through %d", f.Delta.Base, applied)
-			}
-			fg.InsertEdges(pairsToEdges(f.Delta.Add))
-			fg.DeleteEdges(pairsToEdges(f.Delta.Del))
-			applied = f.Delta.Seq
 		case f.Epoch != nil:
 			if f.Epoch.Seq <= applied {
 				continue
@@ -527,31 +520,26 @@ func replayFrames(t *testing.T, frames []Frame) (*conn.Graph, uint64) {
 	return fg, applied
 }
 
-// TestHubShipsRawCodecAndChain: a v2 + group-sync primary ships compressed
-// records unchanged (epochraw frames, live and catch-up) and below-floor
-// catch-up ships the checkpoint chain — full snapshot, then the newest
-// delta, then the WAL tail from the delta's seq — converging to the
+// TestHubShipsRawCodec: a v2 primary ships compressed records unchanged
+// (epochraw frames, live and catch-up), and below-floor catch-up ships the
+// newest checkpoint, then the WAL tail from its seq — converging to the
 // primary's exact state.
-func TestHubShipsRawCodecAndChain(t *testing.T) {
+func TestHubShipsRawCodec(t *testing.T) {
 	dir := t.TempDir()
 	g := conn.New(64)
 	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir),
-		conn.WithWALCodec("v2"), conn.WithGroupSync(4, 300*time.Microsecond),
-		conn.WithCheckpointEvery(4))
+		conn.WithWALCodec("v2"))
 	defer b.Close()
 
 	for i := 0; i < 6; i++ {
 		b.Insert(int32(i), int32(i+1))
 	}
-	if _, err := b.Checkpoint(); err != nil { // full, moves the floor
-		t.Fatal(err)
-	}
 	b.Insert(10, 11)
 	b.Delete(0, 1)
-	if _, err := b.Checkpoint(); err != nil { // delta chained to the full
+	if _, err := b.Checkpoint(); err != nil { // moves the floor to seq 8
 		t.Fatal(err)
 	}
-	b.Insert(11, 12) // WAL tail past the delta
+	b.Insert(11, 12) // WAL tail past the checkpoint
 
 	h := NewHub(b, dir, 64)
 	defer h.Stop()
@@ -578,14 +566,14 @@ func TestHubShipsRawCodecAndChain(t *testing.T) {
 	<-done
 
 	frames := col.snapshot()
-	var sawDelta, sawRaw, sawDecoded bool
+	var sawSnapshot, sawRaw, sawDecoded bool
 	for _, f := range frames {
-		sawDelta = sawDelta || f.Delta != nil
+		sawSnapshot = sawSnapshot || f.Snapshot != nil
 		sawRaw = sawRaw || f.EpochRaw != nil
 		sawDecoded = sawDecoded || f.Epoch != nil
 	}
-	if !sawDelta {
-		t.Fatal("below-floor catch-up never shipped the delta checkpoint")
+	if !sawSnapshot {
+		t.Fatal("below-floor catch-up never shipped the checkpoint")
 	}
 	if !sawRaw {
 		t.Fatal("v2 primary never shipped a raw-codec epoch frame")
@@ -608,15 +596,14 @@ func TestHubShipsRawCodecAndChain(t *testing.T) {
 		}
 	}
 	if fg.HasEdge(0, 1) {
-		t.Fatal("delta-shipped deletion missing on the follower")
+		t.Fatal("checkpointed deletion missing on the follower")
 	}
 }
 
-// TestFollowerAppliesDeltaAndRawFrames drives streamOnce's delta and
-// epochraw branches through a scripted primary: snapshot, chained delta,
-// then a v2-encoded raw epoch — and verifies a delta whose base does not
-// match the follower's position severs the stream instead of applying.
-func TestFollowerAppliesDeltaAndRawFrames(t *testing.T) {
+// TestFollowerAppliesRawFrames drives streamOnce's epochraw branch through
+// a scripted primary: snapshot, then v2-encoded raw epochs — and verifies a
+// raw epoch that skips a seq severs the stream instead of applying.
+func TestFollowerAppliesRawFrames(t *testing.T) {
 	p := newFakePrimary(t)
 	defer p.ln.Close()
 
@@ -624,7 +611,9 @@ func TestFollowerAppliesDeltaAndRawFrames(t *testing.T) {
 	if !ok {
 		t.Fatal("v2 codec unregistered")
 	}
-	raw := v2.Encode(nil, wal.Record{Seq: 21, Ins: []conn.Edge{{U: 7, V: 8}}})
+	raw11 := v2.Encode(nil, wal.Record{Seq: 11, Ins: []conn.Edge{{U: 5, V: 6}}, Del: []conn.Edge{{U: 2, V: 3}}})
+	raw12 := v2.Encode(nil, wal.Record{Seq: 12, Ins: []conn.Edge{{U: 7, V: 8}}})
+	gap := v2.Encode(nil, wal.Record{Seq: 30, Ins: []conn.Edge{{U: 9, V: 10}}})
 	p.mu.Lock()
 	p.serve = func(sess int, fromSeq uint64, send func(*wire.Response) error) {
 		if sess > 0 {
@@ -633,15 +622,10 @@ func TestFollowerAppliesDeltaAndRawFrames(t *testing.T) {
 		send(&wire.Response{Snapshot: &wire.SnapshotBody{
 			Seq: 10, N: 32, Final: true, Edges: []wire.Pair{{U: 1, V: 2}, {U: 2, V: 3}},
 		}})
-		send(&wire.Response{Delta: &wire.DeltaBody{
-			Seq: 20, Base: 10, N: 32,
-			Add: []wire.Pair{{U: 5, V: 6}}, Del: []wire.Pair{{U: 2, V: 3}},
-		}})
-		send(&wire.Response{EpochRaw: &wire.EpochRawBody{Seq: 21, Codec: v2.Version(), Enc: raw}})
-		// Mis-chained delta: Base 5 != applied 21. Must error, not apply.
-		send(&wire.Response{Delta: &wire.DeltaBody{
-			Seq: 30, Base: 5, N: 32, Add: []wire.Pair{{U: 9, V: 10}},
-		}})
+		send(&wire.Response{EpochRaw: &wire.EpochRawBody{Seq: 11, Codec: v2.Version(), Enc: raw11}})
+		send(&wire.Response{EpochRaw: &wire.EpochRawBody{Seq: 12, Codec: v2.Version(), Enc: raw12}})
+		// Seq gap: 30 after 12. Must error, not apply.
+		send(&wire.Response{EpochRaw: &wire.EpochRawBody{Seq: 30, Codec: v2.Version(), Enc: gap}})
 		time.Sleep(time.Hour)
 	}
 	p.mu.Unlock()
@@ -657,15 +641,15 @@ func TestFollowerAppliesDeltaAndRawFrames(t *testing.T) {
 		})
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for a.AppliedSeq() < 21 && time.Now().Before(deadline) {
+	for a.AppliedSeq() < 12 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Give the bad delta a moment to (wrongly) land before stopping.
+	// Give the gapped epoch a moment to (wrongly) land before stopping.
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if a.AppliedSeq() != 21 {
-		t.Fatalf("follower applied through %d, want 21", a.AppliedSeq())
+	if a.AppliedSeq() != 12 {
+		t.Fatalf("follower applied through %d, want 12", a.AppliedSeq())
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -675,10 +659,10 @@ func TestFollowerAppliesDeltaAndRawFrames(t *testing.T) {
 		}
 	}
 	if a.g.HasEdge(2, 3) {
-		t.Fatal("delta deletion not applied")
+		t.Fatal("raw epoch deletion not applied")
 	}
 	if a.g.HasEdge(9, 10) {
-		t.Fatal("mis-chained delta was applied")
+		t.Fatal("gapped raw epoch was applied")
 	}
 }
 

@@ -62,18 +62,6 @@ type Options struct {
 	// unknown name.
 	WALCodec string
 
-	// GroupSyncK, when > 1, enables group-commit fsync scheduling on every
-	// durable namespace: up to K epochs share one fsync, bounded by
-	// GroupSyncMaxWait (zero selects the conn default window). Acked
-	// writes are still always fsynced before the ack.
-	GroupSyncK       int
-	GroupSyncMaxWait time.Duration
-
-	// CheckpointEvery, when > 1, makes every M-th checkpoint a full
-	// snapshot and the ones between incremental deltas against the last
-	// full (see conn.WithCheckpointEvery).
-	CheckpointEvery int
-
 	// DefaultShards, when >= 2, hash-partitions every namespace created
 	// without an explicit shard count across that many engines (the -shards
 	// flag on connserver). A CmdCreate carrying its own shard count always
@@ -290,12 +278,6 @@ func (s *Server) batcherOpts(durDir string) []conn.BatcherOption {
 		if s.opts.WALCodec != "" {
 			o = append(o, conn.WithWALCodec(s.opts.WALCodec))
 		}
-		if s.opts.GroupSyncK > 1 {
-			o = append(o, conn.WithGroupSync(s.opts.GroupSyncK, s.opts.GroupSyncMaxWait))
-		}
-		if s.opts.CheckpointEvery > 1 {
-			o = append(o, conn.WithCheckpointEvery(s.opts.CheckpointEvery))
-		}
 	}
 	return o
 }
@@ -305,12 +287,9 @@ func (s *Server) batcherOpts(durDir string) []conn.BatcherOption {
 // explicitly — a zero server option must mean the same thing on both paths.
 func (s *Server) shardOpts(durDir string) shard.Options {
 	o := shard.Options{
-		MaxBatch:         s.opts.MaxBatch,
-		MaxDelay:         s.opts.MaxDelay,
-		DurDir:           durDir,
-		GroupSyncK:       s.opts.GroupSyncK,
-		GroupSyncMaxWait: s.opts.GroupSyncMaxWait,
-		CheckpointEvery:  s.opts.CheckpointEvery,
+		MaxBatch: s.opts.MaxBatch,
+		MaxDelay: s.opts.MaxDelay,
+		DurDir:   durDir,
 	}
 	if s.opts.WALCodec != "" {
 		// Validated in New; resolve once so every shard engine shares it.
@@ -669,7 +648,7 @@ func (s *Server) subscribe(req *wire.Request, write func(*wire.Response) error) 
 	// the Batcher closes.
 	err := hub.Stream(req.FromSeq, func(f repl.Frame) error {
 		return write(&wire.Response{ID: req.ID, Snapshot: f.Snapshot,
-			Delta: f.Delta, Epoch: f.Epoch, EpochRaw: f.EpochRaw})
+			Epoch: f.Epoch, EpochRaw: f.EpochRaw})
 	})
 	if err != nil {
 		// Best effort: tell a still-connected follower why the stream ended
@@ -941,10 +920,8 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 			WALBytes:          uint64(st.WALBytes),
 			WALRawBytes:       uint64(st.WALRawBytes),
 			WALFsyncs:         uint64(st.WALFsyncs),
-			WALFsyncsSaved:    uint64(st.WALFsyncsSaved),
 			WALAppendNanos:    uint64(st.WALAppendTime.Nanoseconds()),
 			Checkpoints:       uint64(st.Checkpoints),
-			CheckpointsDelta:  uint64(st.CheckpointsDelta),
 			AppliedSeq:        ns.applied.Load(),
 		}
 		if ns.hub != nil {
@@ -1022,10 +999,8 @@ func shardedStats(ns *namespace) wire.Stats {
 		ws.WALBytes += uint64(st.WALBytes)
 		ws.WALRawBytes += uint64(st.WALRawBytes)
 		ws.WALFsyncs += uint64(st.WALFsyncs)
-		ws.WALFsyncsSaved += uint64(st.WALFsyncsSaved)
 		ws.WALAppendNanos += uint64(st.WALAppendTime.Nanoseconds())
 		ws.Checkpoints += uint64(st.Checkpoints)
-		ws.CheckpointsDelta += uint64(st.CheckpointsDelta)
 		ws.Shards = append(ws.Shards, wire.ShardStats{
 			Epochs:     uint64(st.Epochs),
 			Ops:        uint64(st.Ops),

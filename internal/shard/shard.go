@@ -67,14 +67,9 @@ type Options struct {
 	// Existing state is restored; a fresh directory is initialized with a
 	// meta file pinning (shards, n).
 	DurDir string
-	// WALCodec, GroupSyncK, GroupSyncMaxWait, GroupSyncAdaptive and
-	// CheckpointEvery are the durability-pipeline knobs, applied uniformly
-	// to every engine (see engine.Options). Ignored without DurDir.
-	WALCodec          wal.Codec
-	GroupSyncK        int
-	GroupSyncMaxWait  time.Duration
-	GroupSyncAdaptive bool
-	CheckpointEvery   int
+	// WALCodec is the WAL record encoding, applied uniformly to every
+	// engine (see engine.Options). Ignored without DurDir.
+	WALCodec wal.Codec
 }
 
 // Coordinator hash-partitions a vertex universe across k shard engines
@@ -162,10 +157,6 @@ func New(n, k int, o Options) (*Coordinator, error) {
 				SnapshotThreshold: o.SnapshotThreshold,
 				DurDir:            dir,
 				WALCodec:          o.WALCodec,
-				GroupSyncK:        o.GroupSyncK,
-				GroupSyncMaxWait:  o.GroupSyncMaxWait,
-				GroupSyncAdaptive: o.GroupSyncAdaptive,
-				CheckpointEvery:   o.CheckpointEvery,
 			})
 		}
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -22,26 +21,13 @@ const (
 	envData    = "CONNCHAOS_DATA"
 	envPrimary = "CONNCHAOS_PRIMARY"
 
-	// Durability-pipeline knobs forwarded to primary children (see
-	// server.Options); empty/zero values select the defaults.
-	envWALCodec  = "CONNCHAOS_WAL_CODEC"
-	envGroupSync = "CONNCHAOS_GROUP_SYNC"
-	envGroupWait = "CONNCHAOS_GROUP_WAIT"
-	envCkptEvery = "CONNCHAOS_CKPT_EVERY"
+	// The WAL codec forwarded to primary children (see server.Options);
+	// empty selects the default.
+	envWALCodec = "CONNCHAOS_WAL_CODEC"
 
 	rolePrimary = "primary"
 	roleReplica = "replica"
 )
-
-// durabilityKnobs carries a Config's pipeline settings to primary children
-// via the environment — the chaos run exercises the exact write path the
-// knobs select, respawns included.
-type durabilityKnobs struct {
-	walCodec   string
-	groupSyncK int
-	groupWait  time.Duration
-	ckptEvery  int
-}
 
 // IsChild reports whether this process was spawned by the topology driver
 // as a server child. Binaries embedding the driver (cmd/connchaos, the
@@ -64,15 +50,6 @@ func ChildMain() int {
 		// sites to fire in.
 		opts.MaxDelay = 200 * time.Microsecond
 		opts.WALCodec = os.Getenv(envWALCodec)
-		if k, err := strconv.Atoi(os.Getenv(envGroupSync)); err == nil && k > 1 {
-			opts.GroupSyncK = k
-		}
-		if w, err := time.ParseDuration(os.Getenv(envGroupWait)); err == nil && w > 0 {
-			opts.GroupSyncMaxWait = w
-		}
-		if m, err := strconv.Atoi(os.Getenv(envCkptEvery)); err == nil && m > 1 {
-			opts.CheckpointEvery = m
-		}
 	case roleReplica:
 		opts.ReplicaOf = os.Getenv(envPrimary)
 	default:
@@ -94,8 +71,10 @@ func ChildMain() int {
 // childEnv builds a child's environment: the parent's, scrubbed of any
 // CONNCHAOS_* values (the driver itself must never arm, and a stale
 // schedule must not leak into an incarnation meant to run clean), plus the
-// role settings and, when schedule is non-empty, the chaos arming pair.
-func childEnv(role, addr, data, primary string, seed int64, schedule string, dur durabilityKnobs) []string {
+// role settings, the WAL codec (so the chaos run exercises the exact write
+// path it selects, respawns included) and, when schedule is non-empty, the
+// chaos arming pair.
+func childEnv(role, addr, data, primary string, seed int64, schedule, walCodec string) []string {
 	env := make([]string, 0, len(os.Environ())+10)
 	for _, kv := range os.Environ() {
 		if strings.HasPrefix(kv, "CONNCHAOS_") {
@@ -105,17 +84,8 @@ func childEnv(role, addr, data, primary string, seed int64, schedule string, dur
 	}
 	env = append(env,
 		envRole+"="+role, envAddr+"="+addr, envData+"="+data, envPrimary+"="+primary)
-	if dur.walCodec != "" {
-		env = append(env, envWALCodec+"="+dur.walCodec)
-	}
-	if dur.groupSyncK > 1 {
-		env = append(env, fmt.Sprintf("%s=%d", envGroupSync, dur.groupSyncK))
-	}
-	if dur.groupWait > 0 {
-		env = append(env, envGroupWait+"="+dur.groupWait.String())
-	}
-	if dur.ckptEvery > 1 {
-		env = append(env, fmt.Sprintf("%s=%d", envCkptEvery, dur.ckptEvery))
+	if walCodec != "" {
+		env = append(env, envWALCodec+"="+walCodec)
 	}
 	if schedule != "" {
 		env = append(env,

@@ -83,26 +83,13 @@ type Config struct {
 	Duration time.Duration // length of the fault-injection phase (default 4s)
 	Schedule string        // overrides defaultPrimarySchedule when non-empty
 
-	// Durability-pipeline knobs for the primary (zero values keep the
-	// defaults: per-epoch fsync, v1 codec, full checkpoints). The harness
-	// verifies the same invariants whatever the pipeline configuration —
-	// acked means durable under group commit and compressed codecs too.
-	WALCodec        string        // WAL record encoding ("v1", "v2")
-	GroupSyncK      int           // > 1 enables group-commit fsync across K epochs
-	GroupSyncWait   time.Duration // ack-latency bound for group commit
-	CheckpointEvery int           // > 1 enables incremental delta checkpoints
+	// WALCodec is the primary's WAL record encoding ("v1", "v2"; empty
+	// keeps the default). The harness verifies the same invariants whatever
+	// the codec — acked means durable under compressed records too.
+	WALCodec string
 
 	Logf     func(format string, args ...any)
 	ChildLog io.Writer // child process stderr (default: discarded)
-}
-
-func (cfg Config) knobs() durabilityKnobs {
-	return durabilityKnobs{
-		walCodec:   cfg.WALCodec,
-		groupSyncK: cfg.GroupSyncK,
-		groupWait:  cfg.GroupSyncWait,
-		ckptEvery:  cfg.CheckpointEvery,
-	}
 }
 
 func (cfg Config) withDefaults() Config {
@@ -129,15 +116,6 @@ func (cfg Config) repro() string {
 	}
 	if cfg.WALCodec != "" {
 		s += " -wal-codec " + cfg.WALCodec
-	}
-	if cfg.GroupSyncK > 1 {
-		s += fmt.Sprintf(" -group-sync %d", cfg.GroupSyncK)
-	}
-	if cfg.GroupSyncWait > 0 {
-		s += fmt.Sprintf(" -group-wait %s", cfg.GroupSyncWait)
-	}
-	if cfg.CheckpointEvery > 1 {
-		s += fmt.Sprintf(" -ckpt-every %d", cfg.CheckpointEvery)
 	}
 	return s
 }
@@ -194,7 +172,7 @@ type supervisor struct {
 	addr     string
 	data     string
 	primary  string
-	knobs    durabilityKnobs
+	walCodec string
 
 	done chan struct{}
 }
@@ -213,7 +191,7 @@ func (s *supervisor) loop() {
 			return
 		}
 		cmd := exec.Command(os.Args[0])
-		cmd.Env = childEnv(s.role, s.addr, s.data, s.primary, s.seed, s.schedule, s.knobs)
+		cmd.Env = childEnv(s.role, s.addr, s.data, s.primary, s.seed, s.schedule, s.walCodec)
 		cmd.Stdout = s.childLog
 		cmd.Stderr = s.childLog
 		err := cmd.Start()
@@ -463,7 +441,7 @@ func Run(cfg Config) error {
 	prim := &supervisor{
 		name: "primary", logf: logf, childLog: childLog,
 		role: rolePrimary, addr: primaryAddr, data: dataDir,
-		seed: cfg.Seed, schedule: primarySched, knobs: cfg.knobs(),
+		seed: cfg.Seed, schedule: primarySched, walCodec: cfg.WALCodec,
 	}
 	prim.start()
 	defer prim.stopAndWait()

@@ -47,8 +47,7 @@ func TestChaosTopology(t *testing.T) {
 func TestChildEnvScrubs(t *testing.T) {
 	t.Setenv(envRole, "stale-role")
 	t.Setenv("CONNCHAOS_SCHED", "stale-sched")
-	env := childEnv(rolePrimary, "addr:1", "/data", "", 7, "",
-		durabilityKnobs{walCodec: "v2", groupSyncK: 8, groupWait: 2 * time.Millisecond, ckptEvery: 4})
+	env := childEnv(rolePrimary, "addr:1", "/data", "", 7, "", "v2")
 	got := map[string]string{}
 	for _, kv := range env {
 		if k, v, ok := strings.Cut(kv, "="); ok && strings.HasPrefix(k, "CONNCHAOS_") {
@@ -61,9 +60,8 @@ func TestChildEnvScrubs(t *testing.T) {
 	if got[envRole] != rolePrimary || got[envData] != "/data" {
 		t.Fatalf("role env wrong: %v", got)
 	}
-	if got[envWALCodec] != "v2" || got[envGroupSync] != "8" ||
-		got[envGroupWait] != "2ms" || got[envCkptEvery] != "4" {
-		t.Fatalf("durability knobs not forwarded: %v", got)
+	if got[envWALCodec] != "v2" {
+		t.Fatalf("WAL codec not forwarded: %v", got)
 	}
 	if _, ok := got["CONNCHAOS_SCHED"]; ok {
 		t.Fatal("stale schedule leaked into a clean child's environment")

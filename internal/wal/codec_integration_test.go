@@ -187,11 +187,11 @@ func TestSyncFrontier(t *testing.T) {
 	}
 }
 
-// TestTornTailMidGroupTruncatesToLastComplete is the wal half of the
-// group-sync crash contract: a crash mid-group leaves complete records
-// (possibly past the last fsync) plus a torn frame; reopen keeps every
-// complete record — a superset of the synced prefix, which replay
-// idempotence absorbs — and drops only the torn suffix.
+// TestTornTailMidGroupTruncatesToLastComplete: a crash after several
+// unsynced appends leaves complete records (possibly past the last fsync)
+// plus a torn frame; reopen keeps every complete record — a superset of the
+// synced prefix, which replay idempotence absorbs — and drops only the torn
+// suffix.
 func TestTornTailMidGroupTruncatesToLastComplete(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, err := OpenWithCodec(path, 16, CodecV2)

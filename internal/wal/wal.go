@@ -1,9 +1,9 @@
 // Package wal implements the write-ahead log behind conn.Batcher's
 // WithDurability mode: one length-prefixed, CRC-checksummed record per
 // committed epoch that mutated the graph, made durable before the epoch is
-// acknowledged — group commit in the classic sense, one fsync amortized
-// over one or more coalesced batches, exactly the batching argument the
-// paper makes for its work bounds.
+// applied or acknowledged — group commit in the classic sense, one fsync
+// amortized over every submission coalesced into the epoch, exactly the
+// batching argument the paper makes for its work bounds.
 //
 // File layout (all integers little-endian):
 //
@@ -25,12 +25,11 @@
 //
 // Durability frontier: AppendRecord only writes; Sync forces everything
 // appended so far to the medium and advances SyncedSeq, the synced
-// frontier. Append is the two fused (the classic one-fsync-per-epoch
-// path). Under the engine's group-sync scheduler several appended epochs
-// share one Sync, and only the scheduler's sync point — never the append —
-// acknowledges, so acked ⇒ durable is preserved exactly; SyncedSeq is what
-// replication catch-up bounds itself by so followers never see a record
-// that could still be lost.
+// frontier. Append is the two fused. The engine calls them back to back
+// per epoch and acknowledges only after Sync returns, so acked ⇒ durable;
+// SyncedSeq is what replication catch-up bounds itself by, so a concurrent
+// reader that observes a record between its append and its fsync never
+// ships it to a follower.
 //
 // Recovery contract: Scan accepts any byte stream and never panics. It
 // stops cleanly at the first frame that is incomplete (torn tail from a
@@ -240,13 +239,11 @@ func Scan(r io.Reader, fn func(Record) error) (ScanResult, error) {
 	}
 }
 
-// Log is an append-only WAL handle. Appends, resets and Close are owned by
-// a single goroutine (the engine's dispatcher); Sync may additionally be
-// called by the engine's group-sync scheduler, which serializes it against
-// Reset and Close with its own lock. LastSeq, BaseSeq and SyncedSeq are
-// atomic and may be read from any goroutine — replication stats and
-// catch-up decisions read them concurrently with appends. Construct with
-// Open or OpenWithCodec.
+// Log is an append-only WAL handle. Appends, syncs, resets and Close are
+// owned by a single goroutine (the engine's dispatcher). LastSeq, BaseSeq
+// and SyncedSeq are atomic and may be read from any goroutine — replication
+// stats and catch-up decisions read them concurrently with appends.
+// Construct with Open or OpenWithCodec.
 type Log struct {
 	path      string
 	f         *os.File
@@ -425,13 +422,18 @@ func (l *Log) AppendRecord(r Record) (n int, payload []byte, err error) {
 	}
 	enc, payload := encodeFrame(l.codec, r)
 	if flt := chaos.Inject(chaos.SiteWALAppendPreFsync); flt != nil {
-		// Torn: a prefix of the frame reaches the file without an fsync —
-		// the tail a crash mid-append leaves. The record was never acked,
-		// so the truncation on the next Open loses nothing durable.
-		if flt.Action == chaos.ActTorn {
+		switch flt.Action {
+		case chaos.ActDelay:
+			flt.Sleep() // a slow write: stall, then append as usual
+		case chaos.ActTorn:
+			// A prefix of the frame reaches the file without an fsync — the
+			// tail a crash mid-append leaves. The record was never acked,
+			// so the truncation on the next Open loses nothing durable.
 			_, _ = l.f.Write(enc[:len(enc)/2])
+			return 0, nil, flt.Err()
+		default:
+			return 0, nil, flt.Err()
 		}
-		return 0, nil, flt.Err()
 	}
 	if _, err := l.f.Write(enc); err != nil {
 		return 0, nil, err
@@ -455,11 +457,16 @@ func (l *Log) Sync() error {
 		return err
 	}
 	if flt := chaos.Inject(chaos.SiteWALAppendPostFsync); flt != nil {
-		// The fsync completed: the records ARE durable, but the caller sees
-		// failure — a crash between fsync and acknowledgement. A restart
-		// replays a superset of the acked history, which the replay
-		// idempotence contract absorbs.
-		return flt.Err()
+		if flt.Action != chaos.ActDelay {
+			// The fsync completed: the records ARE durable, but the caller
+			// sees failure — a crash between fsync and acknowledgement. A
+			// restart replays a superset of the acked history, which the
+			// replay idempotence contract absorbs.
+			return flt.Err()
+		}
+		// Delay emulates a slow volume: the fsync takes that much longer
+		// before the barrier reports success.
+		flt.Sleep()
 	}
 	l.fsyncs.Add(1)
 	l.syncedSeq.Store(target)

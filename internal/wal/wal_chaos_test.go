@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/graph"
@@ -121,5 +122,47 @@ func TestChaosPostFsyncDurable(t *testing.T) {
 	defer l.Close()
 	if l.LastSeq() != 1 {
 		t.Fatalf("durable-but-unacked record lost: LastSeq = %d, want 1", l.LastSeq())
+	}
+}
+
+// TestChaosDelayStallsWithoutFailing: a delay rule at either WAL site is a
+// slow volume, not a crash — the append and the sync stall for the rule's
+// duration, then succeed, and the record is durable and reopenable.
+func TestChaosDelayStallsWithoutFailing(t *testing.T) {
+	defer chaos.Disarm()
+	const stall = 5 * time.Millisecond
+	for _, site := range []string{chaos.SiteWALAppendPreFsync, chaos.SiteWALAppendPostFsync} {
+		t.Run(site, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			l, err := Open(path, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := chaos.Arm(1, site+":delay="+stall.String()); err != nil {
+				t.Fatal(err)
+			}
+			t0 := time.Now()
+			_, err = l.Append(Record{Seq: 1, Ins: []graph.Edge{{U: 3, V: 4}}})
+			took := time.Since(t0)
+			chaos.Disarm()
+			if err != nil {
+				t.Fatalf("delayed append failed: %v", err)
+			}
+			if took < stall {
+				t.Fatalf("append took %v, want a stall of at least %v", took, stall)
+			}
+			if l.SyncedSeq() != 1 || l.Fsyncs() != 1 {
+				t.Fatalf("after delayed append: SyncedSeq=%d Fsyncs=%d, want 1/1", l.SyncedSeq(), l.Fsyncs())
+			}
+			l.Close()
+			l, err = Open(path, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if l.LastSeq() != 1 {
+				t.Fatalf("delayed record lost: LastSeq = %d, want 1", l.LastSeq())
+			}
+		})
 	}
 }

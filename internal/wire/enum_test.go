@@ -17,3 +17,17 @@ func TestEnumBoundsMatchPackages(t *testing.T) {
 		t.Fatalf("maxEventKind = %d, pubsub.KindGap = %d", maxEventKind, pubsub.KindGap)
 	}
 }
+
+// The response body tag that carried incremental-checkpoint frames is
+// retired but reserved: later tags keep their bytes, so query and event
+// responses stay readable across versions, and a frame still carrying the
+// retired tag is rejected instead of misread.
+func TestRetiredBodyTagReserved(t *testing.T) {
+	if bodyEpochRaw != 7 || bodyQuery != 9 || bodyEvent != 10 {
+		t.Fatalf("body tags moved: epochraw=%d query=%d event=%d", bodyEpochRaw, bodyQuery, bodyEvent)
+	}
+	frame := append(make([]byte, 8), byte(StatusOK), bodyEpochRaw+1)
+	if _, err := DecodeResponse(frame); err == nil {
+		t.Fatal("response with the retired body tag decoded")
+	}
+}

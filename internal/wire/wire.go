@@ -30,7 +30,7 @@
 //	CmdDrop       : ns                               → empty
 //	CmdList       : empty                            → count uint32 |
 //	                (ns | n uint32 | flags uint8 | shards uint32)*
-//	CmdStats      : ns                               → 17 uint64 counters |
+//	CmdStats      : ns                               → 18 uint64 counters |
 //	                nShards uint32 | (6 uint64 per shard)*
 //	CmdCheckpoint : ns                               → path string
 //	CmdPing       : empty                            → empty
@@ -65,23 +65,18 @@
 //
 // CmdSubscribe turns the connection into a one-way epoch stream: the server
 // keeps pushing StatusOK responses carrying the subscribe request's id, each
-// with one of four stream bodies, until the subscriber falls too far behind,
+// with one of three stream bodies, until the subscriber falls too far behind,
 // the namespace goes away, or either side closes the connection:
 //
 //	snapshot : seq uint64 | n uint32 | final uint8 | count uint32 | (u,v)*
-//	delta    : seq uint64 | base uint64 | n uint32 |
-//	           nAdd uint32 | add (u,v)* | nDel uint32 | del (u,v)*
 //	epoch    : seq uint64 | nIns uint32 | ins (u,v)* | nDel uint32 | del (u,v)*
 //	epochraw : seq uint64 | codec uint8 | len uint32 | bytes
 //
 // A snapshot tells the follower to discard its state and rebuild from the
 // transferred edge set (split across consecutive frames sharing seq; the
 // final flag marks the last chunk) — sent when the follower's resume point
-// predates the primary's WAL floor. A delta frame may follow the snapshot:
-// it advances the just-applied snapshot (which must be at seq base, with the
-// same universe n) to seq by applying add then del — the primary's newest
-// incremental checkpoint, shipped so catch-up replays less WAL. Epoch frames
-// are the WAL records themselves, strictly sequential from the snapshot's
+// predates the primary's WAL floor. Epoch frames are the WAL records
+// themselves, strictly sequential from the snapshot's
 // (or resume point's) seq; the raw variant carries the record still in its
 // WAL codec encoding (the version byte from the log header) so compressed
 // records cross the wire without re-encoding — the follower decodes via the
@@ -213,14 +208,10 @@ type Stats struct {
 	Checkpoints       uint64
 
 	// Durability pipeline. WALRawBytes is the pre-codec size of everything
-	// logged (compare with WALBytes for the codec's ratio); WALFsyncs and
-	// WALFsyncsSaved split the record count into fsyncs issued vs fsyncs
-	// absorbed by group commit; CheckpointsDelta counts incremental
-	// checkpoints (Checkpoints counts fulls).
-	WALRawBytes      uint64
-	WALFsyncs        uint64
-	WALFsyncsSaved   uint64
-	CheckpointsDelta uint64
+	// logged (compare with WALBytes for the codec's ratio); WALFsyncs counts
+	// the fsyncs issued.
+	WALRawBytes uint64
+	WALFsyncs   uint64
 
 	// Replication. On a primary: connected epoch-stream subscribers, the
 	// last epoch seq teed to them, and the largest per-subscriber lag in
@@ -258,11 +249,14 @@ type ShardStats struct {
 // isZero reports whether the stats block is empty, in which case a response
 // carries no stats body at all.
 func (s *Stats) isZero() bool {
-	return len(s.Shards) == 0 && s.fields() == [20]uint64{}
+	return len(s.Shards) == 0 && s.fields() == [numStats]uint64{}
 }
 
-const statsLen = 20 * 8
-const shardStatsLen = 6 * 8
+const (
+	numStats      = 18
+	statsLen      = numStats * 8
+	shardStatsLen = 6 * 8
+)
 
 // Request is one decoded client frame. Fields beyond ID/Cmd are populated
 // per command as documented in the package comment.
@@ -328,18 +322,6 @@ type EpochRawBody struct {
 	Enc   []byte
 }
 
-// DeltaBody is one incremental checkpoint shipped during catch-up: applied
-// on top of a full snapshot at seq Base over universe N, the Add then Del
-// edge batches advance the follower to Seq without replaying the WAL span
-// the delta summarizes.
-type DeltaBody struct {
-	Seq  uint64
-	Base uint64
-	N    uint32
-	Add  []Pair
-	Del  []Pair
-}
-
 // QueryBody is a CmdQuery answer: which of Size/Count/Verts/Hist is
 // meaningful depends on the request's QKind (internal/query's Result
 // documents the mapping). Seq is the replication position the answer
@@ -377,7 +359,6 @@ type Response struct {
 	Stats      Stats         // CmdStats
 	Path       string        // CmdCheckpoint
 	Snapshot   *SnapshotBody // CmdSubscribe stream: full-state chunk
-	Delta      *DeltaBody    // CmdSubscribe stream: incremental checkpoint
 	Epoch      *EpochBody    // CmdSubscribe stream: one shipped epoch
 	EpochRaw   *EpochRawBody // CmdSubscribe stream: epoch in WAL codec form
 	Query      *QueryBody    // CmdQuery
@@ -557,16 +538,6 @@ func EncodeResponse(r *Response) ([]byte, error) {
 		buf = append(buf, final)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Edges)))
 		buf = appendPairs(buf, s.Edges)
-	case r.Delta != nil:
-		dl := r.Delta
-		buf = append(buf, bodyDelta)
-		buf = binary.LittleEndian.AppendUint64(buf, dl.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, dl.Base)
-		buf = binary.LittleEndian.AppendUint32(buf, dl.N)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dl.Add)))
-		buf = appendPairs(buf, dl.Add)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dl.Del)))
-		buf = appendPairs(buf, dl.Del)
 	case r.Epoch != nil:
 		e := r.Epoch
 		buf = append(buf, bodyEpoch)
@@ -665,31 +636,29 @@ const (
 	bodySnapshot
 	bodyEpoch
 	bodyEpochRaw
-	bodyDelta
+	_ // retired (incremental-checkpoint frames); reserved so later tags keep their bytes
 	bodyQuery
 	bodyEvent
 )
 
-func (s *Stats) fields() [20]uint64 {
-	return [20]uint64{
+func (s *Stats) fields() [numStats]uint64 {
+	return [numStats]uint64{
 		s.Epochs, s.Ops, s.MaxEpoch, s.SnapshotPublishes, s.SnapshotRebuilds,
 		s.WALRecords, s.WALBytes, s.WALAppendNanos, s.Checkpoints,
 		s.Subscribers, s.LastShippedSeq, s.MaxFollowerLag, s.AppliedSeq,
-		s.WALRawBytes, s.WALFsyncs, s.WALFsyncsSaved, s.CheckpointsDelta,
+		s.WALRawBytes, s.WALFsyncs,
 		s.EventSubscribers, s.EventsDelivered, s.EventsDropped,
 	}
 }
 
-func (s *Stats) setFields(f [20]uint64) {
+func (s *Stats) setFields(f [numStats]uint64) {
 	s.Epochs, s.Ops, s.MaxEpoch, s.SnapshotPublishes, s.SnapshotRebuilds,
 		s.WALRecords, s.WALBytes, s.WALAppendNanos, s.Checkpoints =
 		f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7], f[8]
 	s.Subscribers, s.LastShippedSeq, s.MaxFollowerLag, s.AppliedSeq =
 		f[9], f[10], f[11], f[12]
-	s.WALRawBytes, s.WALFsyncs, s.WALFsyncsSaved, s.CheckpointsDelta =
-		f[13], f[14], f[15], f[16]
-	s.EventSubscribers, s.EventsDelivered, s.EventsDropped =
-		f[17], f[18], f[19]
+	s.WALRawBytes, s.WALFsyncs = f[13], f[14]
+	s.EventSubscribers, s.EventsDelivered, s.EventsDropped = f[15], f[16], f[17]
 }
 
 // ---------------------------------------------------------------- decoding
@@ -962,13 +931,6 @@ func DecodeResponse(p []byte) (*Response, error) {
 		if d.ok {
 			r.EpochRaw = er
 		}
-	case bodyDelta:
-		dl := &DeltaBody{Seq: d.u64(), Base: d.u64(), N: d.u32()}
-		dl.Add = d.pairs(d.count(8))
-		dl.Del = d.pairs(d.count(8))
-		if d.ok {
-			r.Delta = dl
-		}
 	case bodyQuery:
 		q := &QueryBody{Seq: d.u64(), Found: d.flag(), Size: d.u64(), Count: d.u64()}
 		q.Verts = d.verts(d.count(4))
@@ -1007,7 +969,7 @@ func DecodeResponse(p []byte) (*Response, error) {
 	case bodyPath:
 		r.Path = d.str()
 	case bodyStats:
-		var f [20]uint64
+		var f [numStats]uint64
 		for i := range f {
 			f[i] = d.u64()
 		}

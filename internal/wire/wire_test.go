@@ -95,7 +95,7 @@ func TestResponseRoundTrip(t *testing.T) {
 			SnapshotPublishes: 2, SnapshotRebuilds: 1, WALRecords: 3, WALBytes: 4096,
 			WALAppendNanos: 12345, Checkpoints: 1,
 			Subscribers: 2, LastShippedSeq: 99, MaxFollowerLag: 4, AppliedSeq: 95,
-			WALRawBytes: 8192, WALFsyncs: 2, WALFsyncsSaved: 1, CheckpointsDelta: 3}},
+			WALRawBytes: 8192, WALFsyncs: 2}},
 		{ID: 15, Status: StatusOK, Stats: Stats{Epochs: 9, Ops: 40, Shards: []ShardStats{
 			{Epochs: 4, Ops: 22, WALRecords: 4, WALSeq: 4, WALFloor: 1, AppliedSeq: 4},
 			{Epochs: 5, Ops: 18, WALRecords: 5, WALSeq: 5, WALFloor: 0, AppliedSeq: 5},
@@ -112,8 +112,6 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 14, Status: StatusOK, Epoch: &EpochBody{Seq: 19, Ins: []Pair{}, Del: []Pair{}}},
 		{ID: 17, Status: StatusOK, EpochRaw: &EpochRawBody{
 			Seq: 20, Codec: 2, Enc: []byte{0x14, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3}}},
-		{ID: 18, Status: StatusOK, Delta: &DeltaBody{
-			Seq: 30, Base: 17, N: 64, Add: []Pair{{1, 2}, {3, 4}}, Del: []Pair{{5, 6}}}},
 		{ID: 19, Status: StatusOK, Stats: Stats{
 			EventSubscribers: 3, EventsDelivered: 120, EventsDropped: 7}},
 		{ID: 20, Status: StatusOK, Query: &QueryBody{
@@ -299,7 +297,7 @@ func FuzzWireDecode(f *testing.F) {
 		{ID: 8, Status: StatusOK, Snapshot: &SnapshotBody{Seq: 3, N: 64, Final: true, Edges: []Pair{{1, 2}}}},
 		{ID: 9, Status: StatusOK, Epoch: &EpochBody{Seq: 4, Ins: []Pair{{1, 2}}, Del: []Pair{{3, 4}}}},
 		{ID: 10, Status: StatusOK, EpochRaw: &EpochRawBody{Seq: 5, Codec: 2, Enc: []byte{5, 0, 0, 0, 0, 0, 0, 0}}},
-		{ID: 11, Status: StatusOK, Delta: &DeltaBody{Seq: 6, Base: 3, N: 32, Add: []Pair{{1, 2}}, Del: []Pair{{3, 4}}}},
+		{ID: 11, Status: StatusOK, Stats: Stats{Epochs: 2, WALRecords: 1, WALFsyncs: 1, Shards: []ShardStats{{Epochs: 1}}}},
 	} {
 		rp, err := EncodeResponse(r)
 		if err != nil {
