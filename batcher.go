@@ -14,26 +14,21 @@
 // (internal/shard hosts several engines behind the same operation surface
 // for partitioned writes; the network server exposes both.)
 //
-// Queries need not pay the write pipeline. Connectivity queries are pure
-// root walks (see the read-only query contracts in internal/treap,
-// internal/ett, internal/core), so Batcher serves them at three consistency
-// tiers:
+// Queries need not pay the write pipeline. Batcher serves them at two
+// consistency tiers:
 //
 //   - Connected / ConnectedBatch — linearized. The query joins the epoch
 //     pipeline and observes its epoch's post-update state, totally ordered
 //     with all updates. Pays the coalescing window.
-//   - ReadNow / ReadNowBatch — read-committed. Takes a read lock that
-//     excludes only the mutating phase of epoch execution and walks the
-//     live structure. No staging, no futures, no window; sees every
-//     committed epoch and never a partial one, but is not ordered against
-//     in-flight submissions.
-//   - ReadRecent / ReadRecentBatch — bounded staleness, wait-free. Two
-//     array loads against an immutable component labelling republished
-//     after every epoch that changes connectivity (internal/snapshot);
-//     answers are exact as of the last committed epoch.
+//   - ReadRecent / ReadRecentBatch — committed, wait-free. Two array loads
+//     against an immutable component labelling (internal/snapshot) that
+//     every connectivity-changing epoch republishes before any of its
+//     callers unblock: an answer reflects every acknowledged write and
+//     never a partial epoch, but is not ordered against in-flight
+//     submissions.
 //
-// cmd/benchconn experiment e13 measures the three tiers' read throughput
-// under writer load.
+// cmd/benchconn experiment e13 measures both tiers' read throughput under
+// writer load.
 
 package conn
 
@@ -123,12 +118,10 @@ type EpochRecord = engine.EpochRecord
 type BatcherOption func(*batcherOptions)
 
 type batcherOptions struct {
-	maxBatch      int
-	maxDelay      time.Duration
-	shards        int
-	snapThreshold int
-	durDir        string
-	walCodec      wal.Codec
+	maxBatch int
+	maxDelay time.Duration
+	durDir   string
+	walCodec wal.Codec
 }
 
 // WithMaxBatch sets the epoch size target: the dispatcher commits as soon
@@ -143,12 +136,6 @@ func WithMaxBatch(k int) BatcherOption {
 // commits eagerly (lowest latency, smallest batches).
 func WithMaxDelay(d time.Duration) BatcherOption {
 	return func(o *batcherOptions) { o.maxDelay = d }
-}
-
-// WithShards sets the number of staging-buffer stripes (contention control;
-// default GOMAXPROCS).
-func WithShards(s int) BatcherOption {
-	return func(o *batcherOptions) { o.shards = s }
 }
 
 // WithDurability makes every acknowledged write durable: the dispatcher
@@ -185,14 +172,6 @@ func WithWALCodec(name string) BatcherOption {
 	return func(o *batcherOptions) { o.walCodec = c }
 }
 
-// WithSnapshotThreshold tunes the ReadRecent labelling's incremental-repair
-// budget: an epoch whose dirty components hold more than k vertices in
-// total triggers one full relabelling instead of per-component walks.
-// k <= 0 selects max(1024, n/4).
-func WithSnapshotThreshold(k int) BatcherOption {
-	return func(o *batcherOptions) { o.snapThreshold = k }
-}
-
 // NewBatcher wraps g in a group-commit front-end and starts its dispatcher.
 // Callers own g's lifecycle; the Batcher only requires that nothing else
 // touches g until Close returns.
@@ -203,12 +182,10 @@ func NewBatcher(g *Graph, opts ...BatcherOption) *Batcher {
 	}
 	b := &Batcher{g: g}
 	e, err := engine.New(g.c, engine.Options{
-		MaxBatch:          o.maxBatch,
-		MaxDelay:          o.maxDelay,
-		Shards:            o.shards,
-		SnapshotThreshold: o.snapThreshold,
-		DurDir:            o.durDir,
-		WALCodec:          o.walCodec,
+		MaxBatch: o.maxBatch,
+		MaxDelay: o.maxDelay,
+		DurDir:   o.durDir,
+		WALCodec: o.walCodec,
 		// The hook indirects through the Batcher field so tests can install
 		// it after construction (but before the first submission), exactly
 		// as they always have.
@@ -281,9 +258,10 @@ const (
 
 // Query executes one structural query. Recent mode (the default) answers
 // label-shaped queries wait-free from the published snapshot and runs
-// traversals read-committed; Linearized mode rides the dispatcher first
-// (a full epoch barrier), ordering the answer after all previously
-// acknowledged writes. Returns ErrClosed once Close has begun.
+// traversals over the live structure under the engine's read lock, which
+// excludes only an epoch's mutating phase; Linearized mode rides the
+// dispatcher first (a full epoch barrier), ordering the answer after all
+// previously acknowledged writes. Returns ErrClosed once Close has begun.
 func (b *Batcher) Query(req QueryRequest) (QueryResult, error) {
 	if b.e.Closed() {
 		return QueryResult{}, ErrClosed
@@ -482,43 +460,13 @@ func coalesceOps(ops []Op, check func(u, v int32) error) ([]coalesce.Op, error) 
 	return cops, nil
 }
 
-// ReadNow reports whether u and v are currently connected — read-committed.
-// It walks the live structure under a read lock that excludes only the
-// mutating phase of epoch execution: no staging, no future, no coalescing
-// window. The answer reflects every committed epoch and never a partially
-// applied one, but is not ordered against operations still staged; a caller
-// that needs its own prior writes visible should Flush first or use
-// Connected. Panics once Close has begun.
-func (b *Batcher) ReadNow(u, v int32) bool {
-	b.check(u, v)
-	ok, err := b.e.ReadNow(u, v)
-	if err != nil {
-		panic("conn: Batcher used after Close")
-	}
-	return ok
-}
-
-// ReadNowBatch answers k read-committed connectivity queries against one
-// consistent live state (the read lock is held across the whole batch).
-func (b *Batcher) ReadNowBatch(qs []Edge) []bool {
-	if len(qs) == 0 {
-		return nil
-	}
-	for _, q := range qs {
-		b.check(q.U, q.V)
-	}
-	out, err := b.e.ReadNowBatch(qs)
-	if err != nil {
-		panic("conn: Batcher used after Close")
-	}
-	return out
-}
-
 // ReadRecent reports whether u and v were connected as of the last committed
-// epoch that changed connectivity — bounded staleness, wait-free: two array
+// epoch that changed connectivity — the committed tier, wait-free: two array
 // loads against an immutable published labelling, never blocking on writers
-// or other readers. Unlike other methods it remains usable after Close,
-// answering from the final snapshot.
+// or other readers. Every write whose call has returned is visible, and no
+// epoch is ever half-visible; operations still staged are not ordered
+// against it (use Connected for that). Unlike other methods it remains
+// usable after Close, answering from the final snapshot.
 func (b *Batcher) ReadRecent(u, v int32) bool {
 	b.check(u, v)
 	return b.e.Recent().Connected(u, v)
@@ -553,8 +501,8 @@ func (b *Batcher) Flush() { b.e.Flush() }
 
 // Close commits everything still staged and stops the dispatcher. After
 // Close returns the underlying Graph is quiesced and may be used directly.
-// Close is idempotent. Once Close has begun, update methods, Connected and
-// ReadNow panic; Do and Checkpoint return ErrClosed; Flush is a no-op;
+// Close is idempotent. Once Close has begun, update methods and Connected
+// panic; Do and Checkpoint return ErrClosed; Flush is a no-op;
 // ReadRecent keeps answering from the final snapshot.
 //
 // The returned error reports a failure to close the WAL file handle; the

@@ -314,17 +314,6 @@ func TestBatcherFlushAfterCloseIsNoOp(t *testing.T) {
 	b.Flush() // must not panic
 }
 
-func TestBatcherReadNowPanicsAfterClose(t *testing.T) {
-	b := NewBatcher(New(4))
-	b.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ReadNow after Close did not panic")
-		}
-	}()
-	b.ReadNow(0, 1)
-}
-
 // TestBatcherReadRecentSurvivesClose: the wait-free tier keeps serving the
 // final snapshot after Close.
 func TestBatcherReadRecentSurvivesClose(t *testing.T) {
@@ -338,11 +327,11 @@ func TestBatcherReadRecentSurvivesClose(t *testing.T) {
 }
 
 // TestReadTiersQuiescentAgree drives rounds of mixed updates, flushes, and
-// then — with the pipeline drained and no writer in flight — checks all
-// three read tiers against a union-find oracle on every sampled pair. After
-// a Flush the tiers must coincide exactly: Connected by linearization,
-// ReadNow because every epoch has committed, ReadRecent because the
-// snapshot is published before the flush's epoch resolves.
+// then — with the pipeline drained and no writer in flight — checks both
+// read tiers against a union-find oracle on every sampled pair. After a
+// Flush the tiers must coincide exactly: Connected by linearization,
+// ReadRecent because the snapshot is published before the flush's epoch
+// resolves.
 func TestReadTiersQuiescentAgree(t *testing.T) {
 	const n = 128
 	g := New(n)
@@ -388,9 +377,6 @@ func TestReadTiersQuiescentAgree(t *testing.T) {
 			if got := b.Connected(u, v); got != want {
 				t.Fatalf("round %d: Connected(%d,%d) = %v, oracle %v", round, u, v, got, want)
 			}
-			if got := b.ReadNow(u, v); got != want {
-				t.Fatalf("round %d: ReadNow(%d,%d) = %v, oracle %v", round, u, v, got, want)
-			}
 			if got := b.ReadRecent(u, v); got != want {
 				t.Fatalf("round %d: ReadRecent(%d,%d) = %v, oracle %v", round, u, v, got, want)
 			}
@@ -399,30 +385,30 @@ func TestReadTiersQuiescentAgree(t *testing.T) {
 		for i := range qs {
 			qs[i] = Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
 		}
-		now := b.ReadNowBatch(qs)
 		recent := b.ReadRecentBatch(qs)
 		lin := b.ConnectedBatch(qs)
 		for i := range qs {
 			want := uf.Connected(qs[i].U, qs[i].V)
-			if now[i] != want || recent[i] != want || lin[i] != want {
-				t.Fatalf("round %d: batch tiers disagree at %d: now=%v recent=%v lin=%v oracle=%v",
-					round, i, now[i], recent[i], lin[i], want)
+			if recent[i] != want || lin[i] != want {
+				t.Fatalf("round %d: batch tiers disagree at %d: recent=%v lin=%v oracle=%v",
+					round, i, recent[i], lin[i], want)
 			}
 		}
 	}
 }
 
-// TestReadTiersConcurrentConsistency exercises all three tiers while
-// writers are actively mutating — run with -race. The workload keeps
-// connectivity monotone and class-stable so exact answers are checkable
-// under full concurrency without stopping the world:
+// TestReadTiersConcurrentConsistency exercises both tiers, plus a
+// live-structure path query, while writers are actively mutating — run
+// with -race. The workload keeps connectivity monotone and class-stable so
+// exact answers are checkable under full concurrency without stopping the
+// world:
 //
 //   - the lower half of the vertices is pre-connected by a spanning path
-//     (before any reader starts), so every tier must always answer true
+//     (before any reader starts), so every reader must always answer true
 //     for lower-half pairs;
 //   - writers insert random edges only within the lower half, so the
-//     isolated upper half stays isolated and every tier must always answer
-//     false for distinct upper-half pairs.
+//     isolated upper half stays isolated and every reader must always
+//     answer false for distinct upper-half pairs.
 //
 // Staleness is checked too: the snapshot epoch observed by ReadRecent
 // callers must be monotone per goroutine.
@@ -481,7 +467,15 @@ func TestReadTiersConcurrentConsistency(t *testing.T) {
 				case 0:
 					gotLo, gotHi = b.Connected(lo1, lo2), b.Connected(hi1, hi2)
 				case 1:
-					gotLo, gotHi = b.ReadNow(lo1, lo2), b.ReadNow(hi1, hi2)
+					// A tree-path query walks the live forest under the
+					// engine's read lock, racing the mutating phase.
+					lo, err1 := b.Query(QueryRequest{Kind: QueryPath, U: lo1, V: lo2})
+					hi, err2 := b.Query(QueryRequest{Kind: QueryPath, U: hi1, V: hi2})
+					if err1 != nil || err2 != nil {
+						t.Errorf("reader %d op %d: path query: %v, %v", r, i, err1, err2)
+						return
+					}
+					gotLo, gotHi = lo.Found, hi.Found
 				default:
 					ans := b.ReadRecentBatch([]Edge{{U: lo1, V: lo2}, {U: hi1, V: hi2}})
 					gotLo, gotHi = ans[0], ans[1]
@@ -573,45 +567,5 @@ func TestSnapshotSkipsNoChangeEpochs(t *testing.T) {
 	}
 	if b.ReadRecent(0, 1) || !b.ReadRecent(1, 2) {
 		t.Fatal("ReadRecent wrong after split")
-	}
-}
-
-// TestBatcherSnapshotThresholdPaths drives the same workload through a
-// snapshot that always rebuilds (threshold 1) and one that always repairs
-// incrementally (huge threshold) and checks both end at the same labelling.
-func TestBatcherSnapshotThresholdPaths(t *testing.T) {
-	const n = 256
-	finals := make([][]bool, 0, 2)
-	for _, threshold := range []int{1, 1 << 30} {
-		g := New(n)
-		b := NewBatcher(g, WithMaxDelay(0), WithSnapshotThreshold(threshold))
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < 400; i++ {
-			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-			if rng.Intn(3) == 0 {
-				b.Delete(u, v)
-			} else {
-				b.Insert(u, v)
-			}
-		}
-		b.Flush()
-		ans := make([]bool, 0, n)
-		for u := int32(0); u < n; u++ {
-			ans = append(ans, b.ReadRecent(0, u))
-		}
-		s := b.Stats()
-		if threshold == 1 && s.SnapshotPublishes > 0 && s.SnapshotRebuilds == 0 {
-			t.Error("threshold=1 never rebuilt")
-		}
-		if threshold == 1<<30 && s.SnapshotRebuilds != 0 {
-			t.Errorf("huge threshold rebuilt %d times", s.SnapshotRebuilds)
-		}
-		b.Close()
-		finals = append(finals, ans)
-	}
-	for i := range finals[0] {
-		if finals[0][i] != finals[1][i] {
-			t.Fatalf("threshold paths disagree at vertex %d", i)
-		}
 	}
 }

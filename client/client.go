@@ -751,8 +751,8 @@ func (ns *Namespace) read(cmd wire.Cmd, qs []conn.Edge) ([]bool, error) {
 		pairs[i] = wire.Pair{U: q.U, V: q.V}
 	}
 	req := &wire.Request{Cmd: cmd, NS: ns.name, Pairs: pairs}
-	// Only the bounded-staleness tier may be served by a replica; ReadNow
-	// promises "all committed epochs", which only the primary can keep.
+	// Only ReadRecent may be served by a (fenced) replica; ReadNow is the
+	// same committed read pinned to the primary, so it never trails it.
 	if cmd == wire.CmdReadRecent {
 		resp, err := ns.c.doRead(req)
 		if err != nil {
@@ -777,19 +777,23 @@ func oneBit(bits []bool, err error) (bool, error) {
 	return bits[0], nil
 }
 
-// ReadNow answers a read-committed query against the live structure: no
-// coalescing window, excluded only by the mutating phase of each epoch.
+// ReadNow answers a committed query pinned to the primary: the same source
+// as ReadRecent — the primary's published component labelling, reflecting
+// every acknowledged write and never a partial epoch — but never routed to
+// a replica.
 func (ns *Namespace) ReadNow(u, v int32) (bool, error) {
 	return oneBit(ns.read(wire.CmdReadNow, []conn.Edge{{U: u, V: v}}))
 }
 
-// ReadNowBatch answers k read-committed queries against one live state.
+// ReadNowBatch answers k committed, primary-pinned queries from one
+// published labelling.
 func (ns *Namespace) ReadNowBatch(qs []conn.Edge) ([]bool, error) {
 	return ns.read(wire.CmdReadNow, qs)
 }
 
-// ReadRecent answers a wait-free bounded-staleness query from the server's
-// last published component snapshot.
+// ReadRecent answers a wait-free committed query from the last published
+// component snapshot of the server that serves it — a fenced replica when
+// WithReplicas is set, otherwise the primary.
 func (ns *Namespace) ReadRecent(u, v int32) (bool, error) {
 	return oneBit(ns.read(wire.CmdReadRecent, []conn.Edge{{U: u, V: v}}))
 }

@@ -126,7 +126,8 @@ func TestReadRoutingPrefersFreshReplica(t *testing.T) {
 	if stub.requests.Load() == 0 {
 		t.Fatal("stub replica saw no requests")
 	}
-	// ReadNow must NOT be replica-routed: it promises all committed epochs.
+	// ReadNow must NOT be replica-routed: it is the primary-pinned committed
+	// read, so it never trails the primary.
 	ok, err = cl.Namespace("g").ReadNow(4, 5)
 	if err != nil {
 		t.Fatal(err)

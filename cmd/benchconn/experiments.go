@@ -694,7 +694,7 @@ func runE18(cfg config) {
 func runE13(cfg config) {
 	n := cfg.size(1<<16, 1<<12)
 	header("e13", "read tiers under writer load (conn.Batcher)",
-		"queries split out of the write pipeline: ReadNow skips the coalescing window, ReadRecent is two array loads — read throughput decouples from epoch throughput")
+		"queries split out of the write pipeline: ReadRecent skips the coalescing window and is two array loads — read throughput decouples from epoch throughput")
 	dur := 600 * time.Millisecond
 	if cfg.quick {
 		dur = 150 * time.Millisecond
@@ -704,9 +704,9 @@ func runE13(cfg config) {
 	fmt.Printf("(each row is one run: its write rate was measured under that tier's read load)\n")
 	fmt.Printf("%10s %12s %14s %12s %12s\n",
 		"writers", "tier", "reads/s", "writes/s", "publishes")
-	tierName := []string{"Connected", "ReadNow", "ReadRecent"}
+	tierName := []string{"Connected", "ReadRecent"}
 	for _, writers := range []int{0, 2, 8} {
-		for tier := 0; tier < 3; tier++ {
+		for tier := range tierName {
 			g := conn.New(n)
 			base := graphgen.RandomGraph(n, n/2, cfg.seed)
 			out := make([]conn.Edge, len(base))
@@ -757,17 +757,14 @@ func runE13(cfg config) {
 						}
 						u := int32(rng.Intn(n))
 						v := int32(rng.Intn(n))
-						switch tier {
-						case 0:
+						if tier == 0 {
 							b.Connected(u, v)
-						case 1:
-							b.ReadNow(u, v)
-						default:
+						} else {
 							b.ReadRecent(u, v)
 						}
 						local++
 						if local&1023 == 0 {
-							// The lock-free tiers never block; yield so the
+							// The wait-free tier never blocks; yield so the
 							// dispatcher and writers are not starved when
 							// readers outnumber cores.
 							runtime.Gosched()
@@ -786,8 +783,8 @@ func runE13(cfg config) {
 			b.Close()
 		}
 	}
-	fmt.Printf("(Connected pays the coalescing window per query; ReadNow pays a read lock and a\n")
-	fmt.Printf(" root walk; ReadRecent pays two array loads against the last published epoch)\n")
+	fmt.Printf("(Connected pays the coalescing window per query; ReadRecent pays two array loads\n")
+	fmt.Printf(" against the last published epoch)\n")
 }
 
 // ---------------------------------------------------------------- E16

@@ -24,7 +24,7 @@
 //	e10 level dynamics: pushdown totals vs the m·lg n bound  [analysis]
 //	e11 sequence substrate ablation: treap vs skip list      [§2.1 substrate]
 //	e12 concurrent coalescing front-end (conn.Batcher)       [Thm 1 under traffic]
-//	e13 read tiers vs writer load (Connected/ReadNow/ReadRecent)  [read path]
+//	e13 read tiers vs writer load (Connected/ReadRecent)     [read path]
 //	e14 durable epochs: WAL group-commit overhead            [WithDurability]
 //	e15 network front-end: conns × pipeline depth            [cmd/connserver]
 //	e16 replication: read throughput vs replica count        [internal/repl]

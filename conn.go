@@ -27,13 +27,12 @@
 // is in flight — see the read-only query contract in internal/core. To
 // serve operations from many goroutines, wrap the graph in a Batcher, which
 // coalesces concurrent single operations into the large batches the cost
-// bounds above reward and adds three query consistency tiers:
+// bounds above reward and adds two query consistency tiers:
 //
 //	b := conn.NewBatcher(g)
 //	b.Insert(0, 1)      // safe from any goroutine
 //	b.Connected(0, 1)   // linearized: joins the epoch pipeline
-//	b.ReadNow(0, 1)     // read-committed: walks the live structure
-//	b.ReadRecent(0, 1)  // bounded-stale: two loads of the last snapshot
+//	b.ReadRecent(0, 1)  // committed: two loads of the published snapshot
 package conn
 
 import (

@@ -9,11 +9,10 @@
 //   - Connected: linearized against all updates — joins the write
 //     pipeline's epochs and pays the coalescing window. Right for reads
 //     that gate a write ("merge these accounts only if still separate").
-//   - ReadNow: read-committed — walks the live structure under a read
-//     lock, no window. Right for fresh-but-unordered checks.
-//   - ReadRecent: bounded staleness — two array loads against the labelling
-//     published at the last connectivity-changing epoch. Right for the
-//     overwhelming bulk of display traffic ("show the connected badge").
+//   - ReadRecent: committed — two array loads against the labelling
+//     published at the last connectivity-changing epoch, which already
+//     holds every acknowledged write. Right for the overwhelming bulk of
+//     display traffic ("show the connected badge").
 package main
 
 import (
@@ -46,7 +45,7 @@ func main() {
 	b := conn.NewBatcher(g, conn.WithMaxDelay(500*time.Microsecond))
 
 	var wrote atomic.Int64
-	var read [3]atomic.Int64 // per-tier query counts
+	var read [2]atomic.Int64 // per-tier query counts
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -76,7 +75,7 @@ func main() {
 		go func(r int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + r)))
-			tier := r % 3 // reader 0 linearized, 1 read-committed, 2+ wait-free
+			tier := min(r, 1) // reader 0 linearized, the rest wait-free
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -84,12 +83,9 @@ func main() {
 				default:
 				}
 				u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-				switch tier {
-				case 0:
+				if tier == 0 {
 					b.Connected(u, v)
-				case 1:
-					b.ReadNow(u, v)
-				default:
+				} else {
 					b.ReadRecent(u, v)
 				}
 				read[tier].Add(1)
@@ -108,18 +104,17 @@ func main() {
 	fmt.Printf("%d writers, %d readers over %v on n=%d:\n", writers, readers, runFor, n)
 	fmt.Printf("  writes                 %10.0f ops/sec\n", float64(wrote.Load())/secs)
 	fmt.Printf("  Connected  (linearized)%10.0f reads/sec\n", float64(read[0].Load())/secs)
-	fmt.Printf("  ReadNow    (committed) %10.0f reads/sec\n", float64(read[1].Load())/secs)
-	fmt.Printf("  ReadRecent (recent)    %10.0f reads/sec\n", float64(read[2].Load())/secs)
+	fmt.Printf("  ReadRecent (committed) %10.0f reads/sec\n", float64(read[1].Load())/secs)
 	s := b.Stats()
 	fmt.Printf("epochs %d (avg Δ %.1f); snapshot publishes %d, full rebuilds %d\n",
 		s.Epochs, s.AvgEpoch(), s.SnapshotPublishes, s.SnapshotRebuilds)
 
-	// Quiesce the pipeline: with nothing in flight the three tiers agree.
+	// Quiesce the pipeline: with nothing in flight the two tiers agree.
 	b.Flush()
 	u, v := int32(1), int32(2)
-	lin, now, recent := b.Connected(u, v), b.ReadNow(u, v), b.ReadRecent(u, v)
-	fmt.Printf("after Flush, tiers agree on {%d,%d}: %v/%v/%v\n", u, v, lin, now, recent)
-	if lin != now || now != recent {
+	lin, recent := b.Connected(u, v), b.ReadRecent(u, v)
+	fmt.Printf("after Flush, tiers agree on {%d,%d}: %v/%v\n", u, v, lin, recent)
+	if lin != recent {
 		panic("tiers disagree on a quiescent structure")
 	}
 	b.Close()

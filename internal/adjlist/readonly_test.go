@@ -12,9 +12,9 @@ import (
 // goroutines may run Count, Fetch, All and CheckInvariants concurrently on
 // the same store. The Batcher relies on this — execEpoch's credit pre-scans
 // and the durable checkpoint's edge enumeration walk adjacency state while
-// ReadNow readers are live. Any hidden write in these paths (lazy
-// allocation, position repair, caching) would be flagged by the race
-// detector.
+// engine Read walks (k-hop and tree-path queries) are live. Any hidden
+// write in these paths (lazy allocation, position repair, caching) would be
+// flagged by the race detector.
 func TestConcurrentReadOnlyQueries(t *testing.T) {
 	const n = 512
 	const levels = 4

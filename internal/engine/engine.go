@@ -59,12 +59,6 @@ type Options struct {
 	// MaxDelay bounds how long an operation may wait for its epoch; 0
 	// commits eagerly.
 	MaxDelay time.Duration
-	// Shards is the number of staging-buffer stripes (contention control;
-	// <= 0 selects GOMAXPROCS).
-	Shards int
-	// SnapshotThreshold tunes the ReadRecent labelling's incremental-repair
-	// budget; <= 0 selects max(1024, n/4).
-	SnapshotThreshold int
 	// DurDir, when non-empty, enables the durable write pipeline: each
 	// mutating epoch is appended to DurDir/wal.log and fsynced before it is
 	// applied or acknowledged.
@@ -144,15 +138,15 @@ type Engine struct {
 	c   *core.Conn
 	buf *coalesce.Buffer
 
-	// mu orders the dispatcher's structure mutations against read-committed
-	// readers: execEpoch write-holds it around the insert/delete phase,
-	// ReadNow read-holds it around live-structure walks. Queries never
-	// block queries — the read-only contract makes concurrent readers safe
-	// — so the lock only serializes readers against the mutating slice of
-	// each epoch.
+	// mu exists only for Read: execEpoch write-holds it around the
+	// insert/delete phase, Read read-holds it around its adjacency and
+	// forest walks. Connectivity reads never take it — they answer from
+	// snap — and Read callers never block each other (the read-only
+	// contract makes concurrent walks safe).
 	mu sync.RWMutex
 
-	// snap is the epoch-published component labelling behind ReadRecent.
+	// snap is the epoch-published component labelling: the committed read
+	// tier (ReadNowBatch, Recent).
 	snap *snapshot.Store
 
 	// dur, when non-nil, is the durability pipeline: the dispatcher appends
@@ -218,9 +212,11 @@ func New(c *core.Conn, o Options) (*Engine, error) {
 	}
 	// core.Conn implements snapshot.Source (ComponentID / ComponentSize /
 	// ComponentVertices / ComponentLabels are read-only queries); the store
-	// computes the initial labelling from the structure's current state.
-	e.snap = snapshot.NewStore(c.N(), o.SnapshotThreshold, c)
-	e.buf = coalesce.NewBuffer(o.Shards, o.MaxBatch, o.MaxDelay, e.execEpoch) //conn:dispatcher-entry — hands execEpoch to the dispatcher goroutine
+	// computes the initial labelling from the structure's current state. Zero
+	// selects the store's default repair budget and GOMAXPROCS staging
+	// stripes.
+	e.snap = snapshot.NewStore(c.N(), 0, c)
+	e.buf = coalesce.NewBuffer(0, o.MaxBatch, o.MaxDelay, e.execEpoch) //conn:dispatcher-entry — hands execEpoch to the dispatcher goroutine
 	return e, nil
 }
 
@@ -529,11 +525,13 @@ func (e *Engine) Checkpoint() (string, error) {
 // core.Conn holds. Insert and delete credit goes to the first staging of
 // each edge in epoch order; queries run against the post-update state.
 //
-// Locking: only the mutating phase write-holds e.mu — ReadNow readers are
-// excluded exactly while the structure changes. The epoch's own queries and
-// the snapshot publish are read-only walks and run lock-free alongside
-// ReadNow (read-read is safe under the core contract; no other writer can
-// exist because this is the sole dispatcher).
+// Locking: only the mutating phase write-holds e.mu, and only Read takes
+// it, so a Read walk never observes inserts applied but deletes pending.
+// The epoch's own queries and the snapshot publish are read-only walks and
+// run lock-free alongside Read (read-read is safe under the core contract;
+// no other writer can exist because this is the sole dispatcher).
+// Connectivity reads never touch the lock: they answer from the labelling
+// published below, before any of the epoch's futures resolve.
 //
 //conn:dispatcher-only
 func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
@@ -575,8 +573,8 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 	var touched []int32
 
 	// The insert pre-scan (dedup + presence filter) reads only pre-epoch
-	// state, so it runs before the write lock — concurrent ReadNow readers
-	// are not blocked by it.
+	// state, so it runs before the write lock — concurrent Read walks are
+	// not blocked by it.
 	var insBatch []graph.Edge
 	if len(insIdx) > 0 {
 		lbl := e.snap.Current() // pre-epoch labelling
@@ -604,7 +602,7 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 
 	if len(insBatch) > 0 || len(delIdx) > 0 {
 		// The write lock spans from the first structure mutation to the
-		// last: ReadNow must never observe inserts applied but deletes
+		// last: Read must never observe inserts applied but deletes
 		// pending. The delete pre-scan has to sit inside the window — it
 		// reads post-insert presence so an insert and delete of the same
 		// edge in one epoch compose.
@@ -650,11 +648,12 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 
 	// Publish before the dispatcher resolves the epoch's futures (our
 	// caller, coalesce.drain, closes them after we return): once any caller
-	// observes its commit, ReadRecent already reflects the epoch. A non-nil
-	// diff means this epoch changed the partition; tee the transition to
-	// the connectivity-event subscribers (internal/pubsub's hub) — still on
-	// the dispatcher, still before any future resolves, so a caller that
-	// observes its commit can also already observe its events.
+	// observes its commit, the committed read tier already reflects the
+	// epoch. A non-nil diff means this epoch changed the partition; tee the
+	// transition to the connectivity-event subscribers (internal/pubsub's
+	// hub) — still on the dispatcher, still before any future resolves, so
+	// a caller that observes its commit can also already observe its
+	// events.
 	if d := e.snap.Publish(touched); d != nil {
 		if subs := e.diffSubs.Load(); subs != nil && len(*subs) > 0 {
 			for _, s := range *subs {
@@ -677,38 +676,28 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 	return res, epochSeq
 }
 
-// ReadNow reports whether u and v are currently connected — read-committed.
-// It walks the live structure under a read lock that excludes only the
-// mutating phase of epoch execution. Returns ErrClosed once Close has
-// begun.
-func (e *Engine) ReadNow(u, v int32) (bool, error) {
-	e.mu.RLock()
-	if e.closed.Load() {
-		e.mu.RUnlock()
-		return false, ErrClosed
-	}
-	ok := e.c.Connected(u, v)
-	e.mu.RUnlock()
-	return ok, nil
-}
-
-// ReadNowBatch answers k read-committed connectivity queries against one
-// consistent live state (the read lock is held across the whole batch).
+// ReadNowBatch answers k connectivity queries from one published labelling
+// — the committed tier: every acknowledged epoch, never a partial one, two
+// array loads per pair. Returns ErrClosed once Close has begun (Recent
+// keeps answering from the final snapshot).
 func (e *Engine) ReadNowBatch(qs []graph.Edge) ([]bool, error) {
-	e.mu.RLock()
 	if e.closed.Load() {
-		e.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	out := e.c.BatchConnected(qs)
-	e.mu.RUnlock()
+	l := e.snap.Current()
+	out := make([]bool, len(qs))
+	for i, q := range qs {
+		out[i] = l.Connected(q.U, q.V)
+	}
 	return out, nil
 }
 
-// Read runs f against the live structure under the read-committed lock:
-// f may use any read-only query of core.Conn and must not retain the
-// pointer. The shard coordinator uses it to sample component ids and
-// enumerate edge sets consistently. Returns ErrClosed once Close has begun.
+// Read runs f against the live structure under the engine's read lock,
+// which excludes only the mutating phase of an epoch: f may use any
+// read-only query of core.Conn and must not retain the pointer. It is the
+// path for what the labelling cannot answer — adjacency and spanning-forest
+// walks (internal/query traversals) and the shard coordinator's component
+// ids and edge sets. Returns ErrClosed once Close has begun.
 func (e *Engine) Read(f func(c *core.Conn)) error {
 	e.mu.RLock()
 	if e.closed.Load() {
@@ -754,7 +743,7 @@ func (e *Engine) Close() error {
 		// error still surfaces to the caller.
 		err = e.dur.log.Close()
 	}
-	// Empty critical section as a barrier: wait out any ReadNow that
+	// Empty critical section as a barrier: wait out any Read that
 	// acquired the read lock before the closed flag landed, so the
 	// structure is truly quiesced when we return.
 	e.mu.Lock()

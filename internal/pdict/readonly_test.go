@@ -11,9 +11,10 @@ import (
 // on the same dictionary — each of those is itself internally parallel, so
 // this also exercises nested fork-join readers. The core relies on this
 // during Batcher epochs: HasEdge/EdgeInfo pre-scans and checkpoint edge
-// enumeration probe the dictionary while ReadNow readers walk the
-// structure. A write anywhere in the lookup path (tombstone compaction,
-// slot repair, cached hashes) would be flagged by the race detector.
+// enumeration probe the dictionary while engine Read walks (structural
+// queries, shard edge sampling) traverse the structure. A write anywhere
+// in the lookup path (tombstone compaction, slot repair, cached hashes)
+// would be flagged by the race detector.
 func TestConcurrentReadOnlyQueries(t *testing.T) {
 	const present = 4096
 	d := New(present)

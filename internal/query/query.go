@@ -12,12 +12,12 @@
 //     answered from the wait-free published snapshot (snapshot.Labels) — no
 //     locks, no dispatcher, exactly the tier replicas serve read load from.
 //     Structural traversals (k-hop, tree path) have no snapshot to walk, so
-//     they run read-committed under the engine's read lock, which excludes
-//     only the mutating phase of an epoch.
+//     they run against the live structure under the engine's read lock,
+//     which excludes only the mutating phase of an epoch.
 //   - Linearized: the executor first rides the dispatcher (Flush — a full
 //     epoch barrier, so every operation staged before the query arrived has
-//     committed), then executes against the live structure under the read
-//     lock. The answer is ordered after all prior acknowledged writes.
+//     committed and published), then executes as in recent mode. The
+//     answer is ordered after all prior acknowledged writes.
 //
 // The returned Seq is the engine's applied durable position sampled before
 // the read, so it never exceeds the state the answer reflects — the same
@@ -94,8 +94,8 @@ type Result struct {
 }
 
 // Engine is the executor's view of one engine: the wait-free snapshot
-// tier, the read-committed live-structure tier, and the dispatcher barrier.
-// *engine.Engine implements it.
+// tier, live-structure walks under the read lock, and the dispatcher
+// barrier. *engine.Engine implements it.
 type Engine interface {
 	N() int
 	Recent() *snapshot.Labels
@@ -121,17 +121,12 @@ func Run(e Engine, req Request) (Result, error) {
 	case KindPath:
 		return runPath(e, req)
 	}
-	// Label-shaped queries: wait-free off the published snapshot in recent
-	// mode, live labelling under the read lock when linearized.
+	// Label-shaped queries read the published snapshot in both modes: the
+	// flushed epoch published before Flush returned, so in linearized mode
+	// it already reflects every write acknowledged before the query.
 	seq := e.AppliedSeq()
 	lbl := make([]int32, n)
-	if req.Linearized {
-		if err := e.Read(func(c *core.Conn) { c.ComponentLabels(lbl) }); err != nil {
-			return Result{}, err
-		}
-	} else {
-		e.Recent().CopyTo(lbl)
-	}
+	e.Recent().CopyTo(lbl)
 	res := Result{Seq: seq, Found: true}
 	switch req.Kind {
 	case KindMembers:
@@ -193,8 +188,9 @@ func Aggregate(lbl []int32) (count uint64, hist []uint64) {
 	return uint64(len(sizes)), append([]uint64(nil), h[:maxB+1]...)
 }
 
-// runKHop is the breadth-first k-hop traversal, read-committed against the
-// live structure (the snapshot tier has labels, not adjacency).
+// runKHop is the breadth-first k-hop traversal over the live structure,
+// under the engine's read lock (the snapshot tier has labels, not
+// adjacency).
 func runKHop(e Engine, req Request) (Result, error) {
 	seq := e.AppliedSeq()
 	var verts []int32

@@ -115,7 +115,8 @@ func TestRunValidation(t *testing.T) {
 
 // TestRecentTierStaleness pins the two-tier contract: a recent label query
 // is served wait-free from the last PUBLISHED labelling, while a linearized
-// one flushes the pipeline and reads the live structure.
+// one flushes the pipeline first and reads the labelling that flush
+// published.
 func TestRecentTierStaleness(t *testing.T) {
 	e := newEngine(t, 4)
 	apply(t, e, coalesce.OpInsert, [][2]int32{{0, 1}})

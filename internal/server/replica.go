@@ -17,9 +17,9 @@ import (
 // connserver instead of owning its own write path. At startup the manager
 // asks the primary for its namespace list and starts one follower loop per
 // durable namespace; each loop subscribes to the primary's epoch stream and
-// applies it through a local read-only Batcher, so the replica serves
-// ReadNow / ReadRecent / query-only batches (and their snapshots) with the
-// machinery completely unchanged. Mutating requests are rejected with
+// applies it through a local read-only Batcher, so the replica serves the
+// committed read tier (its own published labelling) and query-only batches
+// with the machinery completely unchanged. Mutating requests are rejected with
 // StatusReadOnly carrying the primary's address — a redirect the client
 // package surfaces as a typed error. Followers reconnect with exponential
 // backoff and resume from their last applied seq; if the primary's WAL

@@ -850,9 +850,9 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 			qs[i] = conn.Edge{U: p.U, V: p.V}
 		}
 		if ns.sh != nil {
-			// Both read tiers are served read-committed on a sharded
-			// namespace: the scatter-gather composition is the same, and the
-			// boundary index is already the "recent" structure.
+			// Both read commands are served by the same scatter-gather
+			// composition on a sharded namespace: per-engine committed
+			// answers joined through the boundary index.
 			bits, err := ns.sh.ConnectedBatch(qs)
 			if err != nil {
 				return fail(wire.StatusInternal, "%v", err)
@@ -862,16 +862,13 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 			}
 			return &wire.Response{ID: req.ID, Bits: bits}
 		}
+		// Both commands read the published labelling: the committed tier.
+		// They differ only in routing — clients pin ReadNow to the primary.
 		// Position sampled BEFORE the read: the answer may reflect a newer
 		// state than it claims (harmlessly conservative), never an older
 		// one — the direction the client's staleness fence depends on.
 		seq := ns.seq()
-		var bits []bool
-		if req.Cmd == wire.CmdReadNow {
-			bits = ns.b.ReadNowBatch(qs)
-		} else {
-			bits = ns.b.ReadRecentBatch(qs)
-		}
+		bits := ns.b.ReadRecentBatch(qs)
 		if bits == nil {
 			bits = []bool{}
 		}

@@ -94,7 +94,8 @@ func (c *Coordinator) index() (*compIndex, error) {
 func (c *Coordinator) publishIndex(idx *compIndex) { c.idx.Store(idx) }
 
 // buildIndex contracts the current boundary graph against the shard-local
-// component structure. All reads are read-committed per engine.
+// component structure. Every read is an engine Read walk, excluded only by
+// that engine's mutating phase.
 func (c *Coordinator) buildIndex(version uint64) (*compIndex, error) {
 	// 1. The boundary vertex set: endpoints of every live cross-shard edge.
 	var verts []int32
@@ -158,7 +159,7 @@ func (c *Coordinator) buildIndex(version uint64) (*compIndex, error) {
 
 // ConnectedBatch answers k connectivity queries against the combined graph:
 // the same-shard fast path asks the owning engine directly (one
-// read-committed batch per shard), and anything unresolved — cross-shard
+// committed-tier batch per shard), and anything unresolved — cross-shard
 // pairs, plus same-shard pairs connected only through other shards —
 // composes shard-local component ids with the boundary union-find.
 func (c *Coordinator) ConnectedBatch(qs []graph.Edge) ([]bool, error) {

@@ -70,8 +70,8 @@ func (c *Coordinator) Query(req query.Request) (query.Result, error) {
 
 // neighbors returns the boundary-aware neighbor enumerator: edges incident
 // to v can only live in v's shard engine (both endpoints hash there) or the
-// boundary engine, so those two adjacency walks — each read-committed under
-// its engine's read lock — cover v's full neighborhood. treeOnly restricts
+// boundary engine, so those two adjacency walks — each under its engine's
+// read lock — cover v's full neighborhood. treeOnly restricts
 // to spanning-forest edges; the union of per-engine forests preserves the
 // union graph's connectivity, which is what makes the composed tree path
 // exact.

@@ -58,11 +58,10 @@ func Partition(u int32, k int) int {
 // Options configure a Coordinator; the zero value selects the engine
 // defaults.
 type Options struct {
-	// MaxBatch, MaxDelay and SnapshotThreshold are passed to every engine
-	// (see engine.Options).
-	MaxBatch          int
-	MaxDelay          time.Duration
-	SnapshotThreshold int
+	// MaxBatch and MaxDelay are passed to every engine (see
+	// engine.Options).
+	MaxBatch int
+	MaxDelay time.Duration
 	// DurDir, when non-empty, roots the per-shard durability directories.
 	// Existing state is restored; a fresh directory is initialized with a
 	// meta file pinning (shards, n).
@@ -80,13 +79,14 @@ type Options struct {
 // shard-local connectivity with the boundary graph through the published
 // composition index.
 //
-// Consistency: queries are read-committed against each engine, and the
-// cross-shard composition is rebuilt when any mutation has been
-// acknowledged since the last build — a quiesced Coordinator (no mutation
-// in flight) answers exactly. Mutations racing a query may be partially
-// visible across shards; a caller that needs its own writes visible orders
-// its query after its mutating call returns, exactly as with the Batcher's
-// ReadNow tier.
+// Consistency: queries are committed per engine (each engine's published
+// labelling, plus component ids read under its lock), and the cross-shard
+// composition is rebuilt when any mutation has been acknowledged since the
+// last build — a quiesced Coordinator (no mutation in flight) answers
+// exactly. Mutations racing a query may be partially visible across
+// shards; a caller that needs its own writes visible orders its query
+// after its mutating call returns, exactly as with the Batcher's
+// ReadRecent tier.
 type Coordinator struct {
 	n int
 	k int
@@ -152,11 +152,10 @@ func New(n, k int, o Options) (*Coordinator, error) {
 		cc, err := openCore(dir, n)
 		if err == nil {
 			c.engines[i], err = engine.New(cc, engine.Options{
-				MaxBatch:          o.MaxBatch,
-				MaxDelay:          o.MaxDelay,
-				SnapshotThreshold: o.SnapshotThreshold,
-				DurDir:            dir,
-				WALCodec:          o.WALCodec,
+				MaxBatch: o.MaxBatch,
+				MaxDelay: o.MaxDelay,
+				DurDir:   dir,
+				WALCodec: o.WALCodec,
 			})
 		}
 		if err != nil {

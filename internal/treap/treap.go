@@ -21,8 +21,9 @@
 // concurrently with each other on the same treap, provided no mutation
 // (NewNode on a shared pool aside, Join, SplitAt, SplitBefore, SetVal,
 // AddVal, Remove, Free) is in flight. This is the foundation the
-// concurrent read path builds on: conn.Batcher's ReadNow holds a read lock
-// that excludes exactly the mutating epoch, nothing else. The contract is
+// concurrent read path builds on: the snapshot publisher and the engine's
+// Read walks (query traversals, shard component ids) run beside each other
+// under a read lock that excludes exactly the mutating epoch. The contract is
 // enforced by TestConcurrentReadOnlyQueries under -race.
 package treap
 
