@@ -217,8 +217,11 @@ func (c *Conn) Connected(u, v graph.Vertex) bool {
 	return c.f[c.top].Connected(u, v)
 }
 
-// BatchConnected answers k connectivity queries in parallel (Algorithm 1):
-// O(k lg(1+n/k)) expected work, O(lg n) depth.
+// BatchConnected answers k connectivity queries in parallel (Algorithm 1).
+// Implemented bound: k independent root walks in the top-level Euler-tour
+// forest (ett.Forest.BatchConnected), O(k lg n) expected work and O(lg n)
+// expected depth. The paper's O(k lg(1+n/k)) work needs the batch to share
+// the walks' common upper paths; that is the target, not what runs here.
 //
 //conn:readonly
 func (c *Conn) BatchConnected(qs []graph.Edge) []bool {
@@ -430,7 +433,12 @@ func (c *Conn) applyDeltas(deltas []adjlist.Delta) {
 
 // BatchInsert adds a batch of edges (Algorithm 2). Self-loops, duplicates
 // within the batch, and edges already present are ignored. Returns the
-// number of edges actually inserted. O(k lg(1+n/k)) expected work.
+// number of edges actually inserted. Implemented bound: O(k lg n) expected
+// work — one O(lg n) root walk per endpoint to contract the batch, and the
+// chosen spanning-forest edges linked one at a time (ett.Forest.BatchLink),
+// each O(lg n) expected, so the link phase is sequential with O(k lg n)
+// depth. The paper's O(k lg(1+n/k)) work with a batch-parallel link is the
+// target, not what runs here.
 func (c *Conn) BatchInsert(es []graph.Edge) int {
 	es = graph.Dedup(es)
 	{

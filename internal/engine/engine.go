@@ -570,11 +570,17 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 	//   - a non-tree delete leaves the spanning forest intact, and any
 	//     fragment a batch of deletions splits off is bounded by deleted
 	//     TREE edges, whose endpoints it contains.
+	// The insert pre-scan fills touched with the merging inserts' endpoints,
+	// in pairs, and hands exactly that list to snap.Prepare before anything
+	// mutates; the delete pre-scan then appends the cut tree edges'
+	// endpoints. Publish walks the small dirty components and verifies the
+	// large ones (the giant) against Prepare's merge groups, so an epoch
+	// costs the small sides of its merges, not a relabelling of all n.
 	var touched []int32
 
-	// The insert pre-scan (dedup + presence filter) reads only pre-epoch
-	// state, so it runs before the write lock — concurrent Read walks are
-	// not blocked by it.
+	// The insert pre-scan (dedup + presence filter) and Prepare read only
+	// pre-epoch state, so they run before the write lock — concurrent Read
+	// walks are not blocked by them.
 	var insBatch []graph.Edge
 	if len(insIdx) > 0 {
 		lbl := e.snap.Current() // pre-epoch labelling
@@ -599,6 +605,9 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 			}
 		}
 	}
+	// Every epoch prepares, deletes-only ones included: an unprepared
+	// Publish must relabel whenever a dirty component is too large to walk.
+	e.snap.Prepare(touched)
 
 	if len(insBatch) > 0 || len(delIdx) > 0 {
 		// The write lock spans from the first structure mutation to the
@@ -710,7 +719,7 @@ func (e *Engine) Read(f func(c *core.Conn)) error {
 }
 
 // Recent returns the current published component labelling — the wait-free
-// ReadRecent tier. Usable even after Close (answers from the final
+// committed tier. Usable even after Close (answers from the final
 // snapshot).
 func (e *Engine) Recent() *snapshot.Labels { return e.snap.Current() }
 
@@ -754,9 +763,11 @@ func (e *Engine) Close() error {
 
 // Stats are dispatcher counters: how much traffic was coalesced and how
 // large the epochs got. AvgEpoch is the realized average batch size — the Δ
-// of Theorem 1 under the observed traffic. SnapshotPublishes and
-// SnapshotRebuilds count ReadRecent labelling publications and how many of
-// them fell back from incremental repair to a full relabelling.
+// of Theorem 1 under the observed traffic. SnapshotPublishes counts
+// publications of the committed tier's labelling (what ReadNowBatch,
+// Recent and every committed read answer from), and SnapshotRebuilds how
+// many of them fell back from walk-and-verify repair to a full
+// relabelling.
 type Stats struct {
 	Epochs            int64
 	Ops               int64

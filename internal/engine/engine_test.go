@@ -304,3 +304,114 @@ func TestEngineDurableRestore(t *testing.T) {
 	run(e2, 5)
 	checkAllPairs(t, e2, o)
 }
+
+// TestSnapshotRebuildBudget pins the publisher's count budget on the shape
+// of a churn benchmark: a memory engine at n = 2¹⁴ preloaded with n random
+// edges (a giant component of about 0.8 n, far over the walk threshold),
+// then 200 seeded epochs of 16 ops each — 7 inserts of absent edges, 7
+// deletes of the oldest live edges, 2 queries. After every Apply the
+// committed tier must agree with union-find on every vertex, and at the end
+// at most 5 % of the churn epochs' publishes may be full relabellings. The
+// counts depend only on the seed, not on the host.
+func TestSnapshotRebuildBudget(t *testing.T) {
+	const n = 1 << 14
+	e, err := New(core.New(n), Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = e.Close() }()
+	o := newOracle(n)
+	rng := rand.New(rand.NewSource(11))
+	var fifo [][2]int32 // live edges, oldest first
+	live := map[[2]int32]bool{}
+	insert := func(ops []coalesce.Op) []coalesce.Op {
+		for {
+			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+			if k := canon(u, v); u != v && !live[k] {
+				live[k] = true
+				fifo = append(fifo, k)
+				return append(ops, coalesce.Op{Kind: coalesce.OpInsert, U: u, V: v})
+			}
+		}
+	}
+	apply := func(ops []coalesce.Op) {
+		t.Helper()
+		got, _, err := e.Apply(ops)
+		if err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		want := o.apply(ops)
+		for i := range ops {
+			if got[i] != want[i] {
+				t.Fatalf("op %d (%+v): got %v, oracle says %v", i, ops[i], got[i], want[i])
+			}
+		}
+	}
+	for len(fifo) < n {
+		var ops []coalesce.Op
+		for i := 0; i < 4096; i++ {
+			ops = insert(ops)
+		}
+		apply(ops)
+	}
+
+	// Every vertex against its union-find class's minimum: ReadNowBatch
+	// must put each vertex with that minimum, and the label must be it —
+	// together, the published partition is exactly the oracle's.
+	qs := make([]graph.Edge, n)
+	check := func(epoch int) {
+		t.Helper()
+		uf := o.uf()
+		least := make([]int32, n)
+		for i := range least {
+			least[i] = n
+		}
+		for v := int32(0); v < n; v++ {
+			if r := uf.Find(v); v < least[r] {
+				least[r] = v
+			}
+		}
+		for v := int32(0); v < n; v++ {
+			qs[v] = graph.Edge{U: v, V: least[uf.Find(v)]}
+		}
+		bits, err := e.ReadNowBatch(qs)
+		if err != nil {
+			t.Fatalf("ReadNowBatch: %v", err)
+		}
+		lbl := e.Recent()
+		for v, q := range qs {
+			if !bits[v] || lbl.Label(q.U) != q.V {
+				t.Fatalf("epoch %d: vertex %d labelled %d, oracle's class minimum is %d", epoch, v, lbl.Label(q.U), q.V)
+			}
+		}
+	}
+	check(-1)
+
+	st0 := e.Stats()
+	const epochs = 200
+	for ep := 0; ep < epochs; ep++ {
+		ops := make([]coalesce.Op, 0, 16)
+		for i := 0; i < 7; i++ {
+			ops = insert(ops)
+		}
+		for _, k := range fifo[:7] {
+			delete(live, k)
+			ops = append(ops, coalesce.Op{Kind: coalesce.OpDelete, U: k[0], V: k[1]})
+		}
+		fifo = fifo[7:]
+		for i := 0; i < 2; i++ {
+			ops = append(ops, coalesce.Op{Kind: coalesce.OpQuery, U: int32(rng.Intn(n)), V: int32(rng.Intn(n))})
+		}
+		apply(ops)
+		check(ep)
+	}
+	st := e.Stats()
+	pubs, rebuilds := st.SnapshotPublishes-st0.SnapshotPublishes, st.SnapshotRebuilds-st0.SnapshotRebuilds
+	t.Logf("%d churn epochs: %d publishes, %d full relabellings", epochs, pubs, rebuilds)
+	if pubs == 0 {
+		t.Fatal("no churn epoch changed the partition")
+	}
+	if rebuilds*20 > pubs {
+		t.Fatalf("%d of %d publishes were full relabellings, budget is 5%%", rebuilds, pubs)
+	}
+}

@@ -160,25 +160,25 @@ func (f *Forest) Size(u graph.Vertex) int64 {
 	if nd == nil {
 		return 1
 	}
-	return treap.Agg(nd).Size
+	return int64(treap.Agg(nd).Size)
 }
 
 // RepSize returns the vertex count of the component with representative r.
 //
 //conn:readonly
-func (f *Forest) RepSize(r *treap.Node) int64 { return treap.Agg(r).Size }
+func (f *Forest) RepSize(r *treap.Node) int64 { return int64(treap.Agg(r).Size) }
 
 // RepNonTree returns the total non-tree-edge endpoint count of the component
 // with representative r.
 //
 //conn:readonly
-func (f *Forest) RepNonTree(r *treap.Node) int64 { return treap.Agg(r).NonTree }
+func (f *Forest) RepNonTree(r *treap.Node) int64 { return int64(treap.Agg(r).NonTree) }
 
 // RepTree returns the total level-i tree-edge endpoint count of the
 // component with representative r.
 //
 //conn:readonly
-func (f *Forest) RepTree(r *treap.Node) int64 { return treap.Agg(r).Tree }
+func (f *Forest) RepTree(r *treap.Node) int64 { return int64(treap.Agg(r).Tree) }
 
 // HasEdge reports whether tree edge (u,v) is present.
 func (f *Forest) HasEdge(u, v graph.Vertex) bool {
@@ -260,7 +260,7 @@ func cutArcs(au, av *treap.Node) {
 	if mid != nil {
 		n = treap.Agg(treap.First(mid))
 	}
-	inner, _ := treap.SplitAt(mid, n.Cnt-1)
+	inner, _ := treap.SplitAt(mid, int64(n.Cnt)-1)
 	_ = inner // inner is the detached subtree's tour (its own root now)
 	treap.Join(pre, suf)
 }
@@ -268,14 +268,14 @@ func cutArcs(au, av *treap.Node) {
 // AddCounts adjusts vertex u's augmented tree/non-tree edge counters (the
 // number of level-i incident edges, where i is the level of this forest).
 func (f *Forest) AddCounts(u graph.Vertex, dTree, dNonTree int64) {
-	treap.AddVal(f.vert(u), treap.Value{Tree: dTree, NonTree: dNonTree})
+	treap.AddVal(f.vert(u), treap.Value{Tree: int32(dTree), NonTree: int32(dNonTree)})
 }
 
 // SetCounts overwrites u's augmented counters.
 func (f *Forest) SetCounts(u graph.Vertex, tree, nonTree int64) {
 	nd := f.vert(u)
 	v := nd.Val
-	treap.SetVal(nd, treap.Value{Cnt: v.Cnt, Size: v.Size, Tree: tree, NonTree: nonTree})
+	treap.SetVal(nd, treap.Value{Cnt: v.Cnt, Size: v.Size, Tree: int32(tree), NonTree: int32(nonTree)})
 }
 
 // Counts returns u's own (not component) counters.
@@ -288,7 +288,7 @@ func (f *Forest) Counts(u graph.Vertex) (tree, nonTree int64) {
 	if nd == nil {
 		return 0, 0
 	}
-	return nd.Val.Tree, nd.Val.NonTree
+	return int64(nd.Val.Tree), int64(nd.Val.NonTree)
 }
 
 // CompNonTree returns the total non-tree-edge endpoint count in u's
@@ -300,7 +300,7 @@ func (f *Forest) CompNonTree(u graph.Vertex) int64 {
 	if nd == nil {
 		return 0
 	}
-	return treap.Agg(nd).NonTree
+	return int64(treap.Agg(nd).NonTree)
 }
 
 // CompTree returns the total level-i tree-edge endpoint count in u's
@@ -312,7 +312,7 @@ func (f *Forest) CompTree(u graph.Vertex) int64 {
 	if nd == nil {
 		return 0
 	}
-	return treap.Agg(nd).Tree
+	return int64(treap.Agg(nd).Tree)
 }
 
 // VertexSlot is one vertex holding cnt > 0 incident edges of the requested
@@ -343,14 +343,14 @@ func collect(rep *treap.Node, limit int64, proj func(treap.Value) int64) []Verte
 //
 //conn:readonly
 func (f *Forest) FetchNonTreeSlots(rep *treap.Node, limit int64) []VertexSlot {
-	return collect(rep, limit, func(v treap.Value) int64 { return v.NonTree })
+	return collect(rep, limit, func(v treap.Value) int64 { return int64(v.NonTree) })
 }
 
 // FetchTreeSlots is FetchNonTreeSlots for level-i tree-edge counters.
 //
 //conn:readonly
 func (f *Forest) FetchTreeSlots(rep *treap.Node, limit int64) []VertexSlot {
-	return collect(rep, limit, func(v treap.Value) int64 { return v.Tree })
+	return collect(rep, limit, func(v treap.Value) int64 { return int64(v.Tree) })
 }
 
 // Vertices returns all vertices of the component with representative rep, in

@@ -60,7 +60,7 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 				i := int(o.Pos) % len(sNodes)
 				delta := int64(o.Amt % 5)
 				AddVal(sNodes[i], Value{NonTree: delta})
-				treap.AddVal(tNodes[i], treap.Value{NonTree: delta})
+				treap.AddVal(tNodes[i], treap.Value{NonTree: int32(delta)})
 			case 3: // rank check of a random node
 				if len(sNodes) == 0 {
 					continue
@@ -76,7 +76,7 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 				ta = treap.Agg(tr)
 			}
 			sa := sl.Agg()
-			if sa.Cnt != ta.Cnt || sa.NonTree != ta.NonTree {
+			if sa.Cnt != int64(ta.Cnt) || sa.NonTree != int64(ta.NonTree) {
 				return false
 			}
 		}
@@ -98,7 +98,7 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 		}
 		// Collect must find the same marked nodes in the same order.
 		proj := func(v Value) int64 { return v.NonTree }
-		tproj := func(v treap.Value) int64 { return v.NonTree }
+		tproj := func(v treap.Value) int64 { return int64(v.NonTree) }
 		var sOut []*Node
 		var tOut []*treap.Node
 		sGot := sl.Collect(1<<60, proj, &sOut)

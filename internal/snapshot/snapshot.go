@@ -23,11 +23,30 @@
 // an endpoint of some deleted edge — walk the severed path from any vertex
 // of the fragment and the first missing edge's near endpoint lies in the
 // fragment. Publish therefore dedups the epoch's touched vertices by live
-// component, walks each dirty component once, and rewrites only those
-// labels; components whose aggregate size exceeds the rebuild threshold are
-// instead handled by one full relabelling pass. Each publish allocates a
-// fresh array: readers may hold a Labels for arbitrarily long, so buffers
-// are never recycled.
+// component and repairs each dirty component once, rewriting only labels
+// that change.
+//
+// A dirty component is repaired one of two ways. While the walked total
+// stays within the threshold, it is walked: every vertex is listed and its
+// minimum becomes the label. A larger one — in practice the giant component
+// — is verified instead, from bookkeeping Prepare recorded before the epoch
+// mutated anything. Prepare unions the pre-epoch labels of the epoch's
+// merging inserts into groups, picks each group's largest pre-epoch
+// component as its anchor, and lists the vertices of every other member.
+// Inserts run before deletes, so a post-epoch component lies inside one
+// group's pre-epoch components, and each of its vertices is at least its
+// pre-epoch label. If the anchor's label a is the group's smallest and a
+// still lies in the component, a is therefore the component's minimum: the
+// anchor's own vertices already carry it, and only the listed vertices that
+// ended up in the component are rewritten. A vertex that left the anchor
+// sits in a fragment holding a touched endpoint, which is repaired on its
+// own. Verification costs the small sides of the epoch's merges, never the
+// giant. When it fails — the anchor's minimum split off, a smaller label
+// joined, or one group left two components too large to walk — or when
+// Publish ran without a Prepare, the epoch falls back to one full
+// relabelling, counted in Stats.Rebuilds. Either way labels stay canonical
+// and Diff.Changed exact. Each publish allocates a fresh array: readers may
+// hold a Labels for arbitrarily long, so buffers are never recycled.
 package snapshot
 
 import "sync/atomic"
@@ -105,8 +124,8 @@ type Source interface {
 }
 
 // Store owns the published labelling. Current is safe from any goroutine;
-// Publish must be called from a single goroutine (the dispatcher) with no
-// structure mutation in flight.
+// Prepare and Publish must be called from a single goroutine (the
+// dispatcher) with no structure mutation in flight.
 type Store struct {
 	n         int
 	threshold int64
@@ -114,6 +133,19 @@ type Store struct {
 	cur       atomic.Pointer[Labels]
 	publishes atomic.Int64
 	rebuilds  atomic.Int64
+
+	// Set by Prepare, consumed by the next Publish. groups maps the
+	// pre-epoch label of every member of a merge group to its group.
+	prepared bool
+	groups   map[int32]*group
+}
+
+// group is one set of pre-epoch components that the epoch's merging inserts
+// may have joined.
+type group struct {
+	anchor int32   // pre-epoch label of the group's largest component
+	ok     bool    // anchor is also the group's smallest label
+	moved  []int32 // vertices of every other member; recorded only if ok
 }
 
 // Stats counts publisher activity.
@@ -123,10 +155,10 @@ type Stats struct {
 }
 
 // NewStore computes the initial labelling from src and returns a store.
-// threshold bounds the incremental repair: when the dirty components of an
-// epoch hold more than threshold vertices in total, Publish does one full
-// relabelling instead of walking them individually. threshold <= 0 selects
-// max(1024, n/4).
+// threshold bounds the walked repair: dirty components are walked while
+// their total size stays within threshold, and any further one is verified
+// against Prepare's bookkeeping instead (see the package doc). threshold
+// <= 0 selects max(1024, n/4).
 func NewStore(n, threshold int, src Source) *Store {
 	if threshold <= 0 {
 		threshold = n / 4
@@ -161,66 +193,142 @@ func (s *Store) Stats() Stats {
 	return Stats{Publishes: s.publishes.Load(), Rebuilds: s.rebuilds.Load()}
 }
 
+// Prepare records, before an epoch mutates the structure, what the next
+// Publish needs to verify a large dirty component instead of walking it.
+// merges lists the endpoints of the epoch's merging inserts as consecutive
+// pairs (u0, v0, u1, v1, ...): the inserts whose endpoints the current
+// labelling puts in different components. A superset is fine; an empty
+// list is a valid preparation for an epoch that only deletes. Cost: one
+// size lookup per member component, plus the vertices of every member but
+// each group's largest. Dispatcher-only.
+//
+//conn:dispatcher-only
+func (s *Store) Prepare(merges []int32) {
+	s.prepared, s.groups = true, nil
+	if len(merges) == 0 {
+		return
+	}
+	cur := s.cur.Load()
+	parent := make(map[int32]int32, len(merges))
+	var labels []int32 // distinct member labels, first-seen order
+	find := func(x int32) int32 {
+		if _, ok := parent[x]; !ok {
+			parent[x] = x
+			labels = append(labels, x)
+		}
+		r := x
+		for parent[r] != r {
+			r = parent[r]
+		}
+		for parent[x] != r {
+			parent[x], x = r, parent[x]
+		}
+		return r
+	}
+	for i := 0; i+1 < len(merges); i += 2 {
+		a, b := find(cur.lbl[merges[i]]), find(cur.lbl[merges[i+1]])
+		if a != b {
+			parent[a] = b
+		}
+	}
+
+	type member struct {
+		label int32
+		size  int64
+	}
+	byRoot := make(map[int32][]member)
+	for _, x := range labels {
+		r := find(x)
+		byRoot[r] = append(byRoot[r], member{x, s.src.ComponentSize(x)})
+	}
+	s.groups = make(map[int32]*group, len(labels))
+	for _, ms := range byRoot {
+		big, least := ms[0], ms[0].label
+		for _, m := range ms[1:] {
+			if m.size > big.size || m.size == big.size && m.label < big.label {
+				big = m
+			}
+			if m.label < least {
+				least = m.label
+			}
+		}
+		g := &group{anchor: big.label, ok: big.label == least}
+		if g.ok {
+			for _, m := range ms {
+				if m.label != big.label {
+					g.moved = append(g.moved, s.src.ComponentVertices(m.label)...)
+				}
+			}
+		}
+		for _, m := range ms {
+			s.groups[m.label] = g
+		}
+	}
+}
+
+// patch rewrites the labels of vs to m.
+type patch struct {
+	vs []int32
+	m  int32
+}
+
 // Publish incorporates one committed epoch: touched lists the endpoints of
 // the epoch's applied insertions and deletions (a superset is fine; an empty
 // list means connectivity is unchanged and the current labelling stands).
 // A new snapshot is published only when some label actually changes —
 // updates that leave the partition intact (an edge inside a component, a
-// deleted non-bridge) cost the dirty-component walks but allocate nothing
+// deleted non-bridge) cost the dirty-component repairs but allocate nothing
 // and do not advance the epoch counter. Returns the transition when a
 // snapshot was published, nil when the labelling stood: exactly the
 // partition-changing epochs, which the engine tees to connectivity-event
-// subscribers. Dispatcher-only.
+// subscribers. Consumes the bookkeeping of the preceding Prepare; without
+// one, a dirty set larger than the threshold is always a full relabelling.
+// Dispatcher-only.
 //
 //conn:dispatcher-only
 func (s *Store) Publish(touched []int32) *Diff {
+	prepared, groups := s.prepared, s.groups
+	s.prepared, s.groups = false, nil
 	if len(touched) == 0 {
 		return nil
 	}
 	prev := s.cur.Load()
-	// Dirty components, deduped by live component id; budget is the total
-	// number of labels the incremental path would rewrite.
-	witness := make(map[uint64]int32, len(touched))
-	var budget int64
+	// Dirty components, deduped by live component id. Walk them while the
+	// walked total fits the threshold; verify the rest.
+	seen := make(map[uint64]struct{}, len(touched))
+	var walk, verify []int32
+	var walked int64
 	for _, t := range touched {
 		id := s.src.ComponentID(t)
-		if _, ok := witness[id]; ok {
+		if _, ok := seen[id]; ok {
 			continue
 		}
-		witness[id] = t
-		budget += s.src.ComponentSize(t)
-		if budget > s.threshold {
-			break
+		seen[id] = struct{}{}
+		if size := s.src.ComponentSize(t); walked+size <= s.threshold {
+			walked += size
+			walk = append(walk, t)
+			continue
 		}
+		if !prepared {
+			return s.rebuild(prev)
+		}
+		verify = append(verify, t)
 	}
 
-	if budget > s.threshold {
-		lbl := make([]int32, s.n)
-		s.src.ComponentLabels(lbl)
-		var changed []int32
-		for i := range lbl {
-			if lbl[i] != prev.lbl[i] {
-				changed = append(changed, int32(i))
-			}
-		}
-		if len(changed) == 0 {
-			return nil // full relabelling reproduced the published labels
-		}
-		s.rebuilds.Add(1)
-		s.publishes.Add(1)
-		cur := &Labels{lbl: lbl, epoch: prev.epoch + 1}
-		s.publish(cur)
-		return &Diff{Prev: prev, Cur: cur, Changed: changed}
-	}
-
-	// Walk each dirty component once, recording the components whose labels
+	// Verify first: a failure costs no wasted walks. Then walk each small
+	// dirty component once, keeping only the components whose labels
 	// actually differ; allocate a snapshot only if any do.
-	type patch struct {
-		vs []int32
-		m  int32
-	}
 	var patches []patch
-	for _, w := range witness {
+	for _, t := range verify {
+		p, ok := s.verify(prev, groups, t)
+		if !ok {
+			return s.rebuild(prev)
+		}
+		if len(p.vs) > 0 {
+			patches = append(patches, p)
+		}
+	}
+	for _, w := range walk {
 		vs := s.src.ComponentVertices(w)
 		m := vs[0]
 		for _, v := range vs {
@@ -249,6 +357,55 @@ func (s *Store) Publish(touched []int32) *Diff {
 			}
 		}
 	}
+	s.publishes.Add(1)
+	cur := &Labels{lbl: lbl, epoch: prev.epoch + 1}
+	s.publish(cur)
+	return &Diff{Prev: prev, Cur: cur, Changed: changed}
+}
+
+// verify repairs the live component of t without walking it. t's pre-epoch
+// label selects its merge group, or a group of its own when no merge
+// reached it. The component's minimum is the group's anchor label a
+// exactly when a is the group's smallest label and still lies in the
+// component; then the group's recorded vertices that ended up in the
+// component are the only labels to rewrite. ok is false when that cannot
+// be shown, and the caller relabels from scratch.
+func (s *Store) verify(prev *Labels, groups map[int32]*group, t int32) (p patch, ok bool) {
+	a := prev.lbl[t]
+	var moved []int32
+	if g := groups[a]; g != nil {
+		if !g.ok {
+			return patch{}, false
+		}
+		a, moved = g.anchor, g.moved
+	}
+	id := s.src.ComponentID(t)
+	if s.src.ComponentID(a) != id {
+		return patch{}, false
+	}
+	p.m = a
+	for _, v := range moved {
+		if s.src.ComponentID(v) == id {
+			p.vs = append(p.vs, v)
+		}
+	}
+	return p, true
+}
+
+// rebuild is the fallback: one full relabelling, diffed against prev.
+func (s *Store) rebuild(prev *Labels) *Diff {
+	lbl := make([]int32, s.n)
+	s.src.ComponentLabels(lbl)
+	var changed []int32
+	for i := range lbl {
+		if lbl[i] != prev.lbl[i] {
+			changed = append(changed, int32(i))
+		}
+	}
+	if len(changed) == 0 {
+		return nil // full relabelling reproduced the published labels
+	}
+	s.rebuilds.Add(1)
 	s.publishes.Add(1)
 	cur := &Labels{lbl: lbl, epoch: prev.epoch + 1}
 	s.publish(cur)

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -106,7 +107,72 @@ func (m *modelGraph) mutate(rng *rand.Rand, k int) []int32 {
 	return touched
 }
 
-func checkAgainstModel(t *testing.T, l *Labels, m *modelGraph, tag string) {
+// epoch runs one engine-shaped epoch through s against the model: Prepare
+// with the merging inserts (those the published labelling puts in
+// different components) unless skipPrepare, inserts before deletes, then
+// Publish with the merge endpoints plus the deleted edges' endpoints. It
+// checks the labels against the model, Diff.Changed against exactly
+// {v : prev label != new label}, and that the diff is nil iff the partition
+// did not change. Deletes of absent edges are no-ops.
+func (m *modelGraph) epoch(t testing.TB, s *Store, ins, del [][2]int32, skipPrepare bool) *Diff {
+	t.Helper()
+	prev := s.Current()
+	var touched []int32
+	for _, e := range ins {
+		if e[0] != e[1] && !prev.Connected(e[0], e[1]) {
+			touched = append(touched, e[0], e[1])
+		}
+	}
+	if !skipPrepare {
+		s.Prepare(touched)
+	}
+	for _, e := range ins {
+		if e[0] != e[1] {
+			m.edges[key(e[0], e[1])] = true
+		}
+	}
+	for _, e := range del {
+		if k := key(e[0], e[1]); m.edges[k] {
+			delete(m.edges, k)
+			touched = append(touched, e[0], e[1])
+		}
+	}
+	m.refresh()
+	d := s.Publish(touched)
+	checkAgainstModel(t, s.Current(), m, "epoch")
+
+	var want []int32
+	for u := 0; u < m.n; u++ {
+		if prev.Label(int32(u)) != m.rep[u] {
+			want = append(want, int32(u))
+		}
+	}
+	if d == nil {
+		if len(want) != 0 {
+			t.Fatalf("partition changed at %d vertices but Publish returned no diff", len(want))
+		}
+		if s.Current() != prev {
+			t.Fatal("Publish replaced the snapshot but returned no diff")
+		}
+		return nil
+	}
+	if d.Prev != prev || d.Cur != s.Current() {
+		t.Fatal("diff does not link the previous and the published labelling")
+	}
+	got := append([]int32(nil), d.Changed...)
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	if len(got) != len(want) {
+		t.Fatalf("Diff.Changed has %d entries, %d labels changed", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Diff.Changed = %v..., want %v...", got[:i+1], want[:i+1])
+		}
+	}
+	return d
+}
+
+func checkAgainstModel(t testing.TB, l *Labels, m *modelGraph, tag string) {
 	t.Helper()
 	for u := 0; u < m.n; u++ {
 		if l.Label(int32(u)) != m.rep[u] {
@@ -137,6 +203,170 @@ func TestPublishDifferential(t *testing.T) {
 		if threshold == n*n && st.Rebuilds != 0 {
 			t.Errorf("threshold=n²: want no rebuilds, got %d", st.Rebuilds)
 		}
+	}
+}
+
+// TestPublishVerifyDifferential drives engine-shaped epochs at a size where
+// the giant component is far over the walk threshold, so every epoch that
+// touches it goes through Prepare's bookkeeping and verification. Three
+// kinds of epoch: merges into the giant, deletes of giant edges (most of
+// them split something off), and deletes of edges on a cycle (no partition
+// change). The model checks labels, the exact Diff.Changed and nil-iff-
+// unchanged after every epoch; the fallback stays rare.
+func TestPublishVerifyDifferential(t *testing.T) {
+	const n, threshold = 2048, 64
+	rng := rand.New(rand.NewSource(5))
+	m := newModel(n)
+	for len(m.edges) < n {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u != v {
+			m.edges[key(u, v)] = true
+		}
+	}
+	m.refresh()
+	s := NewStore(n, threshold, m)
+	if giant := m.ComponentSize(m.rep[0]); giant <= threshold {
+		t.Fatalf("vertex 0's component holds %d vertices, want a giant over %d", giant, threshold)
+	}
+	epochs := 150
+	if testing.Short() {
+		epochs = 60
+	}
+	// The giant is the largest label class; giantEdges lists its edges in
+	// a fixed order so the seed fixes the run.
+	giant := func() (g int32, vs []int32) {
+		count := map[int32]int{}
+		for _, r := range m.rep {
+			count[r]++
+			if count[r] > count[g] {
+				g = r
+			}
+		}
+		for v, r := range m.rep {
+			if r == g {
+				vs = append(vs, int32(v))
+			}
+		}
+		return g, vs
+	}
+	giantEdges := func(g int32) [][2]int32 {
+		var es [][2]int32
+		for e := range m.edges {
+			if m.rep[e[0]] == g {
+				es = append(es, e)
+			}
+		}
+		sort.Slice(es, func(i, j int) bool { return es[i][0] < es[j][0] || es[i][0] == es[j][0] && es[i][1] < es[j][1] })
+		return es
+	}
+	var merged, split, quiet int // epochs of each kind that changed the partition
+	for e := 0; e < epochs; e++ {
+		g, gvs := giant()
+		var ins, del [][2]int32
+		switch e % 3 {
+		case 0: // merges into the giant: outside vertices join it
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				if v := int32(rng.Intn(n)); m.rep[v] != g {
+					ins = append(ins, [2]int32{gvs[rng.Intn(len(gvs))], v})
+				}
+			}
+		case 1: // deletes of giant edges, plus a fresh edge to keep m stable
+			es := giantEdges(g)
+			for i := 0; i < 1+rng.Intn(3); i++ {
+				del = append(del, es[rng.Intn(len(es))])
+			}
+			ins = append(ins, [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))})
+		case 2: // a non-tree delete: an edge whose removal splits nothing
+			es := giantEdges(g)
+			for _, i := range rng.Perm(len(es)) {
+				delete(m.edges, es[i])
+				m.refresh()
+				stays := m.rep[es[i][0]] == m.rep[es[i][1]]
+				m.edges[es[i]] = true
+				m.refresh()
+				if stays {
+					del = append(del, es[i])
+					break
+				}
+			}
+			if len(del) == 0 {
+				t.Fatalf("epoch %d: no cycle edge in the giant", e)
+			}
+		}
+		d := m.epoch(t, s, ins, del, false)
+		if d == nil {
+			continue
+		}
+		switch e % 3 {
+		case 0:
+			merged++
+		case 1:
+			// A split raises a label somewhere; a merge only lowers them.
+			for _, v := range d.Changed {
+				if d.Cur.Label(v) > d.Prev.Label(v) {
+					split++
+					break
+				}
+			}
+		case 2:
+			quiet++
+		}
+	}
+	st := s.Stats()
+	t.Logf("%d epochs: %d merged, %d split, %d non-tree deletes published; %d publishes, %d rebuilds",
+		epochs, merged, split, quiet, st.Publishes, st.Rebuilds)
+	if merged == 0 || split == 0 {
+		t.Fatalf("merged=%d split=%d: merges into and splits from the giant both need coverage", merged, split)
+	}
+	if quiet != 0 {
+		t.Fatalf("%d non-tree-delete epochs published a diff", quiet)
+	}
+	if st.Rebuilds*5 > st.Publishes {
+		t.Fatalf("%d of %d publishes fell back to a full relabelling", st.Rebuilds, st.Publishes)
+	}
+}
+
+// TestPublishVerifyFallbacks pins the two shapes verification must refuse —
+// the anchor's minimum splitting off, and a smaller label joining the
+// giant — each of which costs exactly one counted rebuild, and the shape
+// it must accept: a larger label joining, which rewrites only the joiner.
+func TestPublishVerifyFallbacks(t *testing.T) {
+	const n, threshold = 64, 4
+	setup := func() (*modelGraph, *Store) {
+		m := newModel(n)
+		for v := int32(10); v < 49; v++ { // giant: the path 10-11-...-49
+			m.edges[key(v, v+1)] = true
+		}
+		m.edges[key(55, 56)] = true
+		m.refresh()
+		return m, NewStore(n, threshold, m)
+	}
+	rebuilds := func(s *Store) int64 { return s.Stats().Rebuilds }
+
+	m, s := setup()
+	d := m.epoch(t, s, [][2]int32{{30, 56}}, nil, false)
+	if rebuilds(s) != 0 || d == nil || len(d.Changed) != 2 {
+		t.Fatalf("larger label joins: rebuilds=%d diff=%+v, want 0 and Changed = {55, 56}", rebuilds(s), d)
+	}
+
+	m, s = setup()
+	m.epoch(t, s, nil, [][2]int32{{10, 11}}, false)
+	if got := rebuilds(s); got != 1 {
+		t.Fatalf("anchor minimum splits off: %d rebuilds, want 1", got)
+	}
+
+	m, s = setup()
+	m.epoch(t, s, [][2]int32{{3, 30}}, nil, false)
+	if got := rebuilds(s); got != 1 {
+		t.Fatalf("smaller label joins: %d rebuilds, want 1", got)
+	}
+
+	// Without Prepare a dirty set over the threshold is a full relabelling,
+	// as it always was.
+	m, s = setup()
+	m.epoch(t, s, [][2]int32{{30, 56}}, nil, true)
+	if got := rebuilds(s); got != 1 {
+		t.Fatalf("unprepared publish: %d rebuilds, want 1", got)
 	}
 }
 

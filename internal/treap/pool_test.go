@@ -1,8 +1,10 @@
 package treap
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestFreeAndReuse(t *testing.T) {
@@ -67,5 +69,31 @@ func TestIDsUniqueAcrossRecycling(t *testing.T) {
 		}
 		seen[n.ID()] = true
 		Free(n)
+	}
+}
+
+// TestIDIsCreationCounter pins what ID promises now that it is recovered
+// from the priority: unmix inverts mix, so ids are the creation counter —
+// below 2⁶³, which callers rely on to keep synthetic keys with the top bit
+// set disjoint from node ids — and consecutive nodes get consecutive ids.
+func TestIDIsCreationCounter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		x := rng.Uint64()
+		if got := unmix(mix(x)); got != x {
+			t.Fatalf("unmix(mix(%#x)) = %#x", x, got)
+		}
+	}
+	a, b := NewNode(Value{Cnt: 1}, nil), NewNode(Value{Cnt: 1}, nil)
+	if b.ID() != a.ID()+1 || a.ID()>>63 != 0 {
+		t.Fatalf("ids %d, %d: want consecutive counter values below 2⁶³", a.ID(), b.ID())
+	}
+}
+
+// TestNodeSize keeps Node in the 80-byte allocation class: nodes are most of
+// the level structure's live heap.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 80 {
+		t.Fatalf("Node is %d bytes, want at most 80", got)
 	}
 }

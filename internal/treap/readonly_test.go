@@ -15,7 +15,7 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 	nodes := make([]*Node, n)
 	var root *Node
 	for i := 0; i < n; i++ {
-		nodes[i] = NewNode(Value{Cnt: 1, Size: 1, Tree: int64(i % 3)}, i)
+		nodes[i] = NewNode(Value{Cnt: 1, Size: 1, Tree: int32(i % 3)}, i)
 		root = Join(root, nodes[i])
 	}
 	wantAgg := Agg(root)
@@ -52,7 +52,7 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 				t.Error("First(root) != nodes[0]")
 			}
 			var out []*Node
-			Collect(root, 16, func(v Value) int64 { return v.Tree }, &out)
+			Collect(root, 16, func(v Value) int64 { return int64(v.Tree) }, &out)
 			for _, nd := range out {
 				if nd.Val.Tree == 0 {
 					t.Error("Collect returned a zero-projection node")

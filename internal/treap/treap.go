@@ -32,12 +32,17 @@ import (
 	"sync/atomic"
 )
 
-// Value is the augmented payload aggregated over subtrees.
+// Value is the augmented payload aggregated over subtrees. The counters are
+// int32 so that a Node fits the 80-byte allocation class: the level
+// structure keeps one node per vertex and two per tree edge at every level
+// it reaches, which makes nodes most of the live heap. A sequence therefore
+// holds fewer than 2³¹ elements (an Euler tour of n vertices has under 3n)
+// and fewer than 2³¹ incident edges of each kind.
 type Value struct {
-	Cnt     int64 // sequence elements (every node contributes 1)
-	Size    int64 // vertices (vertex-loop nodes contribute 1, arcs 0)
-	Tree    int64 // incident tree edges at the owning forest's level
-	NonTree int64 // incident non-tree edges at the owning forest's level
+	Cnt     int32 // sequence elements (every node contributes 1)
+	Size    int32 // vertices (vertex-loop nodes contribute 1, arcs 0)
+	Tree    int32 // incident tree edges at the owning forest's level
+	NonTree int32 // incident non-tree edges at the owning forest's level
 }
 
 // Add returns the component-wise sum of two Values.
@@ -51,11 +56,11 @@ func (v Value) Add(o Value) Value {
 }
 
 // Node is one sequence element. Fields l, r, p form the treap; pri is the
-// heap priority; Val is this element's own contribution and sum the
-// aggregate over the node's subtree (including Val).
+// heap priority (and, through unmix, the node's creation id); Val is this
+// element's own contribution and sum the aggregate over the node's subtree
+// (including Val).
 type Node struct {
 	l, r, p *Node
-	id      uint64
 	pri     uint64
 	Val     Value
 	sum     Value
@@ -66,12 +71,25 @@ type Node struct {
 
 var idCtr atomic.Uint64
 
+// mix is the splitmix64 finalizer: a bijection on uint64, so distinct ids
+// give distinct priorities and unmix recovers the id from the priority.
 func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
+	return x
+}
+
+// unmix inverts mix: each xor-shift is undone by its geometric series and
+// each multiplication by the constant's inverse mod 2⁶⁴.
+func unmix(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642b2d24d8ec3
+	x ^= x>>27 ^ x>>54
+	x *= 0x96de1b173f119089
+	x ^= x>>30 ^ x>>60
 	return x
 }
 
@@ -85,7 +103,7 @@ func NewNode(val Value, data any) *Node {
 	id := idCtr.Add(1)
 	n := nodePool.Get().(*Node)
 	n.l, n.r, n.p = nil, nil, nil
-	n.id, n.pri = id, mix(id)
+	n.pri = mix(id)
 	n.Val, n.sum = val, val
 	n.Data = data
 	return n
@@ -102,13 +120,13 @@ func Free(n *Node) {
 
 // ID returns the node's unique creation identifier, usable as a stable hash
 // key (e.g. to group operations by tour root).
-func (n *Node) ID() uint64 { return n.id }
+func (n *Node) ID() uint64 { return unmix(n.pri) }
 
 func cnt(t *Node) int64 {
 	if t == nil {
 		return 0
 	}
-	return t.sum.Cnt
+	return int64(t.sum.Cnt)
 }
 
 func sum(t *Node) Value {
@@ -137,7 +155,7 @@ func Root(x *Node) *Node {
 func Agg(x *Node) Value { return Root(x).sum }
 
 // Len returns the number of elements in the sequence containing x.
-func Len(x *Node) int64 { return Root(x).sum.Cnt }
+func Len(x *Node) int64 { return int64(Root(x).sum.Cnt) }
 
 // Join concatenates sequences a then b and returns the new root. Either may
 // be nil. The inputs must be roots of distinct treaps.
@@ -219,7 +237,7 @@ func Index(x *Node) int64 {
 // At returns the i-th element (zero-based) of the sequence rooted at t, or
 // nil if out of range.
 func At(t *Node, i int64) *Node {
-	if t == nil || i < 0 || i >= t.sum.Cnt {
+	if t == nil || i < 0 || i >= int64(t.sum.Cnt) {
 		return nil
 	}
 	for {

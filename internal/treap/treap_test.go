@@ -11,7 +11,7 @@ import (
 func build(n int) *Node {
 	var root *Node
 	for i := 0; i < n; i++ {
-		nd := NewNode(Value{Cnt: 1, Size: int64(i)}, i)
+		nd := NewNode(Value{Cnt: 1, Size: int32(i)}, i)
 		root = Join(root, nd)
 	}
 	return root
@@ -155,13 +155,13 @@ func TestAddVal(t *testing.T) {
 func TestCollectFindsMarkedNodes(t *testing.T) {
 	root := build(100)
 	// Mark nodes 10, 40, 70 with NonTree counts 2, 3, 4.
-	marks := map[int]int64{10: 2, 40: 3, 70: 4}
+	marks := map[int]int32{10: 2, 40: 3, 70: 4}
 	for idx, c := range marks {
 		nd := At(root, int64(idx))
 		AddVal(nd, Value{NonTree: c})
 		root = Root(nd)
 	}
-	proj := func(v Value) int64 { return v.NonTree }
+	proj := func(v Value) int64 { return int64(v.NonTree) }
 	var out []*Node
 	got := Collect(root, 4, proj, &out)
 	if got < 4 {
@@ -180,7 +180,7 @@ func TestCollectFindsMarkedNodes(t *testing.T) {
 
 func TestCollectEmptyAndZeroLimit(t *testing.T) {
 	root := build(10)
-	proj := func(v Value) int64 { return v.NonTree }
+	proj := func(v Value) int64 { return int64(v.NonTree) }
 	var out []*Node
 	if got := Collect(root, 5, proj, &out); got != 0 || len(out) != 0 {
 		t.Fatal("Collect on zero-projection tree should gather nothing")
