@@ -370,7 +370,7 @@ func runE11(cfg config) {
 	var troot *treap.Node
 	tnodes := make([]*treap.Node, n)
 	for i := 0; i < n; i++ {
-		tnodes[i] = treap.NewNode(treap.Value{Cnt: 1}, i)
+		tnodes[i] = treap.NewNode(treap.Value{Cnt: 1}, int32(i))
 		troot = treap.Join(troot, tnodes[i])
 	}
 	next := rng(cfg.seed)

@@ -7,6 +7,7 @@ package adjlist
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -51,31 +52,57 @@ func (l *lists) arr(isTree bool) *[]*Rec {
 	return &l.nonTree
 }
 
-type perVertex struct {
-	lv []lists // indexed by level; allocated on first touch
+// cell is one level's lists of one vertex.
+type cell struct {
+	level int32
+	lists
 }
 
-// Store is the full adjacency structure: n vertices × levels levels.
+// Store is the full adjacency structure: n vertices × levels levels. Each
+// vertex holds a cell only for the levels where it has records, sorted by
+// level; a cell whose two lists empty is dropped, and so is a vertex's
+// cell slice once it has no cells. Most vertices have edges at one or two
+// of the lg n levels, so a dense per-level array would be mostly empty.
 type Store struct {
 	levels int
-	verts  []*perVertex
+	verts  [][]cell
 }
 
 // New creates a Store for n vertices and the given number of levels.
 func New(n int, levels int) *Store {
-	return &Store{levels: levels, verts: make([]*perVertex, n)}
+	return &Store{levels: levels, verts: make([][]cell, n)}
 }
 
 // Levels reports the number of levels the store was created with.
 func (s *Store) Levels() int { return s.levels }
 
-func (s *Store) cell(u graph.Vertex, lvl int32) *lists {
-	pv := s.verts[u]
-	if pv == nil {
-		pv = &perVertex{lv: make([]lists, s.levels)}
-		s.verts[u] = pv
+// find returns the index of u's cell at lvl, or where it would be inserted
+// and false.
+func (s *Store) find(u graph.Vertex, lvl int32) (int, bool) {
+	cs := s.verts[u]
+	for i := range cs {
+		if cs[i].level >= lvl {
+			return i, cs[i].level == lvl
+		}
 	}
-	return &pv.lv[lvl]
+	return len(cs), false
+}
+
+// lookup returns u's lists at lvl, or nil if u has no records there.
+func (s *Store) lookup(u graph.Vertex, lvl int32) *lists {
+	if i, ok := s.find(u, lvl); ok {
+		return &s.verts[u][i].lists
+	}
+	return nil
+}
+
+// cell returns u's lists at lvl, creating the cell if absent.
+func (s *Store) cell(u graph.Vertex, lvl int32) *lists {
+	i, ok := s.find(u, lvl)
+	if !ok {
+		s.verts[u] = slices.Insert(s.verts[u], i, cell{level: lvl})
+	}
+	return &s.verts[u][i].lists
 }
 
 // insertAt appends r to x's (level, tree) list.
@@ -85,9 +112,12 @@ func (s *Store) insertAt(x graph.Vertex, r *Rec) {
 	*arr = append(*arr, r)
 }
 
-// deleteAt removes r from x's list by swapping with the last element.
+// deleteAt removes r from x's list by swapping with the last element, and
+// drops x's cell at r's level once both its lists are empty.
 func (s *Store) deleteAt(x graph.Vertex, r *Rec) {
-	arr := s.cell(x, r.Level).arr(r.IsTree)
+	ci, _ := s.find(x, r.Level)
+	c := &s.verts[x][ci]
+	arr := c.arr(r.IsTree)
 	i := r.pos(x)
 	last := int32(len(*arr) - 1)
 	if i != last {
@@ -98,6 +128,18 @@ func (s *Store) deleteAt(x graph.Vertex, r *Rec) {
 	(*arr)[last] = nil
 	*arr = (*arr)[:last]
 	r.setPos(x, -1)
+	if len(c.tree) == 0 && len(c.nonTree) == 0 {
+		s.drop(x, ci)
+	}
+}
+
+// drop removes x's cell ci, and x's cell slice if that was its last cell.
+func (s *Store) drop(x graph.Vertex, ci int) {
+	cs := slices.Delete(s.verts[x], ci, ci+1)
+	if len(cs) == 0 {
+		cs = nil // release the backing array with the last cell
+	}
+	s.verts[x] = cs
 }
 
 // Insert adds r to the lists of both endpoints (sequential; see BatchInsert).
@@ -114,21 +156,21 @@ func (s *Store) Delete(r *Rec) {
 
 // Count returns the length of u's (lvl, isTree) list.
 func (s *Store) Count(u graph.Vertex, lvl int32, isTree bool) int {
-	pv := s.verts[u]
-	if pv == nil {
+	l := s.lookup(u, lvl)
+	if l == nil {
 		return 0
 	}
-	return len(*pv.lv[lvl].arr(isTree))
+	return len(*l.arr(isTree))
 }
 
 // Fetch returns up to l records from the front of u's (lvl, isTree) list.
 // The returned slice aliases the store; callers must not mutate it.
 func (s *Store) Fetch(u graph.Vertex, lvl int32, isTree bool, l int) []*Rec {
-	pv := s.verts[u]
-	if pv == nil {
+	c := s.lookup(u, lvl)
+	if c == nil {
 		return nil
 	}
-	arr := *pv.lv[lvl].arr(isTree)
+	arr := *c.arr(isTree)
 	if l > len(arr) {
 		l = len(arr)
 	}
@@ -147,18 +189,15 @@ func (s *Store) All(u graph.Vertex, lvl int32, isTree bool) []*Rec {
 //
 //conn:readonly
 func (s *Store) Neighbors(u graph.Vertex, treeOnly bool, dst []graph.Vertex) []graph.Vertex {
-	pv := s.verts[u]
-	if pv == nil {
-		return dst
-	}
-	for lvl := range pv.lv {
-		for _, r := range pv.lv[lvl].tree {
+	cs := s.verts[u]
+	for i := range cs {
+		for _, r := range cs[i].tree {
 			dst = append(dst, r.E.Other(u))
 		}
 		if treeOnly {
 			continue
 		}
-		for _, r := range pv.lv[lvl].nonTree {
+		for _, r := range cs[i].nonTree {
 			dst = append(dst, r.E.Other(u))
 		}
 	}
@@ -202,11 +241,9 @@ func (s *Store) batch(recs []*Rec, insert bool) []Delta {
 	if len(recs) == 0 {
 		return nil
 	}
+	// Grouping by endpoint gives each goroutine its own vertices, so the
+	// cells it creates and drops are never shared.
 	groups := endpointGroups(recs)
-	// Pre-touch cells sequentially: cell() lazily allocates per-vertex
-	// state and two goroutines handling u and v of different records
-	// never share a vertex, but allocation is idempotent per vertex so
-	// grouping already isolates it.
 	out := make([][]Delta, len(groups))
 	parallel.For(len(groups), 0, func(gi int) {
 		g := groups[gi]
@@ -247,20 +284,28 @@ func (s *Store) batch(recs []*Rec, insert bool) []Delta {
 	return flat
 }
 
-// CheckInvariants verifies position back-pointers for vertex u; for tests.
+// CheckInvariants verifies position back-pointers for vertex u, and that
+// its cells are sorted by level and none is empty; for tests.
 func (s *Store) CheckInvariants(u graph.Vertex) error {
-	pv := s.verts[u]
-	if pv == nil {
-		return nil
-	}
-	for lvl := range pv.lv {
+	cs := s.verts[u]
+	for ci := range cs {
+		lvl := cs[ci].level
+		if lvl < 0 || int(lvl) >= s.levels {
+			return fmt.Errorf("v=%d cell level %d out of range [0, %d)", u, lvl, s.levels)
+		}
+		if ci > 0 && cs[ci-1].level >= lvl {
+			return fmt.Errorf("v=%d cells out of order at level %d", u, lvl)
+		}
+		if len(cs[ci].tree) == 0 && len(cs[ci].nonTree) == 0 {
+			return fmt.Errorf("v=%d holds an empty cell at level %d", u, lvl)
+		}
 		for _, isTree := range []bool{true, false} {
-			arr := *pv.lv[lvl].arr(isTree)
+			arr := *cs[ci].arr(isTree)
 			for i, r := range arr {
 				if r == nil {
 					return fmt.Errorf("nil rec at v=%d lvl=%d i=%d", u, lvl, i)
 				}
-				if int(r.Level) != lvl || r.IsTree != isTree {
+				if r.Level != lvl || r.IsTree != isTree {
 					return fmt.Errorf("rec %v in wrong list (lvl=%d tree=%v)", r.E, lvl, isTree)
 				}
 				if r.pos(u) != int32(i) {

@@ -34,18 +34,17 @@ import (
 	"repro/internal/treap"
 )
 
-// arc identifies a directed tree-edge element in some tour.
-type arc struct {
-	from, to graph.Vertex
-}
-
-// Forest is a batch-dynamic forest over vertices [0, n).
+// Forest is a batch-dynamic forest over vertices [0, n). A loop element
+// carries its vertex id as treap Data and contributes Size 1; an arc
+// element contributes Size 0, and its Data is never read.
 //
 // Vertex loop elements are created lazily on first mutation touching the
 // vertex: a connectivity structure keeps lg n forests over the same vertex
 // set and most vertices never participate below the top level, so eager
 // allocation would waste O(n lg n) nodes. A vertex with no element is a
-// singleton whose representative is reported as nil (see Rep).
+// singleton whose representative is reported as nil (see Rep). For the
+// same reason an element is dropped again once it is a singleton tour with
+// zero counters, which is exactly what a vertex without one reports.
 //
 //conn:readonly-queries
 type Forest struct {
@@ -106,7 +105,7 @@ func (f *Forest) arcDel(k uint64) {
 func (f *Forest) vert(u graph.Vertex) *treap.Node {
 	nd := f.verts[u]
 	if nd == nil {
-		nd = treap.NewNode(treap.Value{Cnt: 1, Size: 1}, u)
+		nd = treap.NewNode(treap.Value{Size: 1}, u)
 		f.verts[u] = nd
 	}
 	return nd
@@ -123,9 +122,10 @@ func arcKey(u, v graph.Vertex) uint64 {
 
 // Rep returns the representative of u's component: the treap root. It is
 // equal for two vertices iff they are connected, and is invalidated by any
-// link or cut touching the component. A vertex that has never been touched
-// at this level is a singleton and reports a nil representative — two nil
-// reps do NOT imply connectivity; use Connected for queries. Read-only:
+// link or cut touching the component. A vertex with no loop element (never
+// touched at this level, or released as a zero-counter singleton) reports
+// a nil representative — two nil reps do NOT imply connectivity; use
+// Connected for queries. Read-only:
 // safe for concurrent callers under the package's query contract.
 //
 //conn:readonly
@@ -206,14 +206,19 @@ func (f *Forest) Link(u, v graph.Vertex) {
 	if f.Connected(u, v) {
 		panic(fmt.Sprintf("ett: Link(%d,%d) would create a cycle", u, v))
 	}
+	f.splice(u, v)
+	f.edges++
+}
+
+// splice joins the tours of u and v with two new arc elements:
+// [u ...] (u,v) [v ...] (v,u). It does not count the edge.
+func (f *Forest) splice(u, v graph.Vertex) {
 	tu := f.reroot(u)
 	tv := f.reroot(v)
-	au := treap.NewNode(treap.Value{Cnt: 1}, arc{u, v})
-	av := treap.NewNode(treap.Value{Cnt: 1}, arc{v, u})
+	au := treap.NewNode(treap.Value{}, u)
+	av := treap.NewNode(treap.Value{}, v)
 	f.arcPut(arcKey(u, v), au)
 	f.arcPut(arcKey(v, u), av)
-	f.edges++
-	// Tour: [u ... ] (u,v) [v ...] (v,u)
 	treap.Join(treap.Join(tu, au), treap.Join(tv, av))
 }
 
@@ -221,6 +226,17 @@ func (f *Forest) Link(u, v graph.Vertex) {
 func (f *Forest) Cut(u, v graph.Vertex) {
 	au, av := f.takeArcs(u, v)
 	cutArcs(au, av)
+	f.release(u)
+	f.release(v)
+}
+
+// release drops u's loop element if it is a singleton tour with zero
+// counters. The node is left to the collector, not the pool: callers may
+// still hold it as a representative, and a recycled node would alias it.
+func (f *Forest) release(u graph.Vertex) {
+	if nd := f.verts[u]; nd != nil && treap.Agg(nd) == (treap.Value{Cnt: 1, Size: 1}) {
+		f.verts[u] = nil
+	}
 }
 
 // takeArcs removes the two directed arc elements of edge (u,v) from the
@@ -254,14 +270,11 @@ func cutArcs(au, av *treap.Node) {
 	root := treap.Root(first)
 	pre, rest := treap.SplitAt(root, i1)
 	mid, suf := treap.SplitAt(rest, i2-i1+1)
-	// mid = first ++ inner ++ second; strip the two arc elements.
+	// mid = first ++ inner ++ second; strip the two arc elements, leaving
+	// inner as the detached subtree's tour. mid is a root, so its length
+	// is its own aggregate.
 	_, mid = treap.SplitAt(mid, 1)
-	n := treap.Value{}
-	if mid != nil {
-		n = treap.Agg(treap.First(mid))
-	}
-	inner, _ := treap.SplitAt(mid, int64(n.Cnt)-1)
-	_ = inner // inner is the detached subtree's tour (its own root now)
+	treap.SplitAt(mid, treap.Len(mid)-1)
 	treap.Join(pre, suf)
 }
 
@@ -269,13 +282,14 @@ func cutArcs(au, av *treap.Node) {
 // number of level-i incident edges, where i is the level of this forest).
 func (f *Forest) AddCounts(u graph.Vertex, dTree, dNonTree int64) {
 	treap.AddVal(f.vert(u), treap.Value{Tree: int32(dTree), NonTree: int32(dNonTree)})
+	f.release(u)
 }
 
 // SetCounts overwrites u's augmented counters.
 func (f *Forest) SetCounts(u graph.Vertex, tree, nonTree int64) {
 	nd := f.vert(u)
-	v := nd.Val
-	treap.SetVal(nd, treap.Value{Cnt: v.Cnt, Size: v.Size, Tree: int32(tree), NonTree: int32(nonTree)})
+	treap.SetVal(nd, treap.Value{Size: nd.Val().Size, Tree: int32(tree), NonTree: int32(nonTree)})
+	f.release(u)
 }
 
 // Counts returns u's own (not component) counters.
@@ -288,7 +302,8 @@ func (f *Forest) Counts(u graph.Vertex) (tree, nonTree int64) {
 	if nd == nil {
 		return 0, 0
 	}
-	return int64(nd.Val.Tree), int64(nd.Val.NonTree)
+	v := nd.Val()
+	return int64(v.Tree), int64(v.NonTree)
 }
 
 // CompNonTree returns the total non-tree-edge endpoint count in u's
@@ -330,8 +345,8 @@ func collect(rep *treap.Node, limit int64, proj func(treap.Value) int64) []Verte
 	treap.Collect(rep, limit, proj, &nodes)
 	out := make([]VertexSlot, 0, len(nodes))
 	for _, nd := range nodes {
-		if v, ok := nd.Data.(graph.Vertex); ok {
-			out = append(out, VertexSlot{V: v, Cnt: proj(nd.Val)})
+		if v := nd.Val(); v.Size == 1 {
+			out = append(out, VertexSlot{V: nd.Data, Cnt: proj(v)})
 		}
 	}
 	return out
@@ -360,8 +375,8 @@ func (f *Forest) FetchTreeSlots(rep *treap.Node, limit int64) []VertexSlot {
 func (f *Forest) Vertices(rep *treap.Node) []graph.Vertex {
 	var out []graph.Vertex
 	treap.Walk(rep, func(n *treap.Node) {
-		if v, ok := n.Data.(graph.Vertex); ok {
-			out = append(out, v)
+		if n.Val().Size == 1 {
+			out = append(out, n.Data)
 		}
 	})
 	return out
@@ -414,26 +429,16 @@ func (f *Forest) BatchLinkDisjoint(groups [][]graph.Edge) {
 	if total == 0 {
 		return
 	}
-	var edges int64
 	parallel.For(len(groups), 1, func(gi int) {
 		for _, e := range groups[gi] {
 			if f.Connected(e.U, e.V) {
 				panic(fmt.Sprintf("ett: BatchLinkDisjoint(%d,%d) would create a cycle", e.U, e.V))
 			}
-			tu := f.reroot(e.U)
-			tv := f.reroot(e.V)
-			au := treap.NewNode(treap.Value{Cnt: 1}, arc{e.U, e.V})
-			av := treap.NewNode(treap.Value{Cnt: 1}, arc{e.V, e.U})
-			f.arcPut(arcKey(e.U, e.V), au)
-			f.arcPut(arcKey(e.V, e.U), av)
-			treap.Join(treap.Join(tu, au), treap.Join(tv, av))
+			f.splice(e.U, e.V)
 		}
-		// Tally outside the hot loop: f.edges is not atomic.
 	})
-	for _, g := range groups {
-		edges += int64(len(g))
-	}
-	f.edges += int(edges)
+	// Tallied outside the parallel loop: f.edges is not atomic.
+	f.edges += total
 }
 
 // BatchCut removes the given tree edges. Cuts on distinct trees run in
@@ -466,4 +471,8 @@ func (f *Forest) BatchCut(es []graph.Edge) {
 			cutArcs(aus[idx], avs[idx])
 		}
 	})
+	for _, e := range es {
+		f.release(e.U)
+		f.release(e.V)
+	}
 }

@@ -157,3 +157,46 @@ func TestRepInvalidationAcrossLinkCut(t *testing.T) {
 		t.Fatal("reps equal after cut")
 	}
 }
+
+// TestReleaseIsolatedLoop checks that a loop element is dropped exactly when
+// its vertex is a singleton with zero counters, and that the forest answers
+// for it as for a never-touched vertex.
+func TestReleaseIsolatedLoop(t *testing.T) {
+	f := New(8)
+	f.Link(0, 1)
+	f.Link(1, 2)
+	f.AddCounts(2, 0, 1)
+	f.Cut(0, 1) // 0 is isolated with zero counters
+	f.Cut(1, 2) // 2 is isolated but holds a non-tree count
+	if f.Rep(0) != nil {
+		t.Fatal("isolated zero-counter vertex kept its loop element")
+	}
+	if f.Rep(2) == nil {
+		t.Fatal("vertex with a non-tree count lost its loop element")
+	}
+	if f.Rep(1) != nil {
+		t.Fatal("vertex isolated by its last cut kept its loop element")
+	}
+	f.AddCounts(2, 0, -1)
+	if f.Rep(2) != nil {
+		t.Fatal("vertex whose counters reached zero kept its loop element")
+	}
+	if f.Size(0) != 1 || f.Connected(0, 1) || !f.Connected(0, 0) {
+		t.Fatal("released vertex does not answer as a singleton")
+	}
+	if tr, nt := f.Counts(0); tr != 0 || nt != 0 {
+		t.Fatalf("released vertex counts = %d, %d", tr, nt)
+	}
+	f.Link(0, 2)
+	f.Link(3, 4)
+	f.BatchCut([]graph.Edge{{U: 0, V: 2}, {U: 3, V: 4}})
+	for _, v := range []graph.Vertex{0, 2, 3, 4} {
+		if f.Rep(v) != nil {
+			t.Fatalf("BatchCut kept vertex %d's isolated zero-counter loop element", v)
+		}
+	}
+	f.Link(0, 1)
+	if !f.Connected(0, 1) || f.Size(1) != 2 {
+		t.Fatal("relinking a released vertex failed")
+	}
+}

@@ -2,11 +2,13 @@ package server
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	conn "repro"
 	"repro/client"
 	"repro/internal/unionfind"
+	"repro/internal/wire"
 )
 
 // shardOracle mirrors a sharded namespace's batch semantics sequentially:
@@ -292,5 +294,50 @@ func TestShardedDefaultAndDrop(t *testing.T) {
 	}
 	if infos, err = cl.List(); err != nil || len(infos) != 0 {
 		t.Fatalf("list after drops = %+v, %v", infos, err)
+	}
+}
+
+// TestShardedReadFramesReuseIndex checks that read-only frames on a sharded
+// namespace share one composed labelling: after a write, the first read
+// frame composes it (4n bytes), and the read frames after it allocate far
+// less than one more compose each.
+func TestShardedReadFramesReuseIndex(t *testing.T) {
+	const n = 1 << 16
+	s, err := New(Options{})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	defer s.Shutdown()
+	do := func(req *wire.Request) *wire.Response {
+		t.Helper()
+		resp := s.handle(req)
+		if resp.Status != wire.StatusOK {
+			t.Fatalf("cmd %d: status %d: %s", req.Cmd, resp.Status, resp.Msg)
+		}
+		return resp
+	}
+	do(&wire.Request{Cmd: wire.CmdCreate, NS: "a", N: n, Shards: 2})
+	do(&wire.Request{Cmd: wire.CmdBatch, NS: "a", Ops: []wire.Op{
+		{Kind: wire.KindInsert, U: 1, V: 2}, {Kind: wire.KindInsert, U: 2, V: 3},
+	}})
+	pairs := []wire.Pair{{U: 1, V: 3}, {U: 1, V: 4}}
+	do(&wire.Request{Cmd: wire.CmdReadNow, NS: "a", Pairs: pairs})
+
+	const frames = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		cmd := wire.CmdReadNow
+		if i%2 == 1 {
+			cmd = wire.CmdReadRecent
+		}
+		resp := do(&wire.Request{Cmd: cmd, NS: "a", Pairs: pairs})
+		if len(resp.Bits) != 2 || !resp.Bits[0] || resp.Bits[1] {
+			t.Fatalf("frame %d: bits %v, want [true false]", i, resp.Bits)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / frames; per >= n {
+		t.Fatalf("read frames allocate %d bytes each; a compose is %d, so they recompose", per, 4*n)
 	}
 }

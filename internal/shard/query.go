@@ -1,8 +1,8 @@
 // Sharded query composition: the coordinator answers the query layer's
 // structural questions over the union of its engines' edge sets.
 //
-// Label-shaped queries (members / size / aggregate) scatter-gather: every
-// engine's wait-free published labelling is collected and contracted into a
+// Label-shaped queries (members / size / aggregate) read the composition
+// index: every engine's wait-free published labelling contracted into a
 // global min-vertex labelling by a union-find over vertices — engine i's
 // label lbl_i[v] asserts "v is connected to vertex lbl_i[v]", and the union
 // of those assertions across engines is exactly the union graph's
@@ -20,12 +20,13 @@ import (
 
 // Query executes one structural query against the combined graph.
 // Linearized mode flushes every engine first — each engine publishes its
-// labelling inside epoch execution, before acknowledging, so the post-flush
-// gather reflects every operation staged before the call. Recent mode reads
-// whatever each engine last published: per-engine bounded staleness, no
-// locks, no dispatcher. Result.Seq is always zero — a sharded namespace has
-// k+1 WAL streams, not one durable position — matching the no-fence
-// convention of its other read paths.
+// labelling inside epoch execution, before acknowledging, and Flush
+// advances the coordinator version, so the index composed next reflects
+// every operation staged before the call. Recent mode reads the current
+// composition index: every acknowledged mutation, no locks, no dispatcher.
+// Result.Seq is always zero — a sharded namespace has k+1 WAL streams, not
+// one durable position — matching the no-fence convention of its other
+// read paths.
 func (c *Coordinator) Query(req query.Request) (query.Result, error) {
 	if c.closed.Load() {
 		return query.Result{}, ErrClosed
@@ -44,7 +45,7 @@ func (c *Coordinator) Query(req query.Request) (query.Result, error) {
 		path, found := query.TreePath(c.neighbors(true), int32(c.n), req.U, req.V)
 		return query.Result{Found: found, Verts: path, Size: uint64(len(path))}, nil
 	}
-	lbl := c.composeLabels()
+	lbl := c.index().lbl
 	res := query.Result{Found: true}
 	switch req.Kind {
 	case query.KindMembers:
@@ -93,44 +94,39 @@ func (c *Coordinator) neighbors(treeOnly bool) func(v int32, dst []int32) []int3
 // composeLabels gathers every engine's published labelling and contracts
 // them into one global min-vertex labelling: union(v, lbl_i[v]) for every
 // engine i and vertex v, with union-by-minimum so each class's root IS its
-// minimum vertex. O((k+1)·n·α).
+// minimum vertex. O((k+1)·n·α), one n-entry allocation.
 func (c *Coordinator) composeLabels() []int32 {
 	n := c.n
 	parent := make([]int32, n)
 	for v := range parent {
 		parent[v] = int32(v)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]] // path halving
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra < rb {
-			parent[rb] = ra
-		} else {
-			parent[ra] = rb
-		}
-	}
-	scratch := make([]int32, n)
 	for _, e := range c.engines {
-		e.Recent().CopyTo(scratch)
-		for v := 0; v < n; v++ {
-			if scratch[v] != int32(v) {
-				union(int32(v), scratch[v])
+		l := e.Recent()
+		for v := int32(0); v < int32(n); v++ {
+			lv := l.Label(v)
+			if lv == v {
+				continue
+			}
+			ra, rb := find(v), find(lv)
+			if ra < rb {
+				parent[rb] = ra
+			} else if rb < ra {
+				parent[ra] = rb
 			}
 		}
 	}
-	out := make([]int32, n)
-	for v := 0; v < n; v++ {
-		out[v] = find(int32(v))
+	// Flatten in place: ascending v sees every smaller vertex already
+	// pointing at its root, so one step reaches it.
+	for v := range parent {
+		parent[v] = parent[parent[v]]
 	}
-	return out
+	return parent
 }

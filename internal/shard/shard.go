@@ -3,10 +3,10 @@
 // owns an internal/engine pipeline (its own dispatcher, WAL fsync stream,
 // snapshot labelling and checkpoint cycle) holding exactly the edges whose
 // two endpoints both hash to that shard. Edges that straddle partitions go
-// to one extra pipeline, the boundary engine, and global connectivity is
-// answered in two levels: a pair is connected iff its endpoints' shard-local
-// components are linked through the boundary graph — composed by a small
-// union-find over (shard, component-id) keys (see index.go).
+// to one extra pipeline, the boundary engine. Global connectivity is read
+// from one composed labelling: the k+1 engines' published min-vertex
+// labellings contracted by a union-find over vertices, composed once per
+// acknowledged mutation and shared by every reader (see index.go).
 //
 // The paper's batch-dynamic structure makes this decomposition clean:
 // every engine is a full dynamic-connectivity structure over the same
@@ -75,18 +75,20 @@ type Options struct {
 // plus one boundary engine and presents the combined edge set as a single
 // connectivity structure. All methods are safe from any number of
 // goroutines. Mutating batches are routed per edge (intra-shard edges to
-// their shard, cross-shard edges to the boundary engine); queries compose
-// shard-local connectivity with the boundary graph through the published
-// composition index.
+// their shard, cross-shard edges to the boundary engine); queries read the
+// published composition index, one global labelling.
 //
-// Consistency: queries are committed per engine (each engine's published
-// labelling, plus component ids read under its lock), and the cross-shard
-// composition is rebuilt when any mutation has been acknowledged since the
-// last build — a quiesced Coordinator (no mutation in flight) answers
-// exactly. Mutations racing a query may be partially visible across
-// shards; a caller that needs its own writes visible orders its query
-// after its mutating call returns, exactly as with the Batcher's
-// ReadRecent tier.
+// Consistency: every query is answered from one composed-labelling
+// snapshot per coordinator version. A snapshot is composed from the k+1
+// engines' published labellings, each of which covers every epoch its
+// engine has acknowledged; it is recomposed only after a mutating batch
+// has been acknowledged (or a Flush), so a quiesced Coordinator answers
+// exactly and a batch's own queries see its own writes. All answers of
+// one call come from the same snapshot, and under insert-only load the
+// snapshots only coarsen: a pair once answered connected stays connected.
+// Mutations racing a query may be partially visible across shards; a
+// caller that needs its own writes visible orders its query after its
+// mutating call returns, exactly as with the Batcher's ReadRecent tier.
 type Coordinator struct {
 	n int
 	k int
@@ -95,11 +97,12 @@ type Coordinator struct {
 	// pipeline holding every cross-shard edge.
 	engines []*engine.Engine
 
-	// version counts acknowledged mutating batches; the composition index
-	// caches the version it was built at and is rebuilt when stale.
+	// version advances on every acknowledged mutating batch and every
+	// Flush; the composition index caches the version it was composed at
+	// and is composed again when stale.
 	version atomic.Uint64
 
-	buildMu sync.Mutex // serializes index rebuilds
+	buildMu sync.Mutex // serializes index composes
 	idx     atomic.Pointer[compIndex]
 
 	// comp re-derives global labelling transitions from per-engine snapshot
@@ -382,11 +385,13 @@ func (c *Coordinator) one(op coalesce.Op) (bool, error) {
 }
 
 // Flush forces an epoch on every engine and blocks until everything staged
-// before the call has committed on its shard.
+// before the call has committed on its shard, then advances the version so
+// the next query composes the flushed state.
 func (c *Coordinator) Flush() {
 	for _, e := range c.engines {
 		e.Flush()
 	}
+	c.version.Add(1)
 }
 
 // Checkpoint snapshots every engine's edge set into its shard directory

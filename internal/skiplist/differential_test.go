@@ -28,7 +28,7 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 			switch o.Kind % 4 {
 			case 0: // append
 				sn := NewNode(Value{Cnt: 1}, next)
-				tn := treap.NewNode(treap.Value{Cnt: 1}, next)
+				tn := treap.NewNode(treap.Value{Cnt: 1}, int32(next))
 				Append(sl, sn)
 				tr = treap.Join(tr, tn)
 				sNodes = append(sNodes, sn)
@@ -43,7 +43,7 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 				// treap, then split both structures before it.
 				tn := treap.At(tr, int64(k))
 				sn := sl.At(int64(k))
-				if tn.Data.(int) != sn.Data.(int) {
+				if int(tn.Data) != sn.Data.(int) {
 					return false // order diverged
 				}
 				ta, tb := treap.SplitBefore(tn)
@@ -88,7 +88,7 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 		ok := true
 		treap.Walk(tr, func(n *treap.Node) {
 			sn := sl.At(i)
-			if sn == nil || sn.Data.(int) != n.Data.(int) {
+			if sn == nil || sn.Data.(int) != int(n.Data) {
 				ok = false
 			}
 			i++
@@ -107,7 +107,7 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 			return false
 		}
 		for j := range sOut {
-			if sOut[j].Data.(int) != tOut[j].Data.(int) {
+			if sOut[j].Data.(int) != int(tOut[j].Data) {
 				return false
 			}
 		}

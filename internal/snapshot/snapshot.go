@@ -80,9 +80,8 @@ func (l *Labels) Epoch() uint64 { return l.epoch }
 // Len returns the vertex count.
 func (l *Labels) Len() int { return len(l.lbl) }
 
-// CopyTo copies the labelling into dst (length Len). The sharded event
-// composer gathers every engine's labelling this way before the union-find
-// contraction; copying keeps the published array unaliased.
+// CopyTo copies the labelling into dst (length Len); copying keeps the
+// published array unaliased.
 //
 //conn:readonly
 func (l *Labels) CopyTo(dst []int32) { copy(dst, l.lbl) }

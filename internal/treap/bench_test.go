@@ -9,7 +9,7 @@ func benchSequence(n int) (*Node, []*Node) {
 	var root *Node
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = NewNode(Value{Cnt: 1}, i)
+		nodes[i] = NewNode(Value{Cnt: 1}, int32(i))
 		root = Join(root, nodes[i])
 	}
 	return root, nodes

@@ -8,10 +8,10 @@ import (
 )
 
 func TestFreeAndReuse(t *testing.T) {
-	a := NewNode(Value{Cnt: 1}, "a")
+	a := NewNode(Value{Cnt: 1}, 1)
 	id1 := a.ID()
 	Free(a)
-	b := NewNode(Value{Cnt: 1, Size: 7}, "b")
+	b := NewNode(Value{Cnt: 1, Size: 7}, 2)
 	// Whether or not the allocation was recycled, the new node must be
 	// fully reinitialized.
 	if b.ID() == id1 {
@@ -20,10 +20,10 @@ func TestFreeAndReuse(t *testing.T) {
 	if b.l != nil || b.r != nil || b.p != nil {
 		t.Fatal("recycled node has stale links")
 	}
-	if b.sum != b.Val || b.Val.Size != 7 {
-		t.Fatalf("recycled node has stale value: %+v / %+v", b.Val, b.sum)
+	if b.sum != b.Val() || b.Val().Size != 7 {
+		t.Fatalf("recycled node has stale value: %+v / %+v", b.Val(), b.sum)
 	}
-	if b.Data != "b" {
+	if b.Data != 2 {
 		t.Fatal("recycled node has stale data")
 	}
 }
@@ -49,8 +49,8 @@ func TestConcurrentNewAndFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				n := NewNode(Value{Cnt: 1}, i)
-				if n.Val.Cnt != 1 || n.p != nil {
+				n := NewNode(Value{Cnt: 1}, int32(i))
+				if n.Val().Cnt != 1 || n.p != nil {
 					panic("bad node from pool")
 				}
 				Free(n)
@@ -63,7 +63,7 @@ func TestConcurrentNewAndFree(t *testing.T) {
 func TestIDsUniqueAcrossRecycling(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for i := 0; i < 10000; i++ {
-		n := NewNode(Value{Cnt: 1}, nil)
+		n := NewNode(Value{Cnt: 1}, 0)
 		if seen[n.ID()] {
 			t.Fatalf("duplicate id %d at iteration %d", n.ID(), i)
 		}
@@ -84,16 +84,18 @@ func TestIDIsCreationCounter(t *testing.T) {
 			t.Fatalf("unmix(mix(%#x)) = %#x", x, got)
 		}
 	}
-	a, b := NewNode(Value{Cnt: 1}, nil), NewNode(Value{Cnt: 1}, nil)
+	a, b := NewNode(Value{Cnt: 1}, 0), NewNode(Value{Cnt: 1}, 0)
 	if b.ID() != a.ID()+1 || a.ID()>>63 != 0 {
 		t.Fatalf("ids %d, %d: want consecutive counter values below 2⁶³", a.ID(), b.ID())
 	}
 }
 
-// TestNodeSize keeps Node in the 80-byte allocation class: nodes are most of
-// the level structure's live heap.
+// TestNodeSize keeps Node in the 64-byte allocation class: nodes are most of
+// the level structure's live heap. The node is 64 bytes since its own value
+// became three int32 counters and its payload an int32 vertex id (it was 80
+// with a Value and an interface payload).
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got > 80 {
-		t.Fatalf("Node is %d bytes, want at most 80", got)
+	if got := unsafe.Sizeof(Node{}); got > 64 {
+		t.Fatalf("Node is %d bytes, want at most 64", got)
 	}
 }

@@ -15,7 +15,7 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 	nodes := make([]*Node, n)
 	var root *Node
 	for i := 0; i < n; i++ {
-		nodes[i] = NewNode(Value{Cnt: 1, Size: 1, Tree: int32(i % 3)}, i)
+		nodes[i] = NewNode(Value{Cnt: 1, Size: 1, Tree: int32(i % 3)}, int32(i))
 		root = Join(root, nodes[i])
 	}
 	wantAgg := Agg(root)
@@ -54,7 +54,7 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 			var out []*Node
 			Collect(root, 16, func(v Value) int64 { return int64(v.Tree) }, &out)
 			for _, nd := range out {
-				if nd.Val.Tree == 0 {
+				if nd.Val().Tree == 0 {
 					t.Error("Collect returned a zero-projection node")
 				}
 			}

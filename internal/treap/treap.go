@@ -14,17 +14,17 @@
 //
 // # Read-only query contract
 //
-// Root, Agg, Len, Index, At, First, Collect, Walk, ID and CheckInvariants
-// are pure root/child walks: they write no node field, keep no lazy state,
-// and perform no rebalancing (a treap has no splaying or path compression
-// to tempt them). Any number of goroutines may therefore run them
+// Root, Agg, Len, Index, At, First, Collect, Walk, ID, Val and
+// CheckInvariants are pure root/child walks: they write no node field,
+// keep no lazy state, and perform no rebalancing (a treap has no splaying
+// or path compression to tempt them). Any number of goroutines may therefore run them
 // concurrently with each other on the same treap, provided no mutation
 // (NewNode on a shared pool aside, Join, SplitAt, SplitBefore, SetVal,
 // AddVal, Remove, Free) is in flight. This is the foundation the
 // concurrent read path builds on: the snapshot publisher and the engine's
-// Read walks (query traversals, shard component ids) run beside each other
-// under a read lock that excludes exactly the mutating epoch. The contract is
-// enforced by TestConcurrentReadOnlyQueries under -race.
+// Read walks (query traversals) run beside each other under a read lock
+// that excludes exactly the mutating epoch. The contract is enforced by
+// TestConcurrentReadOnlyQueries under -race.
 package treap
 
 import (
@@ -33,7 +33,7 @@ import (
 )
 
 // Value is the augmented payload aggregated over subtrees. The counters are
-// int32 so that a Node fits the 80-byte allocation class: the level
+// int32 so that a Node fits the 64-byte allocation class: the level
 // structure keeps one node per vertex and two per tree edge at every level
 // it reaches, which makes nodes most of the live heap. A sequence therefore
 // holds fewer than 2³¹ elements (an Euler tour of n vertices has under 3n)
@@ -56,17 +56,18 @@ func (v Value) Add(o Value) Value {
 }
 
 // Node is one sequence element. Fields l, r, p form the treap; pri is the
-// heap priority (and, through unmix, the node's creation id); Val is this
-// element's own contribution and sum the aggregate over the node's subtree
-// (including Val).
+// heap priority (and, through unmix, the node's creation id); size, tree
+// and nonTree are this element's own contribution (see Val) and sum the
+// aggregate over the node's subtree, including it.
 type Node struct {
 	l, r, p *Node
 	pri     uint64
-	Val     Value
 	sum     Value
-	// Data identifies the Euler-tour element this node represents; the
-	// treap never inspects it.
-	Data any
+
+	size, tree, nonTree int32
+	// Data identifies the Euler-tour element this node represents (a
+	// vertex id); the treap never inspects it.
+	Data int32
 }
 
 var idCtr atomic.Uint64
@@ -99,14 +100,23 @@ func unmix(x uint64) uint64 {
 var nodePool = sync.Pool{New: func() any { return new(Node) }}
 
 // NewNode returns a fresh single-element sequence with the given value.
-func NewNode(val Value, data any) *Node {
+// val.Cnt is ignored: every element counts as one.
+func NewNode(val Value, data int32) *Node {
 	id := idCtr.Add(1)
 	n := nodePool.Get().(*Node)
 	n.l, n.r, n.p = nil, nil, nil
 	n.pri = mix(id)
-	n.Val, n.sum = val, val
+	n.size, n.tree, n.nonTree = val.Size, val.Tree, val.NonTree
+	n.sum = n.Val()
 	n.Data = data
 	return n
+}
+
+// Val returns the element's own contribution. Read-only.
+//
+//conn:readonly
+func (n *Node) Val() Value {
+	return Value{Cnt: 1, Size: n.size, Tree: n.tree, NonTree: n.nonTree}
 }
 
 // Free returns a node to the allocation pool. The caller must guarantee the
@@ -114,7 +124,6 @@ func NewNode(val Value, data any) *Node {
 // Euler-tour tree calls this for the arc elements discarded by a cut.
 func Free(n *Node) {
 	n.l, n.r, n.p = nil, nil, nil
-	n.Data = nil
 	nodePool.Put(n)
 }
 
@@ -137,7 +146,7 @@ func sum(t *Node) Value {
 }
 
 func update(t *Node) {
-	t.sum = t.Val.Add(sum(t.l)).Add(sum(t.r))
+	t.sum = t.Val().Add(sum(t.l)).Add(sum(t.r))
 }
 
 // Root returns the root of the treap containing x. Two nodes are in the same
@@ -272,10 +281,10 @@ func SplitBefore(x *Node) (*Node, *Node) {
 	return SplitAt(r, Index(x))
 }
 
-// SetVal replaces x's own contribution and repairs aggregates up to the
-// root. O(depth) = O(lg n) expected.
+// SetVal replaces x's own contribution (v.Cnt is ignored) and repairs
+// aggregates up to the root. O(depth) = O(lg n) expected.
 func SetVal(x *Node, v Value) {
-	x.Val = v
+	x.size, x.tree, x.nonTree = v.Size, v.Tree, v.NonTree
 	for cur := x; cur != nil; cur = cur.p {
 		update(cur)
 	}
@@ -283,7 +292,7 @@ func SetVal(x *Node, v Value) {
 
 // AddVal adds delta (component-wise) to x's own contribution.
 func AddVal(x *Node, delta Value) {
-	SetVal(x, x.Val.Add(delta))
+	SetVal(x, x.Val().Add(delta))
 }
 
 // Remove deletes x from its sequence and returns the root of the remaining
@@ -307,7 +316,7 @@ func Collect(t *Node, limit int64, proj func(Value) int64, out *[]*Node) int64 {
 	}
 	got := Collect(t.l, limit, proj, out)
 	if got < limit {
-		if v := proj(t.Val); v > 0 {
+		if v := proj(t.Val()); v > 0 {
 			*out = append(*out, t)
 			got += v
 		}
@@ -367,7 +376,7 @@ func CheckInvariants(t *Node) string {
 		if err != "" {
 			return Value{}, err
 		}
-		want := n.Val.Add(ls).Add(rs)
+		want := n.Val().Add(ls).Add(rs)
 		if want != n.sum {
 			return Value{}, "aggregate mismatch"
 		}

@@ -11,7 +11,7 @@ import (
 func build(n int) *Node {
 	var root *Node
 	for i := 0; i < n; i++ {
-		nd := NewNode(Value{Cnt: 1, Size: int32(i)}, i)
+		nd := NewNode(Value{Cnt: 1, Size: int32(i)}, int32(i))
 		root = Join(root, nd)
 	}
 	return root
@@ -19,7 +19,7 @@ func build(n int) *Node {
 
 func contents(t *Node) []int {
 	var out []int
-	Walk(t, func(n *Node) { out = append(out, n.Data.(int)) })
+	Walk(t, func(n *Node) { out = append(out, int(n.Data)) })
 	return out
 }
 
@@ -70,7 +70,7 @@ func TestIndexAndAt(t *testing.T) {
 	root := build(100)
 	for i := int64(0); i < 100; i++ {
 		nd := At(root, i)
-		if nd == nil || nd.Data.(int) != int(i) {
+		if nd == nil || int(nd.Data) != int(i) {
 			t.Fatalf("At(%d) wrong", i)
 		}
 		if Index(nd) != i {
@@ -115,7 +115,7 @@ func TestRemove(t *testing.T) {
 	if x.p != nil || x.l != nil || x.r != nil {
 		t.Fatal("removed node not detached")
 	}
-	if x.sum != x.Val {
+	if x.sum != x.Val() {
 		t.Fatal("removed node aggregate not reset")
 	}
 	// Removing the only element yields nil.
@@ -167,7 +167,7 @@ func TestCollectFindsMarkedNodes(t *testing.T) {
 	if got < 4 {
 		t.Fatalf("Collect accumulated %d, want >= 4", got)
 	}
-	if len(out) != 2 || out[0].Data.(int) != 10 || out[1].Data.(int) != 40 {
+	if len(out) != 2 || out[0].Data != 10 || out[1].Data != 40 {
 		t.Fatalf("Collect chose wrong nodes: %v", out)
 	}
 	// Asking for more than available returns everything.
@@ -207,7 +207,7 @@ func TestQuickSplitJoinModel(t *testing.T) {
 		for _, o := range ops {
 			switch o.Kind % 3 {
 			case 0: // append new element
-				nd := NewNode(Value{Cnt: 1}, next)
+				nd := NewNode(Value{Cnt: 1}, int32(next))
 				model = append(model, next)
 				next++
 				root = Join(root, nd)
