@@ -41,7 +41,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/snapshot"
-	"repro/internal/wal"
 )
 
 // Default coalescing parameters: commit an epoch once 8192 operations have
@@ -121,7 +120,6 @@ type batcherOptions struct {
 	maxBatch int
 	maxDelay time.Duration
 	durDir   string
-	walCodec wal.Codec
 }
 
 // WithMaxBatch sets the epoch size target: the dispatcher commits as soon
@@ -156,22 +154,6 @@ func WithDurability(dir string) BatcherOption {
 	return func(o *batcherOptions) { o.durDir = dir }
 }
 
-// WithWALCodec selects the write-ahead log's record encoding by codec name
-// ("v1" fixed-width, "v2" delta+varint — several times smaller on sorted or
-// clustered edge batches). The codec takes effect when the log file is
-// created or next reset by a checkpoint; an existing file keeps its header's
-// codec until then, so old logs stay readable and replicas keep receiving
-// whatever encoding the log actually holds. Unknown names panic (a
-// configuration error, caught at construction). No-op without
-// WithDurability.
-func WithWALCodec(name string) BatcherOption {
-	c, ok := wal.CodecByName(name)
-	if !ok {
-		panic(fmt.Sprintf("conn: WithWALCodec(%q): unknown codec", name))
-	}
-	return func(o *batcherOptions) { o.walCodec = c }
-}
-
 // NewBatcher wraps g in a group-commit front-end and starts its dispatcher.
 // Callers own g's lifecycle; the Batcher only requires that nothing else
 // touches g until Close returns.
@@ -185,7 +167,6 @@ func NewBatcher(g *Graph, opts ...BatcherOption) *Batcher {
 		MaxBatch: o.maxBatch,
 		MaxDelay: o.maxDelay,
 		DurDir:   o.durDir,
-		WALCodec: o.walCodec,
 		// The hook indirects through the Batcher field so tests can install
 		// it after construction (but before the first submission), exactly
 		// as they always have.

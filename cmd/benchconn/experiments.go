@@ -597,8 +597,8 @@ func runE18(cfg config) {
 		maxBatch = 8
 		window   = 50 * time.Microsecond
 	)
-	rec := newRecorder(cfg, "e18", "durability pipeline: WAL codec × emulated fsync latency",
-		"one fsync per epoch is its own group commit: while an fsync runs, submissions pile up into the next epoch, so ops/epoch grows with fsync latency; the v2 codec shrinks bytes per fsync")
+	rec := newRecorder(cfg, "e18", "durability pipeline: emulated fsync latency",
+		"one fsync per epoch is its own group commit: while an fsync runs, submissions pile up into the next epoch, so ops/epoch grows with fsync latency; the v2 record codec carries about half the raw bytes per fsync")
 	dir, err := os.MkdirTemp("", "benchconn-e18-*")
 	if err != nil {
 		fmt.Printf("skipping e18: %v\n", err)
@@ -612,81 +612,78 @@ func runE18(cfg config) {
 	fmt.Printf("n=%d; %d closed-loop clients issue %d mutations (60%% insert / 40%% delete)\n", n, clients, opsTotal)
 	fmt.Printf("(MaxBatch=%d; coalescing window %v; fsync per epoch; extra fsync latency via %s:delay)\n",
 		maxBatch, window, chaos.SiteWALAppendPostFsync)
-	fmt.Printf("%6s %8s %10s %8s %10s %8s %12s %12s\n",
-		"codec", "delay", "ops/sec", "epochs", "ops/epoch", "fsyncs", "enc/rawKB", "p99-ack")
-	for _, codec := range []string{"v1", "v2"} {
-		for _, delay := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond} {
-			sub := filepath.Join(dir, fmt.Sprintf("%s-%v", codec, delay))
-			g := conn.New(n)
-			base0 := graphgen.RandomGraph(n, n/2, cfg.seed)
-			out := make([]conn.Edge, len(base0))
-			for i, e := range base0 {
-				out[i] = conn.Edge{U: e.U, V: e.V}
-			}
-			g.InsertEdges(out)
-			b := conn.NewBatcher(g, conn.WithMaxDelay(window), conn.WithMaxBatch(maxBatch),
-				conn.WithDurability(sub), conn.WithWALCodec(codec))
-			if delay > 0 {
-				if err := chaos.Arm(cfg.seed, chaos.SiteWALAppendPostFsync+":delay="+delay.String()); err != nil {
-					panic(err)
-				}
-			}
-			perClient := opsTotal / clients
-			lats := make([][]time.Duration, clients)
-			var wg sync.WaitGroup
-			d := timeIt(func() {
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(cfg.seed + int64(c)))
-						lat := make([]time.Duration, 0, perClient)
-						for i := 0; i < perClient; i++ {
-							u := int32(rng.Intn(n))
-							v := int32(rng.Intn(n))
-							t0 := time.Now()
-							if rng.Intn(100) < 60 {
-								b.Insert(u, v)
-							} else {
-								b.Delete(u, v)
-							}
-							lat = append(lat, time.Since(t0))
-						}
-						lats[c] = lat
-					}(c)
-				}
-				wg.Wait()
-				b.Close()
-			})
-			chaos.Disarm()
-			s := b.Stats()
-			var all []time.Duration
-			for _, l := range lats {
-				all = append(all, l...)
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			var p99 time.Duration
-			if len(all) > 0 {
-				p99 = all[len(all)*99/100]
-			}
-			rate := float64(s.Ops) / d.Seconds()
-			fmt.Printf("%6s %8v %10.0f %8d %10.1f %8d %6d/%-5d %12v\n",
-				codec, delay, rate, s.Epochs, s.AvgEpoch(), s.WALFsyncs,
-				s.WALBytes/1024, s.WALRawBytes/1024, p99.Round(time.Microsecond))
-			rec.row(
-				map[string]any{"codec": codec, "fsync_delay_ms": float64(delay) / float64(time.Millisecond)},
-				map[string]any{
-					"ops_per_sec": rate, "epochs": s.Epochs, "ops_per_epoch": s.AvgEpoch(),
-					"fsyncs": s.WALFsyncs, "wal_bytes": s.WALBytes, "wal_raw_bytes": s.WALRawBytes,
-					"p99_ack_us": float64(p99.Nanoseconds()) / 1e3,
-				})
+	fmt.Printf("%8s %10s %8s %10s %8s %12s %12s\n",
+		"delay", "ops/sec", "epochs", "ops/epoch", "fsyncs", "enc/rawKB", "p99-ack")
+	for _, delay := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond} {
+		sub := filepath.Join(dir, delay.String())
+		g := conn.New(n)
+		base0 := graphgen.RandomGraph(n, n/2, cfg.seed)
+		out := make([]conn.Edge, len(base0))
+		for i, e := range base0 {
+			out[i] = conn.Edge{U: e.U, V: e.V}
 		}
+		g.InsertEdges(out)
+		b := conn.NewBatcher(g, conn.WithMaxDelay(window), conn.WithMaxBatch(maxBatch),
+			conn.WithDurability(sub))
+		if delay > 0 {
+			if err := chaos.Arm(cfg.seed, chaos.SiteWALAppendPostFsync+":delay="+delay.String()); err != nil {
+				panic(err)
+			}
+		}
+		perClient := opsTotal / clients
+		lats := make([][]time.Duration, clients)
+		var wg sync.WaitGroup
+		d := timeIt(func() {
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(cfg.seed + int64(c)))
+					lat := make([]time.Duration, 0, perClient)
+					for i := 0; i < perClient; i++ {
+						u := int32(rng.Intn(n))
+						v := int32(rng.Intn(n))
+						t0 := time.Now()
+						if rng.Intn(100) < 60 {
+							b.Insert(u, v)
+						} else {
+							b.Delete(u, v)
+						}
+						lat = append(lat, time.Since(t0))
+					}
+					lats[c] = lat
+				}(c)
+			}
+			wg.Wait()
+			b.Close()
+		})
+		chaos.Disarm()
+		s := b.Stats()
+		var all []time.Duration
+		for _, l := range lats {
+			all = append(all, l...)
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		var p99 time.Duration
+		if len(all) > 0 {
+			p99 = all[len(all)*99/100]
+		}
+		rate := float64(s.Ops) / d.Seconds()
+		fmt.Printf("%8v %10.0f %8d %10.1f %8d %6d/%-5d %12v\n",
+			delay, rate, s.Epochs, s.AvgEpoch(), s.WALFsyncs,
+			s.WALBytes/1024, s.WALRawBytes/1024, p99.Round(time.Microsecond))
+		rec.row(
+			map[string]any{"fsync_delay_ms": float64(delay) / float64(time.Millisecond)},
+			map[string]any{
+				"ops_per_sec": rate, "epochs": s.Epochs, "ops_per_epoch": s.AvgEpoch(),
+				"fsyncs": s.WALFsyncs, "wal_bytes": s.WALBytes, "wal_raw_bytes": s.WALRawBytes,
+				"p99_ack_us": float64(p99.Nanoseconds()) / 1e3,
+			})
 	}
 	rec.flush()
 	fmt.Printf("(a slower fsync lets more submissions pile up behind it: ops/epoch rises with the\n")
 	fmt.Printf(" delay, which is the coalescing buffer acting as group commit — up to half the\n")
-	fmt.Printf(" closed-loop clients, since the other half wait on the epoch being synced; v2\n")
-	fmt.Printf(" shrinks the bytes each fsync carries)\n")
+	fmt.Printf(" closed-loop clients, since the other half wait on the epoch being synced)\n")
 }
 
 // ---------------------------------------------------------------- E13

@@ -29,7 +29,7 @@
 //	e15 network front-end: conns × pipeline depth            [cmd/connserver]
 //	e16 replication: read throughput vs replica count        [internal/repl]
 //	e17 sharded writes: throughput vs partition count        [internal/shard]
-//	e18 durability pipeline: WAL codec × fsync latency       [wal codecs, per-epoch fsync]
+//	e18 durability pipeline: emulated fsync latency          [v2 WAL records, per-epoch fsync]
 //
 // Experiments that sweep a parameter also emit a machine-readable
 // BENCH_<experiment>.json result file (see -out) with one row per measured

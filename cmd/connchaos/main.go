@@ -40,7 +40,6 @@ func main() {
 		topology = flag.String("topology", "3x2", "shards × replicas, e.g. 3x2 (replicas may be 0)")
 		duration = flag.Duration("duration", 4*time.Second, "length of the fault-injection phase")
 		schedule = flag.String("schedule", "", "chaos schedule for the primary (default: built-in fault mix)")
-		walCodec = flag.String("wal-codec", "", "primary WAL record encoding: v1 or v2 (empty = v1)")
 		verbose  = flag.Bool("v", false, "stream child server logs to stderr")
 	)
 	flag.Parse()
@@ -61,7 +60,6 @@ func main() {
 		Replicas: replicas,
 		Duration: *duration,
 		Schedule: *schedule,
-		WALCodec: *walCodec,
 		Logf:     logger.Printf,
 		ChildLog: childLog,
 	}

@@ -33,9 +33,10 @@
 // the boundary graph (internal/shard). Durable sharded namespaces keep one
 // WAL and checkpoint stream per shard under <data>/<ns>/shard-<i>/.
 //
-// -wal-codec picks the WAL record encoding for fresh logs (v1 raw, v2
-// delta+varint — existing logs keep the codec in their header). Every
-// mutating epoch is fsynced before it is applied, published or acked.
+// Durable namespaces log every epoch in the v2 delta+varint record format;
+// a legacy v1 log restores, keeps appending in v1, and is rewritten as v2
+// at its next checkpoint. Every mutating epoch is fsynced before it is
+// applied, published or acked.
 package main
 
 import (
@@ -57,7 +58,6 @@ func main() {
 	maxDelay := flag.Duration("max-delay", 0, "epoch coalescing window per namespace (0 = library default)")
 	shards := flag.Int("shards", 0, "default hash partition count for new namespaces (0 or 1 = unsharded)")
 	replicaOf := flag.String("replica-of", "", "primary connserver address to follow as a read-only replica (memory only)")
-	walCodec := flag.String("wal-codec", "", "WAL record encoding for fresh logs: v1 (raw) or v2 (delta+varint); empty = v1")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "connserver: unexpected arguments %q\n", flag.Args())
@@ -71,7 +71,6 @@ func main() {
 		MaxDelay:      *maxDelay,
 		DefaultShards: *shards,
 		ReplicaOf:     *replicaOf,
-		WALCodec:      *walCodec,
 		Logf:          logger.Printf,
 	})
 	if err != nil {

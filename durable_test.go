@@ -31,13 +31,10 @@ type ackedEpoch struct {
 // collectDurableStream runs a concurrent mixed workload through a durable
 // Batcher rooted at dir, optionally checkpointing between two waves, and
 // returns the acked epoch stream in commit order.
-func collectDurableStream(t *testing.T, dir string, n int, withCkpt bool, extra ...BatcherOption) []ackedEpoch {
+func collectDurableStream(t *testing.T, dir string, n int, withCkpt bool) []ackedEpoch {
 	t.Helper()
 	g := New(n)
-	opts := append([]BatcherOption{
-		WithMaxBatch(48), WithMaxDelay(100 * time.Microsecond), WithDurability(dir),
-	}, extra...)
-	b := NewBatcher(g, opts...)
+	b := NewBatcher(g, WithMaxBatch(48), WithMaxDelay(100*time.Microsecond), WithDurability(dir))
 	var epochs []ackedEpoch
 	var seq uint64
 	b.testHook = func(ops []coalesce.Op, res []bool) {
@@ -159,6 +156,19 @@ func verifyRecovered(t *testing.T, g *Graph, n int, edges map[uint64]bool, tag s
 	}
 }
 
+// seedLegacyV1WAL writes an empty legacy log into dir: the documented WAL
+// header (magic, version byte 1, n, baseSeq 0, crc32c) an older build
+// created, so a Batcher made durable in dir keeps appending v1 records.
+func seedLegacyV1WAL(t *testing.T, dir string, n int) {
+	t.Helper()
+	hdr := append([]byte("connwal\x01"), make([]byte, 16)...)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(hdr[:20], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // cloneDurableDir copies dir's checkpoints into a fresh directory and
 // installs walBytes as its WAL — one simulated crash image.
 func cloneDurableDir(t *testing.T, dir string, walBytes []byte) string {
@@ -199,25 +209,36 @@ func TestDurableCrashRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		withCkpt bool
-		opts     []BatcherOption
+		legacy   bool
 	}{
-		{"wal-only", false, nil},
-		{"checkpoint-plus-tail", true, nil},
-		// The v2 delta+varint codec: the WAL records are compressed, so cuts
-		// land inside variable-length payloads. The differential contract is
-		// identical: restore must equal the oracle replay of exactly the
-		// record prefix that survived the cut.
-		{"codec-v2", true, []BatcherOption{WithWALCodec("v2")}},
+		{"wal-only", false, false},
+		{"checkpoint-plus-tail", true, false},
+		// A legacy v1 log, seeded empty and appended to in the fixed-width
+		// v1 codec: cuts land inside v1 payloads instead of v2 varints. The
+		// differential contract is identical: restore must equal the oracle
+		// replay of exactly the record prefix that survived the cut.
+		{"legacy-v1", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			epochs := collectDurableStream(t, dir, n, tc.withCkpt, tc.opts...)
+			if tc.legacy {
+				seedLegacyV1WAL(t, dir, n)
+			}
+			epochs := collectDurableStream(t, dir, n, tc.withCkpt)
 			walBytes, err := os.ReadFile(filepath.Join(dir, "wal.log"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := wal.Scan(bytes.NewReader(walBytes), nil); err != nil {
+			res, err := wal.Scan(bytes.NewReader(walBytes), nil)
+			if err != nil {
 				t.Fatal(err)
+			}
+			wantCodec := wal.CodecV2
+			if tc.legacy {
+				wantCodec = wal.CodecV1
+			}
+			if res.Codec != wantCodec.Version() {
+				t.Fatalf("log written in codec %d, want %d", res.Codec, wantCodec.Version())
 			}
 			headerEnd := int64(wal.HeaderLen)
 

@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,10 +29,17 @@ import (
 //     every read tier reflects — are at or below SyncedSeq.
 //
 // Moving the WAL Sync after the publish, the diff tee or the hook fails the
-// corresponding check.
+// corresponding check. It runs over a fresh (v2) log and over a seeded
+// legacy v1 log, which keeps appending v1 records.
 func TestDurableBeforeVisible(t *testing.T) {
-	for _, codec := range []wal.Codec{wal.CodecV1, wal.CodecV2} {
-		t.Run(codec.Name(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec wal.Codec // the codec the log is appended in
+	}{
+		{"fresh", wal.CodecV2},
+		{"legacy-v1", wal.CodecV1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			const n, writers, rounds = 48, 6, 60
 			var ep atomic.Pointer[Engine]
 			var diffs, hooks atomic.Int64
@@ -37,10 +48,13 @@ func TestDurableBeforeVisible(t *testing.T) {
 					t.Errorf("%s observed epoch %d but the synced frontier is %d", where, seq, synced)
 				}
 			}
+			dir := t.TempDir()
+			if tc.codec == wal.CodecV1 {
+				seedLegacyV1WAL(t, dir, n)
+			}
 			e, err := New(core.New(n), Options{
 				MaxDelay: 0,
-				DurDir:   t.TempDir(),
-				WALCodec: codec,
+				DurDir:   dir,
 				Hook: func(ops []coalesce.Op, res []bool) {
 					hooks.Add(1)
 					check("Hook", ep.Load().WALSeq())
@@ -51,6 +65,9 @@ func TestDurableBeforeVisible(t *testing.T) {
 			}
 			ep.Store(e)
 			defer e.Close()
+			if got := e.dur.log.Codec(); got != tc.codec {
+				t.Fatalf("log opened in codec %d, want %d", got.Version(), tc.codec.Version())
+			}
 			cancelEpochs := e.SubscribeEpochs(func(r EpochRecord) { check("SubscribeEpochs", r.Seq) })
 			defer cancelEpochs()
 			cancelDiffs := e.SubscribeDiffs(func(seq uint64, d *snapshot.Diff) {
@@ -90,9 +107,22 @@ func TestDurableBeforeVisible(t *testing.T) {
 			if s.WALFsyncs != s.WALRecords {
 				t.Fatalf("%d fsyncs for %d records, want one per record", s.WALFsyncs, s.WALRecords)
 			}
-			if codec == wal.CodecV2 && s.WALRawBytes <= s.WALBytes {
+			if tc.codec == wal.CodecV2 && s.WALRawBytes <= s.WALBytes {
 				t.Fatalf("v2 codec did not compress: %d encoded vs %d raw", s.WALBytes, s.WALRawBytes)
 			}
 		})
+	}
+}
+
+// seedLegacyV1WAL writes an empty legacy log into dir: the documented WAL
+// header (magic, version byte 1, n, baseSeq 0, crc32c) an older build
+// created, so an engine opened on dir keeps appending v1 records.
+func seedLegacyV1WAL(t *testing.T, dir string, n int) {
+	t.Helper()
+	hdr := append([]byte("connwal\x01"), make([]byte, 16)...)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(hdr[:20], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, WALFileName), hdr, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -63,11 +63,6 @@ type Options struct {
 	// mutating epoch is appended to DurDir/wal.log and fsynced before it is
 	// applied or acknowledged.
 	DurDir string
-	// WALCodec selects the record encoding for freshly created (or reset)
-	// WAL files; nil selects the v1 fixed-width codec. An existing log's
-	// header always wins until the next checkpoint resets the file — see
-	// wal.OpenWithCodec.
-	WALCodec wal.Codec
 	// Hook, when non-nil, observes each committed epoch (concatenated ops
 	// and their results) from the dispatcher goroutine. Tests use it to
 	// replay epochs against an oracle.
@@ -85,9 +80,9 @@ type EpochRecord struct {
 	Ins []graph.Edge
 	Del []graph.Edge
 	// Codec and Enc carry the record's on-disk encoding (the WAL codec
-	// version byte and the exact payload bytes appended to the log), so the
-	// replication hub can ship compressed records to followers without
-	// re-encoding. Enc is freshly allocated per epoch and safe to retain.
+	// version byte and the exact payload bytes appended to the log): the
+	// replication hub ships every epoch to followers as exactly these
+	// bytes. Enc is freshly allocated per epoch and safe to retain.
 	Codec byte
 	Enc   []byte
 }
@@ -196,11 +191,7 @@ func New(c *core.Conn, o Options) (*Engine, error) {
 		if err := os.MkdirAll(o.DurDir, 0o755); err != nil {
 			return nil, err
 		}
-		wc := o.WALCodec
-		if wc == nil {
-			wc = wal.CodecV1
-		}
-		log, err := wal.OpenWithCodec(filepath.Join(o.DurDir, WALFileName), c.N(), wc)
+		log, err := wal.Open(filepath.Join(o.DurDir, WALFileName), c.N())
 		if err != nil {
 			return nil, err
 		}

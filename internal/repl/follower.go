@@ -20,7 +20,7 @@ type Applier interface {
 	// before any), the resume point sent on (re)subscribe.
 	AppliedSeq() uint64
 	// Universe returns the vertex count of the current state — the bound
-	// raw codec records are validated against when decoding epochraw
+	// shipped WAL records are validated against when decoding epochraw
 	// frames (a fresh snapshot replaces it).
 	Universe() int
 	// ApplySnapshot discards all current state and rebuilds from the
@@ -172,22 +172,9 @@ func streamOnce(stop <-chan struct{}, addr, ns string, a Applier, opts FollowerO
 				snapActive, snapEdges = false, nil
 				progressed = true
 			}
-		case resp.Epoch != nil:
-			e := resp.Epoch
-			applied := a.AppliedSeq()
-			if e.Seq <= applied {
-				continue // catch-up / live overlap: already applied
-			}
-			if e.Seq != applied+1 {
-				return progressed, fmt.Errorf("repl: epoch gap: applied through %d, stream sent %d", applied, e.Seq)
-			}
-			if err := a.ApplyEpoch(e.Seq, pairsToEdges(e.Ins), pairsToEdges(e.Del)); err != nil {
-				return progressed, err
-			}
-			progressed = true
 		case resp.EpochRaw != nil:
-			// An epoch still in the primary log's codec encoding: decode
-			// through the registry against the follower's universe, with
+			// An epoch in the primary log's codec encoding: decode through
+			// the registry against the follower's universe, with
 			// prevSeq = seq-1 (epoch seqs are dense, so the record's own
 			// predecessor is always the previous stream position).
 			er := resp.EpochRaw

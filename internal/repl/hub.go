@@ -14,12 +14,12 @@
 // descriptors while the dispatcher keeps appending — and it is bounded by
 // the source's synced frontier (Source.SyncedSeq), so a record in the
 // window between its append and its fsync never reaches a follower.
-// Records logged under a non-raw WAL codec ship in their encoded form (wire
-// epochraw frames) and the follower decodes them through the codec
-// registry: compressed bytes cross the wire unchanged. A follower that cannot drain its buffer as fast as the
-// primary commits is dropped (the dispatcher must never block on a slow
-// follower); it reconnects and re-enters catch-up from its last applied
-// seq.
+// Every epoch ships exactly as logged — the record payload plus the log's
+// codec version byte, one wire epochraw frame — and the follower decodes
+// it through the codec registry, so records cross the wire unchanged. A
+// follower that cannot drain its buffer as fast as the primary commits is
+// dropped (the dispatcher must never block on a slow follower); it
+// reconnects and re-enters catch-up from its last applied seq.
 //
 // Follower side (RunFollower): dial the primary, subscribe from the last
 // applied seq, apply each frame through an Applier (snapshots replace all
@@ -39,7 +39,6 @@ import (
 	conn "repro"
 	"repro/internal/chaos"
 	"repro/internal/checkpoint"
-	"repro/internal/graph"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -70,11 +69,11 @@ type Source interface {
 	WALFloor() uint64
 }
 
-// Frame is one element of a subscription stream: exactly one of Snapshot,
-// Epoch and EpochRaw is set.
+// Frame is one element of a subscription stream: exactly one of Snapshot
+// and EpochRaw is set. Every epoch ships as EpochRaw, in the encoding the
+// primary's WAL holds it in.
 type Frame struct {
 	Snapshot *wire.SnapshotBody
-	Epoch    *wire.EpochBody
 	EpochRaw *wire.EpochRawBody
 }
 
@@ -240,8 +239,6 @@ func (h *Hub) send(sub *subscriber, send func(Frame) error, f Frame) error {
 		return err
 	}
 	switch {
-	case f.Epoch != nil:
-		sub.sent.Store(f.Epoch.Seq)
 	case f.EpochRaw != nil:
 		sub.sent.Store(f.EpochRaw.Seq)
 	case f.Snapshot != nil:
@@ -295,7 +292,7 @@ func (h *Hub) catchUp(fromSeq uint64, sub *subscriber, send func(Frame) error) (
 			if !ok {
 				return sent, nil
 			}
-			if err := h.send(sub, send, tailFrame(t.Codec(), rec, raw)); err != nil {
+			if err := h.send(sub, send, tailFrame(t.Codec(), rec.Seq, raw)); err != nil {
 				return 0, err
 			}
 			sent = rec.Seq
@@ -358,54 +355,16 @@ func (h *Hub) sendSnapshot(sub *subscriber, send func(Frame) error, snap checkpo
 	}
 }
 
-// liveFrame converts one teed epoch record to its stream frame: a record
-// logged under a non-raw codec ships in its encoded form (the dispatcher
-// hands the tee the exact WAL payload, safe to retain); the raw v1 codec
-// ships as a plain epoch body — byte-for-byte what re-encoding would
-// produce, so old followers keep working against v1 primaries.
+// liveFrame converts one teed epoch record to its stream frame: the exact
+// WAL payload the dispatcher appended (freshly allocated, safe to retain),
+// under the codec version of the log it went to — so a legacy v1 log ships
+// codec 1 until its next checkpoint upgrades it.
 func liveFrame(rec conn.EpochRecord) Frame {
-	if rec.Codec > 1 && rec.Enc != nil {
-		return Frame{EpochRaw: &wire.EpochRawBody{Seq: rec.Seq, Codec: rec.Codec, Enc: rec.Enc}}
-	}
-	return Frame{Epoch: epochBody(rec)}
+	return Frame{EpochRaw: &wire.EpochRawBody{Seq: rec.Seq, Codec: rec.Codec, Enc: rec.Enc}}
 }
 
 // tailFrame is liveFrame's disk-side twin for catch-up records read back
 // through a wal.Tail cursor.
-func tailFrame(codecVersion byte, rec wal.Record, raw []byte) Frame {
-	if codecVersion > 1 && raw != nil {
-		return Frame{EpochRaw: &wire.EpochRawBody{Seq: rec.Seq, Codec: codecVersion, Enc: raw}}
-	}
-	return Frame{Epoch: &wire.EpochBody{
-		Seq: rec.Seq, Ins: graphToPairs(rec.Ins), Del: graphToPairs(rec.Del),
-	}}
-}
-
-func epochBody(rec conn.EpochRecord) *wire.EpochBody {
-	return &wire.EpochBody{Seq: rec.Seq, Ins: edgesToPairs(rec.Ins), Del: edgesToPairs(rec.Del)}
-}
-
-func edgesToPairs(es []conn.Edge) []wire.Pair {
-	out := make([]wire.Pair, len(es))
-	for i, e := range es {
-		out[i] = wire.Pair{U: e.U, V: e.V}
-	}
-	return out
-}
-
-func graphToPairs(es []graph.Edge) []wire.Pair {
-	out := make([]wire.Pair, len(es))
-	for i, e := range es {
-		out[i] = wire.Pair{U: e.U, V: e.V}
-	}
-	return out
-}
-
-// pairsToEdges converts wire pairs back to public edges.
-func pairsToEdges(ps []wire.Pair) []conn.Edge {
-	out := make([]conn.Edge, len(ps))
-	for i, p := range ps {
-		out[i] = conn.Edge{U: p.U, V: p.V}
-	}
-	return out
+func tailFrame(codecVersion byte, seq uint64, raw []byte) Frame {
+	return Frame{EpochRaw: &wire.EpochRawBody{Seq: seq, Codec: codecVersion, Enc: raw}}
 }

@@ -2,8 +2,12 @@ package repl
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,10 +35,7 @@ func (c *collector) send(f Frame) error {
 	defer c.mu.Unlock()
 	c.frames = append(c.frames, f)
 	var seq uint64
-	switch {
-	case f.Epoch != nil:
-		seq = f.Epoch.Seq
-	case f.EpochRaw != nil:
+	if f.EpochRaw != nil {
 		seq = f.EpochRaw.Seq
 	}
 	if seq >= c.target {
@@ -98,8 +99,8 @@ func TestHubStreamsLiveEpochs(t *testing.T) {
 		if f.Snapshot != nil {
 			t.Fatal("unexpected snapshot frame on a zero-floor stream")
 		}
-		if f.Epoch.Seq != want {
-			t.Fatalf("epoch seq %d out of order, want %d", f.Epoch.Seq, want)
+		if f.EpochRaw.Seq != want || f.EpochRaw.Codec != wal.CodecV2.Version() {
+			t.Fatalf("epoch seq %d codec %d, want seq %d codec 2", f.EpochRaw.Seq, f.EpochRaw.Codec, want)
 		}
 		want++
 	}
@@ -147,40 +148,7 @@ func TestHubCatchUpAfterCheckpoint(t *testing.T) {
 		t.Fatal("first frame of below-floor catch-up is not a snapshot")
 	}
 	// Rebuild follower-style and compare against the primary graph.
-	var fg *conn.Graph
-	var snapEdges []conn.Edge
-	applied := uint64(0)
-	for _, f := range frames {
-		switch {
-		case f.Snapshot != nil:
-			for _, p := range f.Snapshot.Edges {
-				snapEdges = append(snapEdges, conn.Edge{U: p.U, V: p.V})
-			}
-			if f.Snapshot.Final {
-				fg = conn.New(int(f.Snapshot.N))
-				fg.InsertEdges(snapEdges)
-				applied = f.Snapshot.Seq
-			}
-		case f.Epoch != nil:
-			if f.Epoch.Seq <= applied {
-				continue
-			}
-			if f.Epoch.Seq != applied+1 {
-				t.Fatalf("epoch gap: applied %d, got %d", applied, f.Epoch.Seq)
-			}
-			ins := make([]conn.Edge, len(f.Epoch.Ins))
-			for i, p := range f.Epoch.Ins {
-				ins[i] = conn.Edge{U: p.U, V: p.V}
-			}
-			del := make([]conn.Edge, len(f.Epoch.Del))
-			for i, p := range f.Epoch.Del {
-				del[i] = conn.Edge{U: p.U, V: p.V}
-			}
-			fg.InsertEdges(ins)
-			fg.DeleteEdges(del)
-			applied = f.Epoch.Seq
-		}
-	}
+	fg, applied := replayFrames(t, frames)
 	b.Flush()
 	if applied < 12 {
 		t.Fatalf("follower applied through %d, want ≥ 12", applied)
@@ -346,9 +314,7 @@ func TestFollowerAppliesAndResumes(t *testing.T) {
 	defer p.ln.Close()
 
 	epoch := func(seq uint64) *wire.Response {
-		return &wire.Response{Epoch: &wire.EpochBody{
-			Seq: seq, Ins: []wire.Pair{{U: int32(seq - 1), V: int32(seq)}},
-		}}
+		return rawEpoch(wal.Record{Seq: seq, Ins: []conn.Edge{{U: int32(seq - 1), V: int32(seq)}}})
 	}
 	p.mu.Lock()
 	p.serve = func(sess int, fromSeq uint64, send func(*wire.Response) error) {
@@ -428,7 +394,7 @@ func TestFollowerSnapshotReset(t *testing.T) {
 		send(&wire.Response{Snapshot: &wire.SnapshotBody{
 			Seq: 10, N: 32, Final: true, Edges: []wire.Pair{{U: 5, V: 6}},
 		}})
-		send(&wire.Response{Epoch: &wire.EpochBody{Seq: 11, Ins: []wire.Pair{{U: 7, V: 8}}}})
+		send(rawEpoch(wal.Record{Seq: 11, Ins: []conn.Edge{{U: 7, V: 8}}}))
 		time.Sleep(time.Hour)
 	}
 	p.mu.Unlock()
@@ -468,10 +434,16 @@ func TestFollowerSnapshotReset(t *testing.T) {
 	}
 }
 
+// rawEpoch is the stream response carrying r as a v2 record, the way a
+// primary with a fresh log ships it.
+func rawEpoch(r wal.Record) *wire.Response {
+	return &wire.Response{EpochRaw: &wire.EpochRawBody{
+		Seq: r.Seq, Codec: wal.CodecV2.Version(), Enc: wal.CodecV2.Encode(nil, r)}}
+}
+
 // replayFrames rebuilds follower state from a captured frame sequence the
 // way streamOnce would: snapshots replace, raw epochs decode through the
-// codec registry. It returns the rebuilt graph
-// and the last applied seq.
+// codec registry. It returns the rebuilt graph and the last applied seq.
 func replayFrames(t *testing.T, frames []Frame) (*conn.Graph, uint64) {
 	t.Helper()
 	var fg *conn.Graph
@@ -480,22 +452,14 @@ func replayFrames(t *testing.T, frames []Frame) (*conn.Graph, uint64) {
 	for _, f := range frames {
 		switch {
 		case f.Snapshot != nil:
-			snapEdges = append(snapEdges, pairsToEdges(f.Snapshot.Edges)...)
+			for _, p := range f.Snapshot.Edges {
+				snapEdges = append(snapEdges, conn.Edge{U: p.U, V: p.V})
+			}
 			if f.Snapshot.Final {
 				fg = conn.New(int(f.Snapshot.N))
 				fg.InsertEdges(snapEdges)
 				applied, snapEdges = f.Snapshot.Seq, nil
 			}
-		case f.Epoch != nil:
-			if f.Epoch.Seq <= applied {
-				continue
-			}
-			if f.Epoch.Seq != applied+1 {
-				t.Fatalf("epoch gap: applied %d, got %d", applied, f.Epoch.Seq)
-			}
-			fg.InsertEdges(pairsToEdges(f.Epoch.Ins))
-			fg.DeleteEdges(pairsToEdges(f.Epoch.Del))
-			applied = f.Epoch.Seq
 		case f.EpochRaw != nil:
 			er := f.EpochRaw
 			if er.Seq <= applied {
@@ -520,15 +484,14 @@ func replayFrames(t *testing.T, frames []Frame) (*conn.Graph, uint64) {
 	return fg, applied
 }
 
-// TestHubShipsRawCodec: a v2 primary ships compressed records unchanged
+// TestHubShipsRawCodec: a primary ships its v2 records unchanged
 // (epochraw frames, live and catch-up), and below-floor catch-up ships the
 // newest checkpoint, then the WAL tail from its seq — converging to the
 // primary's exact state.
 func TestHubShipsRawCodec(t *testing.T) {
 	dir := t.TempDir()
 	g := conn.New(64)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir),
-		conn.WithWALCodec("v2"))
+	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
 	defer b.Close()
 
 	for i := 0; i < 6; i++ {
@@ -566,20 +529,21 @@ func TestHubShipsRawCodec(t *testing.T) {
 	<-done
 
 	frames := col.snapshot()
-	var sawSnapshot, sawRaw, sawDecoded bool
+	var sawSnapshot, sawRaw bool
 	for _, f := range frames {
 		sawSnapshot = sawSnapshot || f.Snapshot != nil
-		sawRaw = sawRaw || f.EpochRaw != nil
-		sawDecoded = sawDecoded || f.Epoch != nil
+		if f.EpochRaw != nil {
+			sawRaw = true
+			if f.EpochRaw.Codec != wal.CodecV2.Version() {
+				t.Fatalf("epoch %d shipped as codec %d, want 2", f.EpochRaw.Seq, f.EpochRaw.Codec)
+			}
+		}
 	}
 	if !sawSnapshot {
 		t.Fatal("below-floor catch-up never shipped the checkpoint")
 	}
 	if !sawRaw {
-		t.Fatal("v2 primary never shipped a raw-codec epoch frame")
-	}
-	if sawDecoded {
-		t.Fatal("v2 primary re-encoded an epoch as a decoded frame")
+		t.Fatal("primary never shipped an epoch frame")
 	}
 
 	fg, applied := replayFrames(t, frames)
@@ -600,6 +564,105 @@ func TestHubShipsRawCodec(t *testing.T) {
 	}
 }
 
+// seedLegacyV1WAL writes an empty legacy log into dir: the documented WAL
+// header (magic, version byte 1, n, baseSeq 0, crc32c) an older build
+// created, so the Batcher opened on dir keeps appending v1 records.
+func seedLegacyV1WAL(t *testing.T, dir string, n int) {
+	t.Helper()
+	hdr := append([]byte("connwal\x01"), make([]byte, 16)...)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(hdr[:20], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHubShipsLegacyV1Log: a primary still appending to a legacy v1 log
+// ships its records as codec-1 epochraw frames, on catch-up and live, and a
+// real follower over the wire converges to the primary. The checkpoint
+// upgrades the log to v2, and the epochs after it ship as codec 2.
+func TestHubShipsLegacyV1Log(t *testing.T) {
+	dir := t.TempDir()
+	seedLegacyV1WAL(t, dir, 64)
+	g := conn.New(64)
+	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	defer b.Close()
+	for i := 0; i < 6; i++ {
+		b.Insert(int32(i), int32(i+1))
+	}
+	b.Delete(0, 1) // seq 7: on disk before any follower subscribes
+
+	h := NewHub(b, dir, 64)
+	defer h.Stop()
+	col := newCollector(0)
+	p := newFakePrimary(t)
+	defer p.ln.Close()
+	p.mu.Lock()
+	p.serve = func(_ int, fromSeq uint64, send func(*wire.Response) error) {
+		_ = h.Stream(fromSeq, func(f Frame) error {
+			_ = col.send(f)
+			return send(&wire.Response{Snapshot: f.Snapshot, EpochRaw: f.EpochRaw})
+		})
+	}
+	p.mu.Unlock()
+
+	a := &oracleApplier{g: conn.New(64)}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		RunFollower(stop, p.ln.Addr().String(), "g", a, FollowerOptions{MinBackoff: 5 * time.Millisecond})
+	}()
+	waitApplied := func(seq uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for a.AppliedSeq() < seq && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if a.AppliedSeq() < seq {
+			t.Fatalf("follower applied through %d, want %d", a.AppliedSeq(), seq)
+		}
+	}
+	waitApplied(7)
+	b.Insert(20, 21) // seq 8: still appended to the v1 file
+	waitApplied(8)
+	if _, err := b.Checkpoint(); err != nil { // Reset: the log becomes v2
+		t.Fatal(err)
+	}
+	b.Insert(21, 22) // seq 9: the first v2 record
+	waitApplied(9)
+	close(stop)
+	h.Stop()
+	wg.Wait()
+
+	for _, f := range col.snapshot() {
+		if f.Snapshot != nil {
+			t.Fatal("follower resuming at the log tail was sent a snapshot")
+		}
+		want := wal.CodecV1.Version()
+		if f.EpochRaw.Seq > 8 {
+			want = wal.CodecV2.Version()
+		}
+		if f.EpochRaw.Codec != want {
+			t.Fatalf("epoch %d shipped as codec %d, want %d", f.EpochRaw.Seq, f.EpochRaw.Codec, want)
+		}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.g.NumEdges() != g.NumEdges() {
+		t.Fatalf("follower has %d edges, primary has %d", a.g.NumEdges(), g.NumEdges())
+	}
+	for _, e := range []conn.Edge{{U: 1, V: 2}, {U: 5, V: 6}, {U: 20, V: 21}, {U: 21, V: 22}} {
+		if !a.g.HasEdge(e.U, e.V) {
+			t.Fatalf("follower missing edge {%d,%d}", e.U, e.V)
+		}
+	}
+	if a.g.HasEdge(0, 1) {
+		t.Fatal("legacy-logged deletion not applied on the follower")
+	}
+}
+
 // TestFollowerAppliesRawFrames drives streamOnce's epochraw branch through
 // a scripted primary: snapshot, then v2-encoded raw epochs — and verifies a
 // raw epoch that skips a seq severs the stream instead of applying.
@@ -607,10 +670,7 @@ func TestFollowerAppliesRawFrames(t *testing.T) {
 	p := newFakePrimary(t)
 	defer p.ln.Close()
 
-	v2, ok := wal.CodecByName("v2")
-	if !ok {
-		t.Fatal("v2 codec unregistered")
-	}
+	v2 := wal.CodecV2
 	raw11 := v2.Encode(nil, wal.Record{Seq: 11, Ins: []conn.Edge{{U: 5, V: 6}}, Del: []conn.Edge{{U: 2, V: 3}}})
 	raw12 := v2.Encode(nil, wal.Record{Seq: 12, Ins: []conn.Edge{{U: 7, V: 8}}})
 	gap := v2.Encode(nil, wal.Record{Seq: 30, Ins: []conn.Edge{{U: 9, V: 10}}})

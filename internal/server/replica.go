@@ -221,7 +221,7 @@ type nsApplier struct {
 
 func (a *nsApplier) AppliedSeq() uint64 { return a.ns.applied.Load() }
 
-// Universe is the vertex bound raw codec records decode against; the
+// Universe is the vertex bound shipped WAL records decode against; the
 // namespace's graph is only ever swapped for one of the same universe
 // (ApplySnapshot carries the primary's n).
 func (a *nsApplier) Universe() int {

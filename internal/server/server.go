@@ -35,7 +35,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/repl"
 	"repro/internal/shard"
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -55,12 +54,6 @@ type Options struct {
 	// (zero selects the conn defaults).
 	MaxBatch int
 	MaxDelay time.Duration
-
-	// WALCodec names the record encoding for freshly created WALs ("v1",
-	// "v2"; empty = v1). Existing logs keep the codec in their header, so
-	// changing this never invalidates restored namespaces. New rejects an
-	// unknown name.
-	WALCodec string
 
 	// DefaultShards, when >= 2, hash-partitions every namespace created
 	// without an explicit shard count across that many engines (the -shards
@@ -204,11 +197,6 @@ func New(opts Options) (*Server, error) {
 		conns:      make(map[net.Conn]struct{}),
 		subConns:   make(map[net.Conn]struct{}),
 	}
-	if opts.WALCodec != "" {
-		if _, ok := wal.CodecByName(opts.WALCodec); !ok {
-			return nil, fmt.Errorf("server: unknown WAL codec %q", opts.WALCodec)
-		}
-	}
 	if opts.ReplicaOf != "" {
 		if opts.DataDir != "" {
 			return nil, errors.New("server: replica mode is memory-only; -replica-of excludes -data")
@@ -275,9 +263,6 @@ func (s *Server) batcherOpts(durDir string) []conn.BatcherOption {
 	}
 	if durDir != "" {
 		o = append(o, conn.WithDurability(durDir))
-		if s.opts.WALCodec != "" {
-			o = append(o, conn.WithWALCodec(s.opts.WALCodec))
-		}
 	}
 	return o
 }
@@ -290,10 +275,6 @@ func (s *Server) shardOpts(durDir string) shard.Options {
 		MaxBatch: s.opts.MaxBatch,
 		MaxDelay: s.opts.MaxDelay,
 		DurDir:   durDir,
-	}
-	if s.opts.WALCodec != "" {
-		// Validated in New; resolve once so every shard engine shares it.
-		o.WALCodec, _ = wal.CodecByName(s.opts.WALCodec)
 	}
 	if o.MaxDelay == 0 {
 		o.MaxDelay = engine.DefaultMaxDelay
@@ -647,8 +628,7 @@ func (s *Server) subscribe(req *wire.Request, write func(*wire.Response) error) 
 	// and Shutdown stop the hub first, which terminates this pump before
 	// the Batcher closes.
 	err := hub.Stream(req.FromSeq, func(f repl.Frame) error {
-		return write(&wire.Response{ID: req.ID, Snapshot: f.Snapshot,
-			Epoch: f.Epoch, EpochRaw: f.EpochRaw})
+		return write(&wire.Response{ID: req.ID, Snapshot: f.Snapshot, EpochRaw: f.EpochRaw})
 	})
 	if err != nil {
 		// Best effort: tell a still-connected follower why the stream ended

@@ -5,6 +5,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net"
@@ -16,6 +17,7 @@ import (
 
 	conn "repro"
 	"repro/client"
+	"repro/internal/wal"
 )
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -192,6 +194,14 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	}
 	if st.Ops < 2*st.Epochs {
 		t.Errorf("no coalescing: %d ops over %d epochs", st.Ops, st.Epochs)
+	}
+	// A freshly created durable namespace logs in the v2 codec.
+	walBytes, err := os.ReadFile(filepath.Join(data, "dur", "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := wal.Scan(bytes.NewReader(walBytes), nil); err != nil || res.Codec != 2 {
+		t.Fatalf("dur WAL codec = %d (err %v), want 2", res.Codec, err)
 	}
 
 	// Wire checkpoint, then more acked traffic so restart must replay a WAL

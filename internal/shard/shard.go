@@ -66,9 +66,6 @@ type Options struct {
 	// Existing state is restored; a fresh directory is initialized with a
 	// meta file pinning (shards, n).
 	DurDir string
-	// WALCodec is the WAL record encoding, applied uniformly to every
-	// engine (see engine.Options). Ignored without DurDir.
-	WALCodec wal.Codec
 }
 
 // Coordinator hash-partitions a vertex universe across k shard engines
@@ -158,7 +155,6 @@ func New(n, k int, o Options) (*Coordinator, error) {
 				MaxBatch: o.MaxBatch,
 				MaxDelay: o.MaxDelay,
 				DurDir:   dir,
-				WALCodec: o.WALCodec,
 			})
 		}
 		if err != nil {

@@ -21,10 +21,6 @@ const (
 	envData    = "CONNCHAOS_DATA"
 	envPrimary = "CONNCHAOS_PRIMARY"
 
-	// The WAL codec forwarded to primary children (see server.Options);
-	// empty selects the default.
-	envWALCodec = "CONNCHAOS_WAL_CODEC"
-
 	rolePrimary = "primary"
 	roleReplica = "replica"
 )
@@ -49,7 +45,6 @@ func ChildMain() int {
 		// WAL appends, more snapshot publishes, more seams for the armed
 		// sites to fire in.
 		opts.MaxDelay = 200 * time.Microsecond
-		opts.WALCodec = os.Getenv(envWALCodec)
 	case roleReplica:
 		opts.ReplicaOf = os.Getenv(envPrimary)
 	default:
@@ -71,10 +66,8 @@ func ChildMain() int {
 // childEnv builds a child's environment: the parent's, scrubbed of any
 // CONNCHAOS_* values (the driver itself must never arm, and a stale
 // schedule must not leak into an incarnation meant to run clean), plus the
-// role settings, the WAL codec (so the chaos run exercises the exact write
-// path it selects, respawns included) and, when schedule is non-empty, the
-// chaos arming pair.
-func childEnv(role, addr, data, primary string, seed int64, schedule, walCodec string) []string {
+// role settings and, when schedule is non-empty, the chaos arming pair.
+func childEnv(role, addr, data, primary string, seed int64, schedule string) []string {
 	env := make([]string, 0, len(os.Environ())+10)
 	for _, kv := range os.Environ() {
 		if strings.HasPrefix(kv, "CONNCHAOS_") {
@@ -84,9 +77,6 @@ func childEnv(role, addr, data, primary string, seed int64, schedule, walCodec s
 	}
 	env = append(env,
 		envRole+"="+role, envAddr+"="+addr, envData+"="+data, envPrimary+"="+primary)
-	if walCodec != "" {
-		env = append(env, envWALCodec+"="+walCodec)
-	}
 	if schedule != "" {
 		env = append(env,
 			chaos.EnvSchedule+"="+schedule,

@@ -83,11 +83,6 @@ type Config struct {
 	Duration time.Duration // length of the fault-injection phase (default 4s)
 	Schedule string        // overrides defaultPrimarySchedule when non-empty
 
-	// WALCodec is the primary's WAL record encoding ("v1", "v2"; empty
-	// keeps the default). The harness verifies the same invariants whatever
-	// the codec — acked means durable under compressed records too.
-	WALCodec string
-
 	Logf     func(format string, args ...any)
 	ChildLog io.Writer // child process stderr (default: discarded)
 }
@@ -113,9 +108,6 @@ func (cfg Config) repro() string {
 		cfg.Seed, cfg.Shards, cfg.Replicas, cfg.Duration)
 	if cfg.Schedule != "" {
 		s += fmt.Sprintf(" -schedule %q", cfg.Schedule)
-	}
-	if cfg.WALCodec != "" {
-		s += " -wal-codec " + cfg.WALCodec
 	}
 	return s
 }
@@ -172,7 +164,6 @@ type supervisor struct {
 	addr     string
 	data     string
 	primary  string
-	walCodec string
 
 	done chan struct{}
 }
@@ -191,7 +182,7 @@ func (s *supervisor) loop() {
 			return
 		}
 		cmd := exec.Command(os.Args[0])
-		cmd.Env = childEnv(s.role, s.addr, s.data, s.primary, s.seed, s.schedule, s.walCodec)
+		cmd.Env = childEnv(s.role, s.addr, s.data, s.primary, s.seed, s.schedule)
 		cmd.Stdout = s.childLog
 		cmd.Stderr = s.childLog
 		err := cmd.Start()
@@ -441,7 +432,7 @@ func Run(cfg Config) error {
 	prim := &supervisor{
 		name: "primary", logf: logf, childLog: childLog,
 		role: rolePrimary, addr: primaryAddr, data: dataDir,
-		seed: cfg.Seed, schedule: primarySched, walCodec: cfg.WALCodec,
+		seed: cfg.Seed, schedule: primarySched,
 	}
 	prim.start()
 	defer prim.stopAndWait()

@@ -47,7 +47,7 @@ func TestChaosTopology(t *testing.T) {
 func TestChildEnvScrubs(t *testing.T) {
 	t.Setenv(envRole, "stale-role")
 	t.Setenv("CONNCHAOS_SCHED", "stale-sched")
-	env := childEnv(rolePrimary, "addr:1", "/data", "", 7, "", "v2")
+	env := childEnv(rolePrimary, "addr:1", "/data", "", 7, "")
 	got := map[string]string{}
 	for _, kv := range env {
 		if k, v, ok := strings.Cut(kv, "="); ok && strings.HasPrefix(k, "CONNCHAOS_") {
@@ -59,9 +59,6 @@ func TestChildEnvScrubs(t *testing.T) {
 	}
 	if got[envRole] != rolePrimary || got[envData] != "/data" {
 		t.Fatalf("role env wrong: %v", got)
-	}
-	if got[envWALCodec] != "v2" {
-		t.Fatalf("WAL codec not forwarded: %v", got)
 	}
 	if _, ok := got["CONNCHAOS_SCHED"]; ok {
 		t.Fatal("stale schedule leaked into a clean child's environment")

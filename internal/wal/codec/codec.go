@@ -3,23 +3,24 @@
 // a framed WAL entry and back; the containing file's header names the codec
 // for every record in that file via its format-version byte (the last byte
 // of the WAL magic), so a log written under one codec is always read back
-// with the same one, and the configured codec takes effect only when a
-// fresh file is created (open of an empty path, or the post-checkpoint
-// Reset swap).
+// with the same one. Every fresh file (open of an empty path, or the
+// post-checkpoint Reset swap) is written in v2.
 //
 // Two codecs exist:
 //
-//	v1 (version byte 1) — the raw fixed-width format every log before the
-//	codec seam was written in: seq uint64 | nIns uint32 | nDel uint32 |
-//	(u uint32, v uint32) per edge. Decoding is allocation-exact and the
-//	encoding of a record is byte-identical to the pre-seam writer, which is
-//	what keeps old logs restorable.
+//	v2 (version byte 2) — the write format: delta+varint for the
+//	near-sorted edge batches the batch-dynamic structure produces: seq
+//	uint64 | uvarint nIns | uvarint nDel | per list, zigzag-varint deltas
+//	of (u, v) against the previous edge in that list (both components
+//	reset to 0 at each list boundary). Sorted runs of edges collapse to one
+//	or two bytes per component.
 //
-//	v2 (version byte 2) — delta+varint for the near-sorted edge batches the
-//	batch-dynamic structure produces: seq uint64 | uvarint nIns | uvarint
-//	nDel | per list, zigzag-varint deltas of (u, v) against the previous
-//	edge in that list (both components reset to 0 at each list boundary).
-//	Sorted runs of edges collapse to one or two bytes per component.
+//	v1 (version byte 1) — legacy: the raw fixed-width format older logs
+//	were written in: seq uint64 | nIns uint32 | nDel uint32 | (u uint32,
+//	v uint32) per edge. A v1 file is decoded, and appended to in v1 so it
+//	never holds mixed encodings, until its next Reset upgrades it to v2.
+//	Its size formula is also the raw baseline the compression counters
+//	report against (RawSize).
 //
 // Every codec's payload begins with the record seq as 8 little-endian
 // bytes (see Seq), encoding is canonical (Decode(Encode(r)) re-encodes to
@@ -54,9 +55,6 @@ type Codec interface {
 	// Version is the format-version byte a file header carries to name
 	// this codec (the last byte of the WAL magic).
 	Version() byte
-	// Name is the codec's human-facing name ("v1", "v2") for flags, stats
-	// output and error messages.
-	Name() string
 	// Encode appends r's payload (no frame) to dst and returns the
 	// extended slice. The encoding is canonical: re-encoding a decoded
 	// record reproduces the same bytes.
@@ -79,17 +77,6 @@ func ByVersion(v byte) (Codec, bool) {
 	case 1:
 		return V1, true
 	case 2:
-		return V2, true
-	}
-	return nil, false
-}
-
-// ByName resolves a codec by its flag-facing name.
-func ByName(name string) (Codec, bool) {
-	switch name {
-	case "v1", "1":
-		return V1, true
-	case "v2", "2":
 		return V2, true
 	}
 	return nil, false
@@ -118,11 +105,10 @@ func Seq(p []byte) (uint64, bool) {
 // rawMinLen is the v1 fixed prefix: seq + two uint32 counts.
 const rawMinLen = 8 + 4 + 4
 
-// rawV1 is the pre-seam fixed-width format.
+// rawV1 is the legacy fixed-width format.
 type rawV1 struct{}
 
 func (rawV1) Version() byte { return 1 }
-func (rawV1) Name() string  { return "v1" }
 
 func (rawV1) Encode(dst []byte, r Record) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
@@ -167,7 +153,6 @@ func (rawV1) Decode(p []byte, n int, prevSeq uint64) (Record, error) {
 type deltaV2 struct{}
 
 func (deltaV2) Version() byte { return 2 }
-func (deltaV2) Name() string  { return "v2" }
 
 func (deltaV2) Encode(dst []byte, r Record) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)

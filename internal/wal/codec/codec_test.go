@@ -35,27 +35,27 @@ func TestCodecRoundTrip(t *testing.T) {
 			enc := c.Encode(nil, want)
 			got, err := c.Decode(enc, n, want.Seq-1)
 			if err != nil {
-				t.Fatalf("%s record %d: Decode: %v", c.Name(), i, err)
+				t.Fatalf("v%d record %d: Decode: %v", c.Version(), i, err)
 			}
 			if got.Seq != want.Seq || len(got.Ins) != len(want.Ins) || len(got.Del) != len(want.Del) {
-				t.Fatalf("%s record %d: shape mismatch: got %+v", c.Name(), i, got)
+				t.Fatalf("v%d record %d: shape mismatch: got %+v", c.Version(), i, got)
 			}
 			for j := range want.Ins {
 				if got.Ins[j] != want.Ins[j] {
-					t.Fatalf("%s record %d: Ins[%d] = %v, want %v", c.Name(), i, j, got.Ins[j], want.Ins[j])
+					t.Fatalf("v%d record %d: Ins[%d] = %v, want %v", c.Version(), i, j, got.Ins[j], want.Ins[j])
 				}
 			}
 			for j := range want.Del {
 				if got.Del[j] != want.Del[j] {
-					t.Fatalf("%s record %d: Del[%d] = %v, want %v", c.Name(), i, j, got.Del[j], want.Del[j])
+					t.Fatalf("v%d record %d: Del[%d] = %v, want %v", c.Version(), i, j, got.Del[j], want.Del[j])
 				}
 			}
 			re := c.Encode(nil, got)
 			if !bytes.Equal(enc, re) {
-				t.Fatalf("%s record %d: re-encode differs: %x vs %x", c.Name(), i, enc, re)
+				t.Fatalf("v%d record %d: re-encode differs: %x vs %x", c.Version(), i, enc, re)
 			}
 			if s, ok := Seq(enc); !ok || s != want.Seq {
-				t.Fatalf("%s record %d: Seq(enc) = %d,%v", c.Name(), i, s, ok)
+				t.Fatalf("v%d record %d: Seq(enc) = %d,%v", c.Version(), i, s, ok)
 			}
 		}
 	}
@@ -98,19 +98,14 @@ func TestCodecV2Compresses(t *testing.T) {
 func TestCodecRegistry(t *testing.T) {
 	for _, c := range []Codec{V1, V2} {
 		got, ok := ByVersion(c.Version())
-		if !ok || got.Name() != c.Name() {
+		if !ok || got != c {
 			t.Fatalf("ByVersion(%d) = %v, %v", c.Version(), got, ok)
 		}
-		got, ok = ByName(c.Name())
-		if !ok || got.Version() != c.Version() {
-			t.Fatalf("ByName(%q) = %v, %v", c.Name(), got, ok)
+	}
+	for _, v := range []byte{0, 3} {
+		if _, ok := ByVersion(v); ok {
+			t.Fatalf("ByVersion(%d) accepted", v)
 		}
-	}
-	if _, ok := ByVersion(0); ok {
-		t.Fatal("ByVersion(0) accepted")
-	}
-	if _, ok := ByName("gzip"); ok {
-		t.Fatal(`ByName("gzip") accepted`)
 	}
 }
 
@@ -118,16 +113,16 @@ func TestCodecDecodeRejects(t *testing.T) {
 	for _, c := range []Codec{V1, V2} {
 		enc := c.Encode(nil, Record{Seq: 5, Ins: []graph.Edge{{U: 7, V: 8}}})
 		if _, err := c.Decode(enc, 1<<20, 3); err == nil {
-			t.Fatalf("%s: accepted seq gap", c.Name())
+			t.Fatalf("v%d: accepted seq gap", c.Version())
 		}
 		if _, err := c.Decode(enc, 5, 4); err == nil {
-			t.Fatalf("%s: accepted out-of-universe edge", c.Name())
+			t.Fatalf("v%d: accepted out-of-universe edge", c.Version())
 		}
 		if _, err := c.Decode(enc[:len(enc)-1], 1<<20, 4); err == nil {
-			t.Fatalf("%s: accepted truncated payload", c.Name())
+			t.Fatalf("v%d: accepted truncated payload", c.Version())
 		}
 		if _, err := c.Decode(append(enc[:len(enc):len(enc)], 0), 1<<20, 4); err == nil {
-			t.Fatalf("%s: accepted trailing bytes", c.Name())
+			t.Fatalf("v%d: accepted trailing bytes", c.Version())
 		}
 	}
 }

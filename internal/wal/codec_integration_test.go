@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,13 +17,33 @@ func rec(seq uint64, edges ...int32) Record {
 	return r
 }
 
-// TestOpenWithCodecV2EndToEnd appends v2 records, reopens, scans and tails
-// them back.
-func TestOpenWithCodecV2EndToEnd(t *testing.T) {
+// frameOf is the framed WAL entry of r under c — the exact bytes an append
+// to a file headed by c writes.
+func frameOf(c Codec, r Record) []byte {
+	frame, _ := encodeFrame(c, r)
+	return frame
+}
+
+// seedV1 writes an empty legacy log at path: the documented header (magic,
+// version byte 1, n, baseSeq, crc32c) with no records — what an older
+// build left behind.
+func seedV1(t *testing.T, path string, n int, baseSeq uint64) {
+	t.Helper()
+	if err := os.WriteFile(path, encodeHeader(n, baseSeq, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFreshLogV2EndToEnd: a freshly created log is v2; its records reopen,
+// scan and tail back, and Reset keeps it v2.
+func TestFreshLogV2EndToEnd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenWithCodec(path, 64, CodecV2)
+	l, err := Open(path, 64)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if l.Codec() != CodecV2 {
+		t.Fatalf("fresh log codec = %d, want 2", l.Codec().Version())
 	}
 	for seq := uint64(1); seq <= 5; seq++ {
 		if _, err := l.Append(rec(seq, int32(seq), int32(seq+1), int32(seq+2), int32(seq+3))); err != nil {
@@ -40,13 +61,11 @@ func TestOpenWithCodecV2EndToEnd(t *testing.T) {
 		t.Fatalf("scan of v2 log: %+v, %v", res, err)
 	}
 
-	// Reopen requesting v1: the file's header wins for existing records and
-	// further appends.
-	l, err = OpenWithCodec(path, 64, CodecV1)
+	l, err = Open(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Codec().Version() != 2 {
+	if l.Codec() != CodecV2 {
 		t.Fatalf("reopened log adopted codec %d, want the file's v2", l.Codec().Version())
 	}
 	if _, err := l.Append(rec(6, 1, 2)); err != nil {
@@ -78,41 +97,62 @@ func TestOpenWithCodecV2EndToEnd(t *testing.T) {
 		t.Fatalf("tail yielded %d records, want 6", got)
 	}
 
-	// Reset is the codec upgrade point: the requested v1 takes over.
 	if err := l.Reset(6); err != nil {
 		t.Fatal(err)
 	}
-	if l.Codec().Version() != 1 {
-		t.Fatalf("post-reset codec = %d, want the configured v1", l.Codec().Version())
+	if l.Codec() != CodecV2 {
+		t.Fatalf("post-reset codec = %d, want 2", l.Codec().Version())
 	}
 	l.Close()
 }
 
-// TestV1LogUpgradesAtReset proves the migration story: a v1 log written by
-// the old code keeps appending v1 until Reset swaps in the configured v2.
+// TestV1LogUpgradesAtReset proves the migration story: a legacy v1 log
+// keeps appending v1 frames — across reopens, never a mixed file — until
+// Reset swaps in a v2 header.
 func TestV1LogUpgradesAtReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Open(path, 16) // plain Open = v1, as every pre-seam log was
+	seedV1(t, path, 16, 0)
+	hdr, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(rec(1, 3, 4)); err != nil {
+	l, err := Open(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Codec() != CodecV1 {
+		t.Fatalf("v1 file opened as codec %d", l.Codec().Version())
+	}
+	r1, r2 := rec(1, 3, 4), rec(2, 5, 6)
+	if _, err := l.Append(r1); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
 
-	l, err = OpenWithCodec(path, 16, CodecV2)
+	l, err = Open(path, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Codec().Version() != 1 {
+	if l.Codec() != CodecV1 {
 		t.Fatalf("v1 file adopted codec %d on reopen", l.Codec().Version())
 	}
-	if _, err := l.Append(rec(2, 5, 6)); err != nil {
+	if _, err := l.Append(r2); err != nil {
 		t.Fatal(err)
 	}
+	// The file is exactly the seeded header plus two v1 frames.
+	want := append(append(append([]byte{}, hdr...), frameOf(CodecV1, r1)...), frameOf(CodecV1, r2)...)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("legacy log holds other than v1 frames (err %v):\n got %x\nwant %x", err, got, want)
+	}
+
 	if err := l.Reset(2); err != nil {
 		t.Fatal(err)
+	}
+	if l.Codec() != CodecV2 {
+		t.Fatalf("post-reset codec = %d, want 2", l.Codec().Version())
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, encodeHeader(16, 2, 2)) {
+		t.Fatalf("Reset wrote header %x (err %v), want a v2 header at floor 2", got, err)
 	}
 	if _, err := l.Append(rec(3, 7, 8)); err != nil {
 		t.Fatal(err)
@@ -130,7 +170,7 @@ func TestV1LogUpgradesAtReset(t *testing.T) {
 // frontier trails appends and NextBelow refuses to surface past it.
 func TestSyncFrontier(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenWithCodec(path, 16, CodecV2)
+	l, err := Open(path, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +234,7 @@ func TestSyncFrontier(t *testing.T) {
 // suffix.
 func TestTornTailMidGroupTruncatesToLastComplete(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenWithCodec(path, 16, CodecV2)
+	l, err := Open(path, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +262,7 @@ func TestTornTailMidGroupTruncatesToLastComplete(t *testing.T) {
 	}
 	f.Close()
 
-	l, err = OpenWithCodec(path, 16, CodecV2)
+	l, err = Open(path, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestTailPartialFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := EncodeRecord(tailRecord(2, 3, 4))
+	enc := frameOf(CodecV2, tailRecord(2, 3, 4))
 	for cut := 1; cut < len(enc); cut++ {
 		part := filepath.Join(dir, "part.log")
 		if err := os.WriteFile(part, append(append([]byte(nil), full...), enc[:cut]...), 0o644); err != nil {

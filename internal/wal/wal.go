@@ -11,12 +11,12 @@
 //	record* : payloadLen uint32 | crc32c(payload) uint32 | payload
 //
 // The header's version byte names the Codec every payload in the file is
-// encoded with (internal/wal/codec): version 1 is the raw fixed-width
-// format (byte-identical to logs written before the codec seam existed),
-// version 2 is delta+varint for near-sorted edge batches. A log is always
-// read back with the codec its header names; the codec configured at
-// OpenWithCodec takes effect when a fresh file is created — at first open
-// of an empty path, or at the post-checkpoint Reset swap.
+// encoded with (internal/wal/codec). Every fresh file — first open of an
+// empty path, or the post-checkpoint Reset swap — is written in version 2,
+// delta+varint for near-sorted edge batches. Version 1, the raw
+// fixed-width format, is legacy: a v1 file is read back and appended to in
+// v1 (a file never holds mixed encodings) until its next Reset, which
+// upgrades it to v2.
 //
 // n is the vertex universe the log belongs to. baseSeq is the sequence
 // number already captured by a checkpoint when the log was last reset; every
@@ -91,7 +91,8 @@ type Record = codec.Record
 // Codec is the payload encoding seam (see internal/wal/codec).
 type Codec = codec.Codec
 
-// The available codecs, re-exported for configuration call sites.
+// The available codecs: V2 writes every fresh file, V1 reads (and appends
+// to) legacy files.
 var (
 	CodecV1 = codec.V1
 	CodecV2 = codec.V2
@@ -135,17 +136,6 @@ func encodeFrame(c Codec, r Record) (frame, payload []byte) {
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
 	return buf, payload
 }
-
-// EncodeRecord serializes one record as a framed WAL entry in the v1
-// codec — the fixed-width format, byte-identical to pre-codec logs.
-func EncodeRecord(r Record) []byte {
-	frame, _ := encodeFrame(codec.V1, r)
-	return frame
-}
-
-// CodecByName resolves a codec by user-facing name ("v1"/"1", "v2"/"2") —
-// the lookup configuration knobs go through.
-func CodecByName(name string) (Codec, bool) { return codec.ByName(name) }
 
 // CodecByVersion resolves a codec by format-version byte — the lookup a
 // replication follower uses to decode raw records shipped in the primary
@@ -243,13 +233,12 @@ func Scan(r io.Reader, fn func(Record) error) (ScanResult, error) {
 // owned by a single goroutine (the engine's dispatcher). LastSeq, BaseSeq
 // and SyncedSeq are atomic and may be read from any goroutine — replication
 // stats and catch-up decisions read them concurrently with appends.
-// Construct with Open or OpenWithCodec.
+// Construct with Open.
 type Log struct {
 	path      string
 	f         *os.File
 	n         int
 	codec     Codec // the open file's codec (from its header)
-	want      Codec // codec for fresh files (first create, Reset swap)
 	lastSeq   atomic.Uint64
 	syncedSeq atomic.Uint64
 	baseSeq   atomic.Uint64
@@ -257,25 +246,14 @@ type Log struct {
 	closed    bool
 }
 
-// Open opens (or creates) the WAL at path for a universe of n vertices,
-// writing fresh files in the v1 codec. See OpenWithCodec.
+// Open opens (or creates) the WAL at path for a universe of n vertices.
+// An existing file is scanned end to end: its header must match n, a torn
+// tail is truncated away, and appends continue after the last valid
+// record's seq — in the codec the file's header names, so a legacy v1 log
+// stays v1 until its next Reset. A new file is created in v2 with an
+// fsynced header and an fsynced parent directory so the log itself
+// survives a crash immediately after creation.
 func Open(path string, n int) (*Log, error) {
-	return OpenWithCodec(path, n, codec.V1)
-}
-
-// OpenWithCodec opens (or creates) the WAL at path for a universe of n
-// vertices. An existing file is scanned end to end: its header must match
-// n, a torn tail is truncated away, and appends continue after the last
-// valid record's seq — in the codec the file's header names, regardless of
-// c, so a log written under one codec never holds mixed encodings. c takes
-// effect when a fresh file is written: at creation here, or at the next
-// Reset. A new file is created with an fsynced header and an fsynced
-// parent directory so the log itself survives a crash immediately after
-// creation.
-func OpenWithCodec(path string, n int, c Codec) (*Log, error) {
-	if c == nil {
-		c = codec.V1
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -285,7 +263,7 @@ func OpenWithCodec(path string, n int, c Codec) (*Log, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	l := &Log{path: path, f: f, n: n, codec: c, want: c}
+	l := &Log{path: path, f: f, n: n, codec: codec.V2}
 	if st.Size() < headerLen {
 		// Empty, or a partial header from a crash during initial creation —
 		// shorter than the header, the file cannot hold any record, so
@@ -349,11 +327,10 @@ func OpenWithCodec(path string, n int, c Codec) (*Log, error) {
 	return l, nil
 }
 
-// writeFresh initializes l.f (assumed empty) with a header carrying baseSeq
-// in the configured codec and fsyncs both the file and its directory.
+// writeFresh initializes l.f (assumed empty) with a v2 header carrying
+// baseSeq and fsyncs both the file and its directory.
 func (l *Log) writeFresh(baseSeq uint64) error {
-	l.codec = l.want
-	if _, err := l.f.Write(encodeHeader(l.n, baseSeq, l.codec.Version())); err != nil {
+	if _, err := l.f.Write(encodeHeader(l.n, baseSeq, codec.V2.Version())); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
@@ -476,10 +453,9 @@ func (l *Log) Sync() error {
 // Reset atomically replaces the log with an empty one whose header records
 // baseSeq as the new floor — called after a checkpoint capturing every
 // record up to baseSeq has been durably written. The fresh header is
-// written in the configured codec, which is where a codec upgrade takes
-// effect on a pre-existing log. The replacement is write-temp-then-rename,
-// so a crash at any point leaves either the old complete log or the new
-// empty one.
+// written in v2, which is where a legacy v1 log is upgraded. The
+// replacement is write-temp-then-rename, so a crash at any point leaves
+// either the old complete log or the new empty one.
 func (l *Log) Reset(baseSeq uint64) error {
 	if l.closed {
 		return errors.New("wal: reset of closed log")
@@ -492,7 +468,7 @@ func (l *Log) Reset(baseSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(encodeHeader(l.n, baseSeq, l.want.Version())); err != nil {
+	if _, err := f.Write(encodeHeader(l.n, baseSeq, codec.V2.Version())); err != nil {
 		_ = f.Close()
 		return err
 	}
@@ -510,7 +486,7 @@ func (l *Log) Reset(baseSeq uint64) error {
 	}
 	old := l.f
 	l.f = f
-	l.codec = l.want
+	l.codec = codec.V2
 	l.lastSeq.Store(baseSeq)
 	l.syncedSeq.Store(baseSeq)
 	l.baseSeq.Store(baseSeq)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/wal/codec"
 )
 
 func openT(t *testing.T, path string, n int) *Log {
@@ -25,8 +26,8 @@ func appendT(t *testing.T, l *Log, ins, del []graph.Edge) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(EncodeRecord(rec)) {
-		t.Fatalf("Append reported %d bytes, encoding is %d", n, len(EncodeRecord(rec)))
+	if enc := frameOf(l.Codec(), rec); n != len(enc) {
+		t.Fatalf("Append reported %d bytes, encoding is %d", n, len(enc))
 	}
 }
 
@@ -93,7 +94,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 
 	// Simulate a crash mid-append: a whole record minus its last 3 bytes.
-	torn := EncodeRecord(Record{Seq: 3, Ins: []graph.Edge{{U: 5, V: 6}}})
+	torn := frameOf(CodecV2, Record{Seq: 3, Ins: []graph.Edge{{U: 5, V: 6}}})
 	if err := os.WriteFile(path, append(append([]byte{}, clean...), torn[:len(torn)-3]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestAppendEnforcesSequentialSeq(t *testing.T) {
 func TestScanRejectsOutOfUniverseEdges(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(encodeHeader(4, 0, 1))
-	buf.Write(EncodeRecord(Record{Seq: 1, Ins: []graph.Edge{{U: 1, V: 9}}}))
+	buf.Write(frameOf(CodecV1, Record{Seq: 1, Ins: []graph.Edge{{U: 1, V: 9}}}))
 	res, err := Scan(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -234,14 +235,16 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeHeader(8, 0, 1))
 	f.Add(bytes.Repeat([]byte{0x7F}, 48))
-	valid := append([]byte{}, encodeHeader(8, 0, 1)...)
-	valid = append(valid, EncodeRecord(Record{Seq: 1, Ins: []graph.Edge{{U: 0, V: 1}}})...)
-	valid = append(valid, EncodeRecord(Record{Seq: 2, Del: []graph.Edge{{U: 0, V: 1}}})...)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5]) // torn tail
-	corrupt := append([]byte{}, valid...)
-	corrupt[len(corrupt)-3] ^= 0x01
-	f.Add(corrupt) // CRC-violating tail
+	for _, c := range []Codec{CodecV1, CodecV2} {
+		valid := append([]byte{}, encodeHeader(8, 0, c.Version())...)
+		valid = append(valid, frameOf(c, Record{Seq: 1, Ins: []graph.Edge{{U: 0, V: 1}}})...)
+		valid = append(valid, frameOf(c, Record{Seq: 2, Del: []graph.Edge{{U: 0, V: 1}}})...)
+		f.Add(valid)
+		f.Add(valid[:len(valid)-5]) // torn tail
+		corrupt := append([]byte{}, valid...)
+		corrupt[len(corrupt)-3] ^= 0x01
+		f.Add(corrupt) // CRC-violating tail
+	}
 	f.Add(append([]byte{}, encodeHeader(1<<30, 42, 1)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -262,11 +265,13 @@ func FuzzWALDecode(f *testing.F) {
 		if res.LastSeq-res.BaseSeq != uint64(res.Records) || len(recs) != res.Records {
 			t.Fatalf("seq accounting broken: %+v with %d records", res, len(recs))
 		}
-		// Every accepted record must re-encode to the exact on-disk bytes —
-		// i.e. only CRC-clean, canonically framed records are ever accepted.
+		// Every accepted record must re-encode, under the codec the header
+		// names, to the exact on-disk bytes — i.e. only CRC-clean,
+		// canonically framed records are ever accepted.
+		c, _ := codec.ByVersion(res.Codec)
 		off := int64(headerLen)
 		for i, r := range recs {
-			enc := EncodeRecord(r)
+			enc := frameOf(c, r)
 			if !bytes.Equal(enc, data[off:off+int64(len(enc))]) {
 				t.Fatalf("record %d does not round-trip at offset %d", i, off)
 			}

@@ -18,16 +18,23 @@ func TestEnumBoundsMatchPackages(t *testing.T) {
 	}
 }
 
-// The response body tag that carried incremental-checkpoint frames is
-// retired but reserved: later tags keep their bytes, so query and event
-// responses stay readable across versions, and a frame still carrying the
-// retired tag is rejected instead of misread.
+// The response body tags that carried decoded epoch frames (byte 6) and
+// incremental-checkpoint frames (byte 8) are retired but reserved: later
+// tags keep their bytes, so epochraw, query and event responses stay
+// readable across versions, and a frame still carrying a retired tag is
+// rejected instead of misread.
 func TestRetiredBodyTagReserved(t *testing.T) {
 	if bodyEpochRaw != 7 || bodyQuery != 9 || bodyEvent != 10 {
 		t.Fatalf("body tags moved: epochraw=%d query=%d event=%d", bodyEpochRaw, bodyQuery, bodyEvent)
 	}
-	frame := append(make([]byte, 8), byte(StatusOK), bodyEpochRaw+1)
-	if _, err := DecodeResponse(frame); err == nil {
-		t.Fatal("response with the retired body tag decoded")
+	for _, frame := range [][]byte{
+		// Tag 6 followed by a body the old epoch decoder accepted: seq 4,
+		// no inserts, no deletes.
+		append(append(make([]byte, 8), byte(StatusOK), bodyEpochRaw-1), make([]byte, 8+4+4)...),
+		append(make([]byte, 8), byte(StatusOK), bodyEpochRaw+1),
+	} {
+		if _, err := DecodeResponse(frame); err == nil {
+			t.Fatalf("response with retired body tag %d decoded", frame[9])
+		}
 	}
 }

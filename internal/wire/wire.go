@@ -69,18 +69,16 @@
 // the namespace goes away, or either side closes the connection:
 //
 //	snapshot : seq uint64 | n uint32 | final uint8 | count uint32 | (u,v)*
-//	epoch    : seq uint64 | nIns uint32 | ins (u,v)* | nDel uint32 | del (u,v)*
 //	epochraw : seq uint64 | codec uint8 | len uint32 | bytes
 //
 // A snapshot tells the follower to discard its state and rebuild from the
 // transferred edge set (split across consecutive frames sharing seq; the
 // final flag marks the last chunk) — sent when the follower's resume point
-// predates the primary's WAL floor. Epoch frames are the WAL records
-// themselves, strictly sequential from the snapshot's
-// (or resume point's) seq; the raw variant carries the record still in its
-// WAL codec encoding (the version byte from the log header) so compressed
-// records cross the wire without re-encoding — the follower decodes via the
-// codec registry with prevSeq = seq-1.
+// predates the primary's WAL floor. Epochraw frames are the WAL records
+// themselves, strictly sequential from the snapshot's (or resume point's)
+// seq, each in the codec encoding its log holds it in (the version byte
+// from the log header) so records cross the wire without re-encoding — the
+// follower decodes via the codec registry with prevSeq = seq-1.
 //
 // Error responses (Status != StatusOK) carry a message string instead of
 // the command body. A StatusReadOnly error's message is the address of the
@@ -302,18 +300,9 @@ type SnapshotBody struct {
 	Edges []Pair
 }
 
-// EpochBody is one shipped epoch on a subscription stream — a WAL record:
-// the raw insert and delete batches the primary's dispatcher committed at
-// Seq, in application order (inserts, then deletes).
-type EpochBody struct {
-	Seq uint64
-	Ins []Pair
-	Del []Pair
-}
-
-// EpochRawBody is one shipped epoch still in its WAL codec encoding: Enc is
-// the record payload exactly as appended to the primary's log and Codec is
-// the format version byte from the log header. The follower decodes through
+// EpochRawBody is one shipped epoch on a subscription stream, in its WAL
+// codec encoding: Enc is the record payload exactly as appended to the
+// primary's log and Codec is the format version byte from the log header. The follower decodes through
 // the codec registry with prevSeq = Seq-1 (delta codecs encode against the
 // preceding record's seq). Compressed records thus cross the wire unchanged.
 type EpochRawBody struct {
@@ -359,8 +348,7 @@ type Response struct {
 	Stats      Stats         // CmdStats
 	Path       string        // CmdCheckpoint
 	Snapshot   *SnapshotBody // CmdSubscribe stream: full-state chunk
-	Epoch      *EpochBody    // CmdSubscribe stream: one shipped epoch
-	EpochRaw   *EpochRawBody // CmdSubscribe stream: epoch in WAL codec form
+	EpochRaw   *EpochRawBody // CmdSubscribe stream: one shipped epoch in WAL codec form
 	Query      *QueryBody    // CmdQuery
 	Event      *EventBody    // CmdSubscribeEvents stream: one connectivity event
 }
@@ -538,14 +526,6 @@ func EncodeResponse(r *Response) ([]byte, error) {
 		buf = append(buf, final)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Edges)))
 		buf = appendPairs(buf, s.Edges)
-	case r.Epoch != nil:
-		e := r.Epoch
-		buf = append(buf, bodyEpoch)
-		buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Ins)))
-		buf = appendPairs(buf, e.Ins)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Del)))
-		buf = appendPairs(buf, e.Del)
 	case r.EpochRaw != nil:
 		er := r.EpochRaw
 		buf = append(buf, bodyEpochRaw)
@@ -634,7 +614,7 @@ const (
 	bodyPath
 	bodyStats
 	bodySnapshot
-	bodyEpoch
+	_ // retired (decoded epoch frames); reserved so later tags keep their bytes
 	bodyEpochRaw
 	_ // retired (incremental-checkpoint frames); reserved so later tags keep their bytes
 	bodyQuery
@@ -911,16 +891,6 @@ func DecodeResponse(p []byte) (*Response, error) {
 		s.Edges = d.pairs(d.count(8))
 		if d.ok {
 			r.Snapshot = s
-		}
-	case bodyEpoch:
-		// Each count immediately precedes its pairs, so both lists go
-		// through the same hostile-count validation (d.count) the snapshot
-		// body uses.
-		e := &EpochBody{Seq: d.u64()}
-		e.Ins = d.pairs(d.count(8))
-		e.Del = d.pairs(d.count(8))
-		if d.ok {
-			r.Epoch = e
 		}
 	case bodyEpochRaw:
 		er := &EpochRawBody{Seq: d.u64(), Codec: d.u8()}

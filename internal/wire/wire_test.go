@@ -107,9 +107,9 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 11, Status: StatusOK, Snapshot: &SnapshotBody{
 			Seq: 17, N: 1 << 20, Final: true, Edges: []Pair{{1, 2}, {3, 4}}}},
 		{ID: 12, Status: StatusOK, Snapshot: &SnapshotBody{Seq: 17, N: 8, Edges: []Pair{}}},
-		{ID: 13, Status: StatusOK, Epoch: &EpochBody{
-			Seq: 18, Ins: []Pair{{5, 6}}, Del: []Pair{{7, 8}, {9, 10}}}},
-		{ID: 14, Status: StatusOK, Epoch: &EpochBody{Seq: 19, Ins: []Pair{}, Del: []Pair{}}},
+		{ID: 13, Status: StatusOK, EpochRaw: &EpochRawBody{
+			Seq: 18, Codec: 1, Enc: []byte{0x12, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0}}},
+		{ID: 14, Status: StatusOK, EpochRaw: &EpochRawBody{Seq: 19, Codec: 2, Enc: []byte{0x13, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
 		{ID: 17, Status: StatusOK, EpochRaw: &EpochRawBody{
 			Seq: 20, Codec: 2, Enc: []byte{0x14, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3}}},
 		{ID: 19, Status: StatusOK, Stats: Stats{
@@ -295,7 +295,7 @@ func FuzzWireDecode(f *testing.F) {
 	for _, r := range []*Response{
 		{ID: 7, Status: StatusOK, Bits: []bool{true, false, true}, Seq: 9},
 		{ID: 8, Status: StatusOK, Snapshot: &SnapshotBody{Seq: 3, N: 64, Final: true, Edges: []Pair{{1, 2}}}},
-		{ID: 9, Status: StatusOK, Epoch: &EpochBody{Seq: 4, Ins: []Pair{{1, 2}}, Del: []Pair{{3, 4}}}},
+		{ID: 9, Status: StatusOK, EpochRaw: &EpochRawBody{Seq: 4, Codec: 1, Enc: []byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
 		{ID: 10, Status: StatusOK, EpochRaw: &EpochRawBody{Seq: 5, Codec: 2, Enc: []byte{5, 0, 0, 0, 0, 0, 0, 0}}},
 		{ID: 11, Status: StatusOK, Stats: Stats{Epochs: 2, WALRecords: 1, WALFsyncs: 1, Shards: []ShardStats{{Epochs: 1}}}},
 	} {
