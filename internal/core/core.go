@@ -12,6 +12,19 @@
 // deferred pushes — the version achieving the improved
 // O(lg n · lg(1+n/Δ)) amortized work bound).
 //
+// # Lazy tree-edge pushes
+//
+// Both searches depart from the pseudocode in one place: a searched
+// component pushes its level-i tree edges down to level i-1 only if it holds
+// a level-i non-tree edge (its root aggregate's non-tree count is nonzero).
+// A component without one can neither find nor receive a replacement at
+// level i, so it keeps its tree edges where they are and leaves the search
+// in round 0. Skipping only leaves F_{i-1} finer and only removes level
+// decreases, so the invariants and the charging argument behind Theorem 1
+// stand; on sliding-window churn it removes most of a deletion's tree-edge
+// pushes (TestTreePushBudget). DESIGN.md §2, "Level-search amortization",
+// has the argument, together with the soundness guard of pushNonTree.
+//
 // # Read-only query contract
 //
 // Connected, BatchConnected, ComponentOf, ComponentID, ComponentSize,

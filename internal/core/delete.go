@@ -140,11 +140,30 @@ func (c *Conn) insertFoundForest(fi *ett.Forest, S []graph.Edge) {
 	fi.BatchLink(S)
 }
 
+// withNonTree keeps the active components that hold a level-i non-tree
+// edge: the only ones whose tree edges the search pushes down (see
+// pushTreeEdges). The callers keep the others active, and they exhaust in
+// round 0.
+func withNonTree(fi *ett.Forest, active []compInfo) []compInfo {
+	var out []compInfo
+	for _, ci := range active {
+		if fi.RepNonTree(ci.rep) > 0 {
+			out = append(out, ci)
+		}
+	}
+	return out
+}
+
 // pushTreeEdges moves every level-i tree edge of the given active components
-// down to level i-1 (line 5). The adjacency moves and counter updates run in
-// parallel per component (components are vertex-disjoint, and F_{i-1} trees
-// are sub-components); the F_{i-1} links are applied sequentially afterwards
-// because the ETT arc index is shared.
+// down to level i-1 (line 5), so that their failed level-i candidates can
+// follow. Callers pass only the components withNonTree keeps: one without a
+// level-i non-tree edge can neither find nor receive a replacement at level
+// i, and keeping its tree edges at level i leaves F_{i-1} finer without
+// breaking any invariant (DESIGN.md §2, "Level-search amortization"). The
+// adjacency moves and counter updates run in parallel per component
+// (components are vertex-disjoint, and F_{i-1} trees are sub-components);
+// the F_{i-1} links follow, one group per component, through
+// BatchLinkDisjoint.
 func (c *Conn) pushTreeEdges(i int32, comps []compInfo) {
 	if len(comps) == 0 {
 		return
@@ -234,7 +253,8 @@ func (c *Conn) fetchCandidates(fi *ett.Forest, i int32, rep *treap.Node, limit i
 // edge has endpoints connected in G_j, which later searches rely on (it is
 // what lets a promoted replacement be linked into every forest above its
 // level without creating cycles). Such edges simply remain at level i and
-// may be re-examined; see DESIGN.md for the amortization note.
+// may be re-examined; DESIGN.md §2, "Level-search amortization", prices
+// that.
 func (c *Conn) pushNonTree(i int32, recs []*adjlist.Rec) {
 	if len(recs) == 0 {
 		return
@@ -288,7 +308,7 @@ func (c *Conn) searchSimple(i int32, L []graph.Vertex, S []graph.Edge) ([]graph.
 	if len(active) == 0 {
 		return D, S
 	}
-	c.pushTreeEdges(i, active)
+	c.pushTreeEdges(i, withNonTree(fi, active))
 	guard := 0
 	for len(active) > 0 {
 		guard++

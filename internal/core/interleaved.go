@@ -84,7 +84,7 @@ func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge) ([]g
 	if len(active) == 0 {
 		return D, S
 	}
-	c.pushTreeEdges(i, active)
+	c.pushTreeEdges(i, withNonTree(fi, active))
 
 	supers := newSuperSet()
 	for _, ci := range active {

@@ -146,6 +146,11 @@ func (c *Conn) replace(u, v graph.Vertex, lvl int32) {
 		if c.f[i].Size(v) < c.f[i].Size(u) {
 			w = v
 		}
+		if c.f[i].CompNonTree(w) == 0 {
+			// No level-i non-tree edge touches w's side, so no
+			// replacement lives here: keep its tree edges at level i.
+			continue
+		}
 		c.pushTreeEdges(w, i)
 		if c.scanNonTree(w, i) {
 			return

@@ -6,6 +6,7 @@ import (
 	"repro/internal/adjlist"
 	"repro/internal/ett"
 	"repro/internal/graph"
+	"repro/internal/treap"
 	"repro/internal/unionfind"
 )
 
@@ -19,14 +20,31 @@ import (
 //  4. per-vertex augmented counters in F_i equal the adjacency-list lengths
 //     at level i;
 //  5. F_top's connectivity equals union-find connectivity over all edges;
-//  6. adjacency position back-pointers are intact.
+//  6. adjacency position back-pointers are intact;
+//  7. every tour's treap has heap order, parent pointers and subtree
+//     aggregates intact (treap.CheckInvariants on each distinct root).
+//
+// (7) is what makes (4) cover the component counters, not only the
+// per-vertex ones: the level searches read a component's non-tree count off
+// its root aggregate (ett.Forest.RepNonTree) and skip a component whose
+// count is zero, so a counter write that misses the path repair would
+// silently hide replacement edges.
 func Check(n, top int, f []*ett.Forest, adj *adjlist.Store, edges []*adjlist.Rec) error {
-	// (1) component size bounds.
+	// (1) component size bounds, (7) treap invariants per tour.
 	for i := 1; i <= top; i++ {
 		bound := int64(1) << uint(i)
+		seen := make(map[*treap.Node]bool)
 		for v := 0; v < n; v++ {
 			if s := f[i].Size(graph.Vertex(v)); s > bound {
 				return fmt.Errorf("level %d: component of %d has size %d > 2^%d", i, v, s, i)
+			}
+			r := f[i].Rep(graph.Vertex(v))
+			if r == nil || seen[r] {
+				continue
+			}
+			seen[r] = true
+			if msg := treap.CheckInvariants(r); msg != "" {
+				return fmt.Errorf("level %d: tour of %d: treap %s", i, v, msg)
 			}
 		}
 	}
