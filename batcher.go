@@ -19,7 +19,7 @@
 //
 //   - Connected / ConnectedBatch — linearized. The query joins the epoch
 //     pipeline and observes its epoch's post-update state, totally ordered
-//     with all updates. Pays the coalescing window.
+//     with all updates. Waits for its epoch to commit.
 //   - ReadRecent / ReadRecentBatch — committed, wait-free. Two array loads
 //     against an immutable component labelling (internal/snapshot) that
 //     every connectivity-changing epoch republishes before any of its
@@ -35,19 +35,11 @@ package conn
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/coalesce"
 	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/snapshot"
-)
-
-// Default coalescing parameters: commit an epoch once 8192 operations have
-// accumulated, or 500µs after work first arrives, whichever is first.
-const (
-	DefaultMaxBatch = engine.DefaultMaxBatch
-	DefaultMaxDelay = engine.DefaultMaxDelay
 )
 
 // ErrClosed is returned by the Batcher's error-returning methods (Do,
@@ -89,9 +81,13 @@ type Op struct {
 // Operations from different goroutines that land in the same epoch were
 // concurrent, and the epoch order is the order they linearize in.
 //
-// The coalescing window trades latency for throughput: a longer window
-// (WithMaxDelay) grows the average batch size Δ, and per-operation cost
-// shrinks as O(lg(1+n/Δ)) amortized. See cmd/benchconn experiment e12.
+// Coalescing is drain on idle: the dispatcher wakes on the first
+// submission, commits everything staged as one epoch, and whatever arrives
+// while that epoch commits forms the next one. An idle Batcher therefore
+// commits a lone operation at once, and under load the batch size Δ grows
+// with the offered load and the commit latency (a durable epoch's fsync
+// included), with per-operation cost shrinking as O(lg(1+n/Δ)) amortized.
+// See cmd/benchconn experiment e12.
 //
 // While a Batcher is open, its underlying Graph must not be used directly;
 // after Close the Graph is quiesced and may be used again.
@@ -117,23 +113,7 @@ type EpochRecord = engine.EpochRecord
 type BatcherOption func(*batcherOptions)
 
 type batcherOptions struct {
-	maxBatch int
-	maxDelay time.Duration
-	durDir   string
-}
-
-// WithMaxBatch sets the epoch size target: the dispatcher commits as soon
-// as k operations are staged. k <= 0 selects DefaultMaxBatch.
-func WithMaxBatch(k int) BatcherOption {
-	return func(o *batcherOptions) { o.maxBatch = k }
-}
-
-// WithMaxDelay bounds how long an operation may wait for its epoch: the
-// dispatcher commits at most d after it first notices pending work, even if
-// the batch target has not been reached. d == 0 disables the window and
-// commits eagerly (lowest latency, smallest batches).
-func WithMaxDelay(d time.Duration) BatcherOption {
-	return func(o *batcherOptions) { o.maxDelay = d }
+	durDir string
 }
 
 // WithDurability makes every acknowledged write durable: the dispatcher
@@ -158,15 +138,13 @@ func WithDurability(dir string) BatcherOption {
 // Callers own g's lifecycle; the Batcher only requires that nothing else
 // touches g until Close returns.
 func NewBatcher(g *Graph, opts ...BatcherOption) *Batcher {
-	o := batcherOptions{maxBatch: DefaultMaxBatch, maxDelay: DefaultMaxDelay}
+	var o batcherOptions
 	for _, f := range opts {
 		f(&o)
 	}
 	b := &Batcher{g: g}
 	e, err := engine.New(g.c, engine.Options{
-		MaxBatch: o.maxBatch,
-		MaxDelay: o.maxDelay,
-		DurDir:   o.durDir,
+		DurDir: o.durDir,
 		// The hook indirects through the Batcher field so tests can install
 		// it after construction (but before the first submission), exactly
 		// as they always have.

@@ -13,7 +13,7 @@ import (
 
 func TestBatcherSequentialSemantics(t *testing.T) {
 	g := New(8)
-	b := NewBatcher(g, WithMaxDelay(0))
+	b := NewBatcher(g)
 	if !b.Insert(0, 1) {
 		t.Fatal("Insert(0,1) = false on empty graph")
 	}
@@ -55,16 +55,19 @@ func TestBatcherSequentialSemantics(t *testing.T) {
 // TestBatcherEpochComposition pins the documented within-epoch order:
 // inserts apply before deletes, and queries see the post-update state. Two
 // goroutines land an insert and a delete of the same absent edge in one
-// epoch (maxBatch 2, effectively infinite window): both must be credited
+// epoch (both staged while the dispatcher is held): both must be credited
 // and the edge must end absent.
 func TestBatcherEpochComposition(t *testing.T) {
 	g := New(4)
-	b := NewBatcher(g, WithMaxBatch(2), WithMaxDelay(time.Hour))
+	b := NewBatcher(g)
+	release := holdDispatcher(b)
 	var insOK, delOK bool
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); insOK = b.Insert(0, 1) }()
 	go func() { defer wg.Done(); delOK = b.Delete(0, 1) }()
+	waitStaged(t, b, 2)
+	release()
 	wg.Wait()
 	b.Close()
 	if !insOK || !delOK {
@@ -72,6 +75,35 @@ func TestBatcherEpochComposition(t *testing.T) {
 	}
 	if g.NumEdges() != 0 {
 		t.Fatalf("edge survived an insert+delete epoch: NumEdges = %d", g.NumEdges())
+	}
+}
+
+// holdDispatcher parks b's dispatcher inside the test hook of one empty
+// epoch (a Flush barrier), so operations submitted meanwhile stay staged
+// until release is called. It takes over b.testHook.
+func holdDispatcher(b *Batcher) (release func()) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	b.testHook = func([]coalesce.Op, []bool) {
+		once.Do(func() {
+			close(entered)
+			<-gate
+		})
+	}
+	go b.Flush()
+	<-entered
+	return func() { close(gate) }
+}
+
+// waitStaged polls until b has want operations staged and not yet drained.
+func waitStaged(t *testing.T, b *Batcher, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for b.e.Pending() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("staged ops = %d, want %d", b.e.Pending(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -118,7 +150,7 @@ func TestBatcherConcurrentOracle(t *testing.T) {
 	}
 
 	g := New(n)
-	b := NewBatcher(g, WithMaxBatch(256), WithMaxDelay(200*time.Microsecond))
+	b := NewBatcher(g)
 	var epochs []epochRecord
 	b.testHook = func(ops []coalesce.Op, res []bool) {
 		r := epochRecord{
@@ -241,24 +273,24 @@ func TestBatcherConcurrentOracle(t *testing.T) {
 		s.Epochs, s.Ops, s.AvgEpoch(), s.MaxEpoch, len(edges))
 }
 
-// TestBatcherFlushCommitsStagedOps verifies Flush releases an op parked
-// behind an effectively infinite window.
+// TestBatcherFlushCommitsStagedOps verifies Flush returns only once an op
+// staged before it has committed: the insert is parked while the dispatcher
+// is held, and the Flush issued behind it must wait it out.
 func TestBatcherFlushCommitsStagedOps(t *testing.T) {
 	g := New(4)
-	b := NewBatcher(g, WithMaxBatch(1<<30), WithMaxDelay(time.Hour))
+	b := NewBatcher(g)
 	defer b.Close()
+	release := holdDispatcher(b)
 	done := make(chan bool, 1)
 	go func() { done <- b.Insert(0, 1) }()
-	for i := 0; ; i++ {
-		if b.bufPending() > 0 {
-			break
-		}
-		if i > 10000 {
-			t.Fatal("insert never staged")
-		}
-		time.Sleep(100 * time.Microsecond)
+	waitStaged(t, b, 1)
+	flushed := make(chan struct{})
+	go func() { b.Flush(); close(flushed) }()
+	release()
+	<-flushed
+	if p := b.e.Pending(); p != 0 {
+		t.Fatalf("staged ops = %d after Flush", p)
 	}
-	b.Flush()
 	select {
 	case ok := <-done:
 		if !ok {
@@ -269,8 +301,6 @@ func TestBatcherFlushCommitsStagedOps(t *testing.T) {
 	}
 }
 
-func (b *Batcher) bufPending() int64 { return b.e.Pending() }
-
 // TestBatcherFlushCloseRace pins the repaired Flush/Close interaction: a
 // Flush racing Close must be a graceful no-op, not a panic — Close's final
 // sweep already commits everything that Flush could have flushed. Run with
@@ -278,19 +308,16 @@ func (b *Batcher) bufPending() int64 { return b.e.Pending() }
 func TestBatcherFlushCloseRace(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		g := New(64)
-		b := NewBatcher(g, WithMaxDelay(time.Hour), WithMaxBatch(1<<30))
-		var staged sync.WaitGroup
+		b := NewBatcher(g)
+		release := holdDispatcher(b)
 		for i := 0; i < 4; i++ {
-			staged.Add(1)
 			go func(i int) {
-				staged.Done()
-				// May observe the post-Close panic from Insert — that is
-				// the documented contract; only Flush must stay graceful.
-				defer func() { _ = recover() }()
+				// Staged before Close begins, so committed by its final
+				// sweep at the latest.
 				b.Insert(int32(i), int32(i+1))
 			}(i)
 		}
-		staged.Wait()
+		waitStaged(t, b, 4)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -301,6 +328,7 @@ func TestBatcherFlushCloseRace(t *testing.T) {
 			defer wg.Done()
 			b.Close()
 		}()
+		release()
 		wg.Wait()
 		b.Flush() // definitely after Close: still a no-op
 	}
@@ -318,7 +346,7 @@ func TestBatcherFlushAfterCloseIsNoOp(t *testing.T) {
 // final snapshot after Close.
 func TestBatcherReadRecentSurvivesClose(t *testing.T) {
 	g := New(8)
-	b := NewBatcher(g, WithMaxDelay(0))
+	b := NewBatcher(g)
 	b.Insert(1, 2)
 	b.Close()
 	if !b.ReadRecent(1, 2) || b.ReadRecent(0, 1) {
@@ -335,7 +363,7 @@ func TestBatcherReadRecentSurvivesClose(t *testing.T) {
 func TestReadTiersQuiescentAgree(t *testing.T) {
 	const n = 128
 	g := New(n)
-	b := NewBatcher(g, WithMaxBatch(64), WithMaxDelay(100*time.Microsecond))
+	b := NewBatcher(g)
 	defer b.Close()
 	rng := rand.New(rand.NewSource(7))
 	edges := map[uint64]bool{}
@@ -416,7 +444,7 @@ func TestReadTiersConcurrentConsistency(t *testing.T) {
 	const n = 512
 	const half = n / 2
 	g := New(n)
-	b := NewBatcher(g, WithMaxBatch(128), WithMaxDelay(100*time.Microsecond))
+	b := NewBatcher(g)
 
 	base := make([]Edge, half-1)
 	for i := range base {
@@ -514,7 +542,7 @@ func TestReadTiersConcurrentConsistency(t *testing.T) {
 // update call returns, ReadRecent reflects it.
 func TestReadRecentReflectsFlushedEpoch(t *testing.T) {
 	g := New(16)
-	b := NewBatcher(g, WithMaxDelay(0))
+	b := NewBatcher(g)
 	defer b.Close()
 	for i := int32(0); i < 15; i++ {
 		if b.Insert(i, i+1) { // blocks until the epoch committed
@@ -538,7 +566,7 @@ func TestReadRecentReflectsFlushedEpoch(t *testing.T) {
 // merges and splits must.
 func TestSnapshotSkipsNoChangeEpochs(t *testing.T) {
 	g := New(8)
-	b := NewBatcher(g, WithMaxDelay(0))
+	b := NewBatcher(g)
 	defer b.Close()
 
 	b.Insert(0, 1)

@@ -37,7 +37,7 @@ func checkpointFiles(t *testing.T, dir string) []string {
 func TestCheckpointTinyUniverse(t *testing.T) {
 	dir := t.TempDir()
 	g := New(1)
-	b := NewBatcher(g, WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(g, WithDurability(dir))
 	path, err := b.Checkpoint()
 	if err != nil {
 		t.Fatalf("Checkpoint on edgeless n=1 graph: %v", err)
@@ -79,7 +79,7 @@ func TestEmptyUniverseUnconstructible(t *testing.T) {
 // panicked inside the smuggled query's Submit).
 func TestCheckpointAfterCloseReturnsError(t *testing.T) {
 	dir := t.TempDir()
-	b := NewBatcher(New(16), WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(New(16), WithDurability(dir))
 	b.Insert(0, 1)
 	b.Close()
 	if _, err := b.Checkpoint(); !errors.Is(err, ErrClosed) {
@@ -97,7 +97,7 @@ func TestCheckpointCloseRace(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		dir := t.TempDir()
-		b := NewBatcher(New(64), WithMaxDelay(0), WithDurability(dir))
+		b := NewBatcher(New(64), WithDurability(dir))
 		b.Insert(1, 2)
 
 		const callers = 4
@@ -136,7 +136,7 @@ func TestCheckpointCloseRace(t *testing.T) {
 func TestCheckpointResetFailureKeepsFallback(t *testing.T) {
 	dir := t.TempDir()
 	g := New(128)
-	b := NewBatcher(g, WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(g, WithDurability(dir))
 
 	expect := make(map[[2]int32]bool)
 	ins := func(es ...Edge) {

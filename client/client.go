@@ -626,7 +626,7 @@ func (ns *Namespace) Do(ops []conn.Op) ([]bool, error) {
 // DoSharded routes a batch by partition against a namespace created with
 // the given shard count: intra-shard mutations are grouped into one frame
 // per shard and the frames fly concurrently, each landing directly in its
-// partition's epoch pipeline — k coalescing windows and k fsync streams run
+// partition's epoch pipeline — k dispatchers and k fsync streams run
 // in parallel. Cross-shard mutations and all queries form a final frame sent
 // after every shard frame commits, so queries still observe this call's own
 // mutations. Results are index-aligned with ops; atomicity is per frame, not

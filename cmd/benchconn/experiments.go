@@ -421,68 +421,58 @@ func runE11(cfg config) {
 
 func runE12(cfg config) {
 	n := cfg.size(1<<16, 1<<12)
-	opsTotal := 1 << 17
+	ops := 1 << 17
 	if cfg.quick {
-		opsTotal = 1 << 13
+		ops = 1 << 13
 	}
 	header("e12", "concurrent coalescing front-end (conn.Batcher)",
-		"group commit grows the realized batch size Δ with clients and window; per-op cost falls as O(lg(1+n/Δ))  [Thm 1]")
-	fmt.Printf("n=%d; closed-loop clients issue ≤%d mixed ops (40%% insert / 25%% delete / 35%% query)\n", n, opsTotal)
-	fmt.Printf("%10s %10s %12s %12s %10s %10s %10s\n",
-		"clients", "window", "total", "ops/sec", "epochs", "avgΔ", "maxΔ")
+		"group commit grows the realized batch size Δ with concurrent clients; per-op cost falls as O(lg(1+n/Δ))  [Thm 1]")
+	fmt.Printf("n=%d; closed-loop clients issue %d mixed ops (40%% insert / 25%% delete / 35%% query)\n", n, ops)
+	fmt.Printf("%10s %12s %12s %10s %10s %10s\n",
+		"clients", "total", "ops/sec", "epochs", "avgΔ", "maxΔ")
 	for _, clients := range []int{4, 16, 64} {
-		for _, window := range []time.Duration{100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond} {
-			g := conn.New(n)
-			// Preload a sparse base graph so queries and deletes have
-			// structure to work against.
-			base := graphgen.RandomGraph(n, n/2, cfg.seed)
-			out := make([]conn.Edge, len(base))
-			for i, e := range base {
-				out[i] = conn.Edge{U: e.U, V: e.V}
-			}
-			g.InsertEdges(out)
-			b := conn.NewBatcher(g, conn.WithMaxDelay(window), conn.WithMaxBatch(1<<16))
-			// Closed-loop clients bound each epoch to ~clients ops, so a
-			// cell costs ≈ ops/clients windows of wall time. Cap the op
-			// count so no cell spends more than ~2s just waiting out its
-			// window (the throughput *rate* is unaffected).
-			ops := opsTotal
-			if maxOps := clients * int(2*time.Second/window); ops > maxOps {
-				ops = maxOps
-			}
-			perClient := ops / clients
-			var wg sync.WaitGroup
-			d := timeIt(func() {
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(cfg.seed + int64(c)))
-						for i := 0; i < perClient; i++ {
-							u := int32(rng.Intn(n))
-							v := int32(rng.Intn(n))
-							switch r := rng.Intn(100); {
-							case r < 40:
-								b.Insert(u, v)
-							case r < 65:
-								b.Delete(u, v)
-							default:
-								b.Connected(u, v)
-							}
-						}
-					}(c)
-				}
-				wg.Wait()
-				b.Close()
-			})
-			s := b.Stats()
-			fmt.Printf("%10d %10v %12d %12.0f %10d %10.1f %10d\n",
-				clients, window, s.Ops, float64(s.Ops)/d.Seconds(),
-				s.Epochs, s.AvgEpoch(), s.MaxEpoch)
+		g := conn.New(n)
+		// Preload a sparse base graph so queries and deletes have
+		// structure to work against.
+		base := graphgen.RandomGraph(n, n/2, cfg.seed)
+		out := make([]conn.Edge, len(base))
+		for i, e := range base {
+			out[i] = conn.Edge{U: e.U, V: e.V}
 		}
+		g.InsertEdges(out)
+		b := conn.NewBatcher(g)
+		perClient := ops / clients
+		var wg sync.WaitGroup
+		d := timeIt(func() {
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(cfg.seed + int64(c)))
+					for i := 0; i < perClient; i++ {
+						u := int32(rng.Intn(n))
+						v := int32(rng.Intn(n))
+						switch r := rng.Intn(100); {
+						case r < 40:
+							b.Insert(u, v)
+						case r < 65:
+							b.Delete(u, v)
+						default:
+							b.Connected(u, v)
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.Close()
+		})
+		s := b.Stats()
+		fmt.Printf("%10d %12d %12.0f %10d %10.1f %10d\n",
+			clients, s.Ops, float64(s.Ops)/d.Seconds(),
+			s.Epochs, s.AvgEpoch(), s.MaxEpoch)
 	}
-	fmt.Printf("(closed-loop clients bound Δ by the number in flight; longer windows only pay off\n")
-	fmt.Printf(" once enough concurrent callers keep the staging buffer fed)\n")
+	fmt.Printf("(closed-loop clients bound Δ by the number in flight: the dispatcher drains\n")
+	fmt.Printf(" whatever is staged when it goes idle, so Δ grows with the clients)\n")
 }
 
 // ---------------------------------------------------------------- E14
@@ -503,81 +493,73 @@ func runE14(cfg config) {
 	}
 	defer os.RemoveAll(dir)
 	fmt.Printf("n=%d; %d closed-loop clients issue %d mixed ops (50%% insert / 30%% delete / 20%% query)\n", n, clients, opsTotal)
-	fmt.Printf("%10s %10s %12s %10s %10s %12s %12s\n",
-		"window", "durable", "ops/sec", "epochs", "fsyncs", "µs-fs/epoch", "walKB")
-	for _, window := range []time.Duration{100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond} {
-		var memRate float64
-		for _, durable := range []bool{false, true} {
-			g := conn.New(n)
-			base := graphgen.RandomGraph(n, n/2, cfg.seed)
-			out := make([]conn.Edge, len(base))
-			for i, e := range base {
-				out[i] = conn.Edge{U: e.U, V: e.V}
-			}
-			g.InsertEdges(out)
-			opts := []conn.BatcherOption{conn.WithMaxDelay(window), conn.WithMaxBatch(1 << 16)}
-			if durable {
-				sub := filepath.Join(dir, fmt.Sprintf("w%v", window))
-				os.RemoveAll(sub)
-				opts = append(opts, conn.WithDurability(sub))
-			}
-			b := conn.NewBatcher(g, opts...)
-			ops := opsTotal
-			if maxOps := clients * int(2*time.Second/window); ops > maxOps {
-				ops = maxOps
-			}
-			perClient := ops / clients
-			var wg sync.WaitGroup
-			d := timeIt(func() {
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(cfg.seed + int64(c)))
-						for i := 0; i < perClient; i++ {
-							u := int32(rng.Intn(n))
-							v := int32(rng.Intn(n))
-							switch r := rng.Intn(100); {
-							case r < 50:
-								b.Insert(u, v)
-							case r < 80:
-								b.Delete(u, v)
-							default:
-								b.Connected(u, v)
-							}
-						}
-					}(c)
-				}
-				wg.Wait()
-				b.Close()
-			})
-			s := b.Stats()
-			rate := float64(s.Ops) / d.Seconds()
-			perEpoch := "-"
-			if s.WALRecords > 0 {
-				perEpoch = fmt.Sprintf("%12.0f", float64(s.WALAppendTime.Microseconds())/float64(s.WALRecords))
-			}
-			fmt.Printf("%10v %10v %12.0f %10d %10d %12s %12d\n",
-				window, durable, rate, s.Epochs, s.WALRecords, perEpoch, s.WALBytes/1024)
-			metrics := map[string]any{
-				"ops_per_sec": rate, "epochs": s.Epochs,
-				"wal_records": s.WALRecords, "wal_bytes": s.WALBytes,
-				"fsyncs": s.WALFsyncs,
-			}
-			if durable {
-				if memRate > 0 {
-					fmt.Printf("%10s durable/mem throughput ratio: %.2f\n", "", rate/memRate)
-					metrics["durable_mem_ratio"] = rate / memRate
-				}
-			} else {
-				memRate = rate
-			}
-			rec.row(map[string]any{"window": window.String(), "durable": durable}, metrics)
+	fmt.Printf("%10s %12s %10s %10s %12s %12s\n",
+		"durable", "ops/sec", "epochs", "fsyncs", "µs-fs/epoch", "walKB")
+	var memRate float64
+	for _, durable := range []bool{false, true} {
+		g := conn.New(n)
+		base := graphgen.RandomGraph(n, n/2, cfg.seed)
+		out := make([]conn.Edge, len(base))
+		for i, e := range base {
+			out[i] = conn.Edge{U: e.U, V: e.V}
 		}
+		g.InsertEdges(out)
+		var opts []conn.BatcherOption
+		if durable {
+			opts = append(opts, conn.WithDurability(dir))
+		}
+		b := conn.NewBatcher(g, opts...)
+		perClient := opsTotal / clients
+		var wg sync.WaitGroup
+		d := timeIt(func() {
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(cfg.seed + int64(c)))
+					for i := 0; i < perClient; i++ {
+						u := int32(rng.Intn(n))
+						v := int32(rng.Intn(n))
+						switch r := rng.Intn(100); {
+						case r < 50:
+							b.Insert(u, v)
+						case r < 80:
+							b.Delete(u, v)
+						default:
+							b.Connected(u, v)
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.Close()
+		})
+		s := b.Stats()
+		rate := float64(s.Ops) / d.Seconds()
+		perEpoch := "-"
+		if s.WALRecords > 0 {
+			perEpoch = fmt.Sprintf("%12.0f", float64(s.WALAppendTime.Microseconds())/float64(s.WALRecords))
+		}
+		fmt.Printf("%10v %12.0f %10d %10d %12s %12d\n",
+			durable, rate, s.Epochs, s.WALRecords, perEpoch, s.WALBytes/1024)
+		metrics := map[string]any{
+			"ops_per_sec": rate, "epochs": s.Epochs,
+			"wal_records": s.WALRecords, "wal_bytes": s.WALBytes,
+			"fsyncs": s.WALFsyncs,
+		}
+		if durable {
+			if memRate > 0 {
+				fmt.Printf("%10s durable/mem throughput ratio: %.2f\n", "", rate/memRate)
+				metrics["durable_mem_ratio"] = rate / memRate
+			}
+		} else {
+			memRate = rate
+		}
+		rec.row(map[string]any{"durable": durable}, metrics)
 	}
 	rec.flush()
-	fmt.Printf("(the fsync is paid once per mutating epoch before any caller unblocks; a wider\n")
-	fmt.Printf(" window amortizes it over more coalesced operations — Theorem 1's batching\n")
+	fmt.Printf("(the fsync is paid once per mutating epoch before any caller unblocks, and\n")
+	fmt.Printf(" submissions that arrive during it form the next epoch — Theorem 1's batching\n")
 	fmt.Printf(" argument applied to the disk)\n")
 }
 
@@ -592,11 +574,7 @@ func runE18(cfg config) {
 	if cfg.quick {
 		opsTotal = 1 << 11
 	}
-	const (
-		clients  = 128
-		maxBatch = 8
-		window   = 50 * time.Microsecond
-	)
+	const clients = 128
 	rec := newRecorder(cfg, "e18", "durability pipeline: emulated fsync latency",
 		"one fsync per epoch is its own group commit: while an fsync runs, submissions pile up into the next epoch, so ops/epoch grows with fsync latency; the v2 record codec carries about half the raw bytes per fsync")
 	dir, err := os.MkdirTemp("", "benchconn-e18-*")
@@ -605,13 +583,11 @@ func runE18(cfg config) {
 		return
 	}
 	defer os.RemoveAll(dir)
-	// MaxBatch is deliberately small: a burst of client ops splits into many
-	// small epochs, so fsync cost is a large share of every epoch. The
-	// emulated fsync latency is a chaos delay rule on the WAL's post-fsync
-	// site: every Sync stalls that much longer before it reports success.
+	// The emulated fsync latency is a chaos delay rule on the WAL's
+	// post-fsync site: every Sync stalls that much longer before it reports
+	// success.
 	fmt.Printf("n=%d; %d closed-loop clients issue %d mutations (60%% insert / 40%% delete)\n", n, clients, opsTotal)
-	fmt.Printf("(MaxBatch=%d; coalescing window %v; fsync per epoch; extra fsync latency via %s:delay)\n",
-		maxBatch, window, chaos.SiteWALAppendPostFsync)
+	fmt.Printf("(fsync per epoch; extra fsync latency via %s:delay)\n", chaos.SiteWALAppendPostFsync)
 	fmt.Printf("%8s %10s %8s %10s %8s %12s %12s\n",
 		"delay", "ops/sec", "epochs", "ops/epoch", "fsyncs", "enc/rawKB", "p99-ack")
 	for _, delay := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond} {
@@ -623,8 +599,7 @@ func runE18(cfg config) {
 			out[i] = conn.Edge{U: e.U, V: e.V}
 		}
 		g.InsertEdges(out)
-		b := conn.NewBatcher(g, conn.WithMaxDelay(window), conn.WithMaxBatch(maxBatch),
-			conn.WithDurability(sub))
+		b := conn.NewBatcher(g, conn.WithDurability(sub))
 		if delay > 0 {
 			if err := chaos.Arm(cfg.seed, chaos.SiteWALAppendPostFsync+":delay="+delay.String()); err != nil {
 				panic(err)
@@ -682,8 +657,8 @@ func runE18(cfg config) {
 	}
 	rec.flush()
 	fmt.Printf("(a slower fsync lets more submissions pile up behind it: ops/epoch rises with the\n")
-	fmt.Printf(" delay, which is the coalescing buffer acting as group commit — up to half the\n")
-	fmt.Printf(" closed-loop clients, since the other half wait on the epoch being synced)\n")
+	fmt.Printf(" delay, which is the coalescing buffer acting as group commit; closed-loop\n")
+	fmt.Printf(" clients blocked on the epoch being synced cap it below the client count)\n")
 }
 
 // ---------------------------------------------------------------- E13
@@ -691,7 +666,7 @@ func runE18(cfg config) {
 func runE13(cfg config) {
 	n := cfg.size(1<<16, 1<<12)
 	header("e13", "read tiers under writer load (conn.Batcher)",
-		"queries split out of the write pipeline: ReadRecent skips the coalescing window and is two array loads — read throughput decouples from epoch throughput")
+		"queries split out of the write pipeline: ReadRecent skips the epoch pipeline and is two array loads — read throughput decouples from epoch throughput")
 	dur := 600 * time.Millisecond
 	if cfg.quick {
 		dur = 150 * time.Millisecond
@@ -711,7 +686,7 @@ func runE13(cfg config) {
 				out[i] = conn.Edge{U: e.U, V: e.V}
 			}
 			g.InsertEdges(out)
-			b := conn.NewBatcher(g, conn.WithMaxDelay(200*time.Microsecond), conn.WithMaxBatch(1<<14))
+			b := conn.NewBatcher(g)
 
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -780,7 +755,7 @@ func runE13(cfg config) {
 			b.Close()
 		}
 	}
-	fmt.Printf("(Connected pays the coalescing window per query; ReadRecent pays two array loads\n")
+	fmt.Printf("(Connected waits out an epoch commit per query; ReadRecent pays two array loads\n")
 	fmt.Printf(" against the last published epoch)\n")
 }
 
@@ -802,9 +777,7 @@ func runE16(cfg config) {
 	}
 	defer os.RemoveAll(dataDir)
 
-	primary, err := server.New(server.Options{
-		DataDir: dataDir, MaxDelay: 200 * time.Microsecond, MaxBatch: 1 << 14,
-	})
+	primary, err := server.New(server.Options{DataDir: dataDir})
 	if err != nil {
 		fmt.Printf("skipping e16: %v\n", err)
 		return
@@ -980,7 +953,7 @@ func runE15(cfg config) {
 	const frameOps = 64
 	rec := newRecorder(cfg, "e15", "network front-end: throughput vs connections vs pipeline depth",
 		"in-flight frames block in the Batcher and coalesce into one epoch — network concurrency (conns × depth) grows Δ exactly like in-process concurrency")
-	srv, err := server.New(server.Options{MaxDelay: time.Millisecond, MaxBatch: 1 << 16})
+	srv, err := server.New(server.Options{})
 	if err != nil {
 		fmt.Printf("skipping e15: %v\n", err)
 		return
@@ -1113,13 +1086,9 @@ func runE17(cfg config) {
 		return
 	}
 	defer os.RemoveAll(data)
-	// Small epochs keep the workload fsync-bound: with MaxBatch capped, a
-	// single engine commits its WAL serially while k shards commit k logs
-	// concurrently — the separation under test. MaxDelay stays tiny so the
-	// coalescing window is not the bottleneck.
-	srv, err := server.New(server.Options{
-		DataDir: data, MaxBatch: 64, MaxDelay: 100 * time.Microsecond,
-	})
+	// A single engine commits its WAL serially while k shards commit k logs
+	// concurrently — the separation under test.
+	srv, err := server.New(server.Options{DataDir: data})
 	if err != nil {
 		fmt.Printf("skipping e17: %v\n", err)
 		return
@@ -1142,7 +1111,7 @@ func runE17(cfg config) {
 
 	fmt.Printf("n=%d; durable loopback namespaces; %d drivers × frames of %d mutations\n",
 		n, drivers, frameOps)
-	fmt.Printf("(~95%% intra-shard edges, 70%% insert / 30%% delete, MaxBatch=64)\n")
+	fmt.Printf("(~95%% intra-shard edges, 70%% insert / 30%% delete)\n")
 	fmt.Printf("%8s %12s %12s %10s %10s %12s\n",
 		"shards", "wire-ops", "ops/sec", "epochs", "walrecs", "speedup")
 	var base float64
@@ -1232,8 +1201,9 @@ func runE17(cfg config) {
 		cl.Close()
 		admin.Drop(nsName)
 	}
-	fmt.Printf("(every mutating epoch costs one fsync; a single engine pays them serially while\n")
-	fmt.Printf(" k shard engines overlap k WAL streams — throughput scales until the CPU, not\n")
-	fmt.Printf(" the log, is the bottleneck. Cross-shard edges ride the boundary engine)\n")
+	fmt.Printf("(every mutating epoch costs one fsync; k shard engines overlap k WAL streams,\n")
+	fmt.Printf(" but a single engine folds everything staged during its fsync into its next\n")
+	fmt.Printf(" epoch, so the overlap only pays where that fold leaves the log the bottleneck.\n")
+	fmt.Printf(" Cross-shard edges ride the boundary engine)\n")
 	rec.flush()
 }

@@ -160,7 +160,7 @@ func (s *session) flush() error {
 func (s *session) attach(g *conn.Graph) {
 	s.g = g
 	if s.dataDir != "" {
-		s.b = conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(s.dataDir))
+		s.b = conn.NewBatcher(g, conn.WithDurability(s.dataDir))
 	}
 }
 

@@ -54,8 +54,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":7421", "TCP listen address")
 	data := flag.String("data", "", "data directory for durable namespaces (empty = memory only)")
-	maxBatch := flag.Int("max-batch", 0, "epoch size target per namespace (0 = library default)")
-	maxDelay := flag.Duration("max-delay", 0, "epoch coalescing window per namespace (0 = library default)")
 	shards := flag.Int("shards", 0, "default hash partition count for new namespaces (0 or 1 = unsharded)")
 	replicaOf := flag.String("replica-of", "", "primary connserver address to follow as a read-only replica (memory only)")
 	flag.Parse()
@@ -67,8 +65,6 @@ func main() {
 	logger := log.New(os.Stderr, "connserver: ", log.LstdFlags)
 	srv, err := server.New(server.Options{
 		DataDir:       *data,
-		MaxBatch:      *maxBatch,
-		MaxDelay:      *maxDelay,
 		DefaultShards: *shards,
 		ReplicaOf:     *replicaOf,
 		Logf:          logger.Printf,

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/coalesce"
@@ -34,7 +33,7 @@ type ackedEpoch struct {
 func collectDurableStream(t *testing.T, dir string, n int, withCkpt bool) []ackedEpoch {
 	t.Helper()
 	g := New(n)
-	b := NewBatcher(g, WithMaxBatch(48), WithMaxDelay(100*time.Microsecond), WithDurability(dir))
+	b := NewBatcher(g, WithDurability(dir))
 	var epochs []ackedEpoch
 	var seq uint64
 	b.testHook = func(ops []coalesce.Op, res []bool) {
@@ -308,7 +307,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 func TestDurableRestartContinuesHistory(t *testing.T) {
 	dir := t.TempDir()
 	g := New(32)
-	b := NewBatcher(g, WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(g, WithDurability(dir))
 	b.InsertEdges([]Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}})
 	b.Delete(3, 4)
 	b.Close()
@@ -321,7 +320,7 @@ func TestDurableRestartContinuesHistory(t *testing.T) {
 		t.Fatalf("restored state wrong: edges=%d", g2.NumEdges())
 	}
 
-	b2 := NewBatcher(g2, WithMaxDelay(0), WithDurability(dir))
+	b2 := NewBatcher(g2, WithDurability(dir))
 	b2.Insert(2, 3)
 	if _, err := b2.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -363,7 +362,7 @@ func TestRestoreStubWALIsNoState(t *testing.T) {
 			t.Fatalf("Restore over %d-byte stub: %v", len(stub), err)
 		}
 		// And a durable Batcher must boot over the stub, not panic.
-		b := NewBatcher(New(8), WithMaxDelay(0), WithDurability(dir))
+		b := NewBatcher(New(8), WithDurability(dir))
 		b.Insert(0, 1)
 		b.Close()
 		g, err := Restore(dir)
@@ -379,7 +378,7 @@ func TestRestoreStubWALIsNoState(t *testing.T) {
 func TestRestoreRefusesLostCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	g := New(16)
-	b := NewBatcher(g, WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(g, WithDurability(dir))
 	b.Insert(0, 1)
 	b.Insert(1, 2)
 	ckptPath, err := b.Checkpoint()
@@ -409,7 +408,7 @@ func TestRestoreRefusesLostCheckpoint(t *testing.T) {
 // universes must produce an error before any replay, not a panic.
 func TestRestoreRejectsUniverseMismatch(t *testing.T) {
 	dir := t.TempDir()
-	b := NewBatcher(New(64), WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(New(64), WithDurability(dir))
 	b.Insert(20, 21)
 	b.Close()
 	if _, err := checkpoint.Write(dir, checkpoint.Snapshot{Seq: 0, N: 16}); err != nil {
@@ -434,7 +433,7 @@ func TestCheckpointWithoutDurabilityErrors(t *testing.T) {
 func TestDurableAckImpliesDurable(t *testing.T) {
 	dir := t.TempDir()
 	g := New(16)
-	b := NewBatcher(g, WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(g, WithDurability(dir))
 	defer b.Close()
 	for i := int32(0); i < 6; i++ {
 		b.Insert(i, i+1)
@@ -461,7 +460,7 @@ func TestDurableAckImpliesDurable(t *testing.T) {
 func TestDoSeqIsExact(t *testing.T) {
 	dir := t.TempDir()
 	g := New(64)
-	b := NewBatcher(g, WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(g, WithDurability(dir))
 	defer b.Close()
 
 	_, s1, err := b.DoSeq([]Op{{Kind: OpInsert, U: 0, V: 1}})
@@ -539,7 +538,7 @@ func TestDoSeqIsExact(t *testing.T) {
 func TestCheckpointChainCorruptDeltaFallsBack(t *testing.T) {
 	const n = 64
 	dir := t.TempDir()
-	b := NewBatcher(New(n), WithMaxDelay(0), WithDurability(dir))
+	b := NewBatcher(New(n), WithDurability(dir))
 	b.InsertEdges([]Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if _, err := b.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -598,7 +597,7 @@ func TestCheckpointChainCorruptDeltaFallsBack(t *testing.T) {
 
 	// The restored graph continues durably on the same directory, through a
 	// fresh full checkpoint.
-	b = NewBatcher(g, WithMaxDelay(0), WithDurability(dir))
+	b = NewBatcher(g, WithDurability(dir))
 	b.Insert(8, 9)
 	if _, err := b.Checkpoint(); err != nil {
 		t.Fatal(err)

@@ -25,10 +25,7 @@ func main() {
 		opsPer  = 4096
 	)
 	g := conn.New(n)
-	b := conn.NewBatcher(g,
-		conn.WithMaxBatch(4096),
-		conn.WithMaxDelay(time.Millisecond),
-	)
+	b := conn.NewBatcher(g)
 
 	var inserted, deleted, connectedYes atomic.Int64
 	var wg sync.WaitGroup

@@ -52,7 +52,7 @@ func child(dir string) {
 		os.Exit(1)
 	}
 	start := int32(g.NumEdges()) // path edges {i, i+1} were inserted in order
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	b := conn.NewBatcher(g, conn.WithDurability(dir))
 	defer b.Close()
 	for i := start; i < universe-1; i++ {
 		b.Insert(i, i+1) // returns only after the epoch is fsynced
@@ -151,7 +151,7 @@ func parent() {
 	}
 	before := walSize()
 	g, _ := conn.Restore(dir)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	b := conn.NewBatcher(g, conn.WithDurability(dir))
 	path, err := b.Checkpoint()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -132,7 +132,7 @@ func main() {
 }
 
 func serve(data string) (string, *server.Server) {
-	srv, err := server.New(server.Options{DataDir: data, MaxDelay: time.Millisecond})
+	srv, err := server.New(server.Options{DataDir: data})
 	if err != nil {
 		log.Fatal(err)
 	}

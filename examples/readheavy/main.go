@@ -7,7 +7,7 @@
 // Every reader picks the consistency it needs:
 //
 //   - Connected: linearized against all updates — joins the write
-//     pipeline's epochs and pays the coalescing window. Right for reads
+//     pipeline's epochs and waits for its epoch to commit. Right for reads
 //     that gate a write ("merge these accounts only if still separate").
 //   - ReadRecent: committed — two array loads against the labelling
 //     published at the last connectivity-changing epoch, which already
@@ -42,7 +42,7 @@ func main() {
 	}
 	g.InsertEdges(base)
 
-	b := conn.NewBatcher(g, conn.WithMaxDelay(500*time.Microsecond))
+	b := conn.NewBatcher(g)
 
 	var wrote atomic.Int64
 	var read [2]atomic.Int64 // per-tier query counts

@@ -52,7 +52,6 @@ func child(role string) {
 	switch role {
 	case "primary":
 		opts.DataDir = os.Getenv(dataEnv)
-		opts.MaxDelay = 200 * time.Microsecond
 	case "replica":
 		opts.ReplicaOf = os.Getenv(primaryEnv)
 	default:

@@ -20,10 +20,56 @@ func echoExec(calls *atomic.Int64) func([]Op) ([]bool, uint64) {
 	}
 }
 
+// gatedExec wraps echoExec so that its first call closes entered and then
+// blocks until release is closed: everything submitted meanwhile stays
+// staged, which is how the tests below shape epochs without a timer.
+func gatedExec(calls *atomic.Int64, entered, release chan struct{}) func([]Op) ([]bool, uint64) {
+	echo := echoExec(calls)
+	var once sync.Once
+	return func(ops []Op) ([]bool, uint64) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return echo(ops)
+	}
+}
+
+// waitPending polls until b has want operations staged.
+func waitPending(t *testing.T, b *Buffer, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Pending() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("Pending = %d, want %d", b.Pending(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitDone fails the test unless f resolves within a generous bound.
+func waitDone(t *testing.T, f Future, what string) {
+	t.Helper()
+	select {
+	case <-f.g.done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never committed", what)
+	}
+}
+
 func TestSubmitWaitRoundTrip(t *testing.T) {
 	var calls atomic.Int64
-	b := NewBuffer(2, 4, time.Hour, echoExec(&calls))
+	entered, release := make(chan struct{}), make(chan struct{})
+	b := NewBuffer(gatedExec(&calls, entered, release))
 	defer b.Close()
+
+	// An empty barrier occupies the dispatcher: its exec call (seq 1)
+	// blocks, so the four submissions below are all staged together.
+	gate, err := b.Submit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -39,34 +85,100 @@ func TestSubmitWaitRoundTrip(t *testing.T) {
 			if len(res) != 1 || !res[0] {
 				t.Errorf("Wait = %v", res)
 			}
-			// All four ops land in the single epoch, whose exec invocation
-			// count (echoExec's seq) is 1 — fanned back to every group.
-			if seq := f.Seq(); seq != 1 {
-				t.Errorf("Seq = %d, want 1", seq)
+			// All four ops land in the second exec call, whose invocation
+			// count (echoExec's seq) is 2 — fanned back to every group.
+			if seq := f.Seq(); seq != 2 {
+				t.Errorf("Seq = %d, want 2", seq)
 			}
 		}(i)
 	}
+	waitPending(t, b, 4)
+	close(release)
 	wg.Wait()
-	s := b.Stats()
-	if s.Ops != 4 {
-		t.Fatalf("Stats.Ops = %d, want 4", s.Ops)
+	if seq := gate.Seq(); seq != 1 {
+		t.Fatalf("barrier Seq = %d, want 1", seq)
 	}
-	// maxDelay is an hour and maxBatch is 4, so the dispatcher can only
-	// have drained once all four ops were staged: exactly one epoch.
-	if s.Epochs != 1 || s.MaxEpoch != 4 {
+	// The barrier's empty drain is not an epoch; the four ops are one.
+	if s := b.Stats(); s.Ops != 4 || s.Epochs != 1 || s.MaxEpoch != 4 {
 		t.Fatalf("Stats = %+v, want 1 epoch of 4 ops", s)
 	}
 }
 
-func TestGroupIsAtomic(t *testing.T) {
+// TestEpochSelfClocks checks the drain-on-idle policy: whatever is staged
+// while an epoch executes forms exactly the next epoch, and an idle buffer
+// commits a lone submission at once, with no Flush and no timer.
+func TestEpochSelfClocks(t *testing.T) {
 	var calls atomic.Int64
+	var mu sync.Mutex
+	var sizes []int
+	entered, release := make(chan struct{}), make(chan struct{})
+	gated := gatedExec(&calls, entered, release)
+	b := NewBuffer(func(ops []Op) ([]bool, uint64) {
+		mu.Lock()
+		sizes = append(sizes, len(ops))
+		mu.Unlock()
+		return gated(ops)
+	})
+	defer b.Close()
+	epochSizes := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), sizes...)
+	}
+
+	first, err := b.Submit([]Op{{Kind: OpInsert, U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered // epoch 1 is executing and holds the dispatcher
+
+	const clients = 8
+	futures := make([]Future, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f, err := b.Submit([]Op{{Kind: OpQuery, U: int32(i), V: int32(i + 1)}})
+			if err != nil {
+				t.Errorf("Submit: %v", err)
+				return
+			}
+			futures[i] = f
+		}(i)
+	}
+	wg.Wait()
+	waitPending(t, b, clients)
+	close(release)
+	waitDone(t, first, "epoch 1")
+	for i, f := range futures {
+		waitDone(t, f, "staged submission")
+		if seq := f.Seq(); seq != 2 {
+			t.Fatalf("submission %d: Seq = %d, want 2", i, seq)
+		}
+	}
+	if got := epochSizes(); len(got) != 2 || got[0] != 1 || got[1] != clients {
+		t.Fatalf("exec op counts = %v, want [1 %d]", got, clients)
+	}
+
+	// The buffer is idle now: a lone Submit wakes the dispatcher itself.
+	lone, err := b.Submit([]Op{{Kind: OpDelete, U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, lone, "lone submission on an idle buffer")
+	if got := epochSizes(); len(got) != 3 || got[2] != 1 {
+		t.Fatalf("exec op counts = %v, want [1 %d 1]", got, clients)
+	}
+}
+
+func TestGroupIsAtomic(t *testing.T) {
 	var epochSizes []int
-	b := NewBuffer(1, 2, 0, func(ops []Op) ([]bool, uint64) {
-		calls.Add(1)
+	b := NewBuffer(func(ops []Op) ([]bool, uint64) {
 		epochSizes = append(epochSizes, len(ops))
 		return make([]bool, len(ops)), 0
 	})
-	// A 7-op group with maxBatch 2 must still commit as one epoch.
+	// A 7-op group commits as one epoch with all seven results.
 	ops := make([]Op, 7)
 	f, err := b.Submit(ops)
 	if err != nil {
@@ -81,32 +193,24 @@ func TestGroupIsAtomic(t *testing.T) {
 	}
 }
 
-func TestMaxDelayCommitsPartialEpoch(t *testing.T) {
-	var calls atomic.Int64
-	b := NewBuffer(1, 1<<30, 5*time.Millisecond, echoExec(&calls))
-	defer b.Close()
-	f, err := b.Submit([]Op{{Kind: OpQuery}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { f.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("op never committed: maxDelay window did not fire")
-	}
-}
-
 func TestFlushForcesDrain(t *testing.T) {
 	var calls atomic.Int64
-	b := NewBuffer(4, 1<<30, time.Hour, echoExec(&calls))
+	entered, release := make(chan struct{}), make(chan struct{})
+	b := NewBuffer(gatedExec(&calls, entered, release))
 	defer b.Close()
+	if _, err := b.Submit(nil); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
 	f, err := b.Submit([]Op{{Kind: OpInsert, U: 1, V: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Flush(); err != nil {
+	flushed := make(chan error, 1)
+	go func() { flushed <- b.Flush() }()
+	waitPending(t, b, 1)
+	close(release)
+	if err := <-flushed; err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	// Flush returned, so the earlier submission must have committed.
@@ -122,12 +226,28 @@ func TestFlushForcesDrain(t *testing.T) {
 
 func TestCloseDrainsAndRejects(t *testing.T) {
 	var calls atomic.Int64
-	b := NewBuffer(2, 1<<30, time.Hour, echoExec(&calls))
+	entered, release := make(chan struct{}), make(chan struct{})
+	b := NewBuffer(gatedExec(&calls, entered, release))
+	if _, err := b.Submit(nil); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	// Staged while the dispatcher is busy, then Close begins: the final
+	// sweep must still commit it.
 	f, err := b.Submit([]Op{{Kind: OpDelete, U: 3, V: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Close()
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	for {
+		if _, err := b.Submit(nil); err == ErrClosed {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	<-closed
 	if res := f.Wait(); len(res) != 1 || !res[0] {
 		t.Fatalf("op staged before Close resolved to %v", res)
 	}
@@ -144,7 +264,7 @@ func TestConcurrentHammer(t *testing.T) {
 	const goroutines = 8
 	const perG = 500
 	var executed atomic.Int64
-	b := NewBuffer(0, 64, 100*time.Microsecond, func(ops []Op) ([]bool, uint64) {
+	b := NewBuffer(func(ops []Op) ([]bool, uint64) {
 		executed.Add(int64(len(ops)))
 		return make([]bool, len(ops)), 0
 	})

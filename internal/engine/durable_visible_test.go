@@ -53,8 +53,7 @@ func TestDurableBeforeVisible(t *testing.T) {
 				seedLegacyV1WAL(t, dir, n)
 			}
 			e, err := New(core.New(n), Options{
-				MaxDelay: 0,
-				DurDir:   dir,
+				DurDir: dir,
 				Hook: func(ops []coalesce.Op, res []bool) {
 					hooks.Add(1)
 					check("Hook", ep.Load().WALSeq())

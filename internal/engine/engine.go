@@ -36,13 +36,6 @@ import (
 	"repro/internal/wal"
 )
 
-// Default coalescing parameters: commit an epoch once 8192 operations have
-// accumulated, or 500µs after work first arrives, whichever is first.
-const (
-	DefaultMaxBatch = 8192
-	DefaultMaxDelay = 500 * time.Microsecond
-)
-
 // WALFileName is the write-ahead log's file name inside a durability
 // directory.
 const WALFileName = "wal.log"
@@ -53,12 +46,6 @@ var ErrClosed = errors.New("engine: closed")
 
 // Options configure an Engine. The zero value selects the defaults.
 type Options struct {
-	// MaxBatch is the epoch size target: the dispatcher commits as soon as
-	// this many operations are staged. <= 0 selects DefaultMaxBatch.
-	MaxBatch int
-	// MaxDelay bounds how long an operation may wait for its epoch; 0
-	// commits eagerly.
-	MaxDelay time.Duration
 	// DurDir, when non-empty, enables the durable write pipeline: each
 	// mutating epoch is appended to DurDir/wal.log and fsynced before it is
 	// applied or acknowledged.
@@ -183,9 +170,6 @@ type Engine struct {
 // durable state in that directory — either the directory is fresh, or c
 // came from Restore.
 func New(c *core.Conn, o Options) (*Engine, error) {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
 	e := &Engine{c: c, hook: o.Hook}
 	if o.DurDir != "" {
 		if err := os.MkdirAll(o.DurDir, 0o755); err != nil {
@@ -207,7 +191,7 @@ func New(c *core.Conn, o Options) (*Engine, error) {
 	// selects the store's default repair budget and GOMAXPROCS staging
 	// stripes.
 	e.snap = snapshot.NewStore(c.N(), 0, c)
-	e.buf = coalesce.NewBuffer(0, o.MaxBatch, o.MaxDelay, e.execEpoch) //conn:dispatcher-entry — hands execEpoch to the dispatcher goroutine
+	e.buf = coalesce.NewBuffer(e.execEpoch) //conn:dispatcher-entry — hands execEpoch to the dispatcher goroutine
 	return e, nil
 }
 

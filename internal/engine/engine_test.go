@@ -199,7 +199,7 @@ func TestEngineDurableRestore(t *testing.T) {
 		rounds = 12
 	}
 	dir := t.TempDir()
-	e, err := New(core.New(n), Options{DurDir: dir, MaxDelay: 0})
+	e, err := New(core.New(n), Options{DurDir: dir})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestEngineDurableRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	e2, err := New(c, Options{DurDir: dir, MaxDelay: 0})
+	e2, err := New(c, Options{DurDir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

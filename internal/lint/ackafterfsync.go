@@ -21,15 +21,6 @@
 // before any //conn:ack-after-fsync region). The analyzer also flags an
 // annotated function that contains no barrier call at all: an ack-bearing
 // function with no fsync cannot uphold the contract.
-//
-// Group-commit extension: a function annotated //conn:fsync-barrier that
-// itself resolves acknowledgements — a group-sync scheduler's sync point,
-// which fsyncs once and then releases every deferred future — gets the
-// same ordering check implied, without needing //conn:ack-after-fsync. A
-// barrier site promises "durable when I return"; if it also acks, those
-// acks must follow its own inner barrier call (the underlying Sync).
-// Barrier leaves with no acks in their bodies (the fsync primitives
-// themselves) are exempt.
 package lint
 
 import (
@@ -47,49 +38,14 @@ var AckAfterFsync = &Analyzer{
 
 func runAckAfterFsync(pass *Pass) error {
 	for _, fd := range funcDeclsIn(pass.Files) {
-		id := FuncID(fd)
-		switch {
-		case pass.Dirs.Has(DirAckAfterFsync, id):
-			checkAckOrdering(pass, fd, DirAckAfterFsync)
-		case pass.Dirs.Has(DirFsyncBarrier, id) && containsAck(pass, fd):
-			// A barrier site that also resolves acknowledgements is a
-			// group-commit sync point: the ordering check is implied.
-			checkAckOrdering(pass, fd, DirFsyncBarrier)
+		if pass.Dirs.Has(DirAckAfterFsync, FuncID(fd)) {
+			checkAckOrdering(pass, fd)
 		}
 	}
 	return nil
 }
 
-// containsAck reports whether the function body resolves any future: a
-// close(...) builtin call or a call to anything annotated //conn:ack.
-func containsAck(pass *Pass, fd *ast.FuncDecl) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fun, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if _, isBuiltin := pass.Info.Uses[fun].(*types.Builtin); isBuiltin {
-				if fun.Name == "close" {
-					found = true
-				}
-				return true
-			}
-		}
-		if ref, ok := resolveCallee(pass.Info, call); ok &&
-			pass.Annotated(ref.PkgPath, ref.ID, DirAck) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-func checkAckOrdering(pass *Pass, fd *ast.FuncDecl, dir string) {
+func checkAckOrdering(pass *Pass, fd *ast.FuncDecl) {
 	// First pass: find the position of the first barrier call.
 	barrier := token.NoPos
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -108,13 +64,8 @@ func checkAckOrdering(pass *Pass, fd *ast.FuncDecl, dir string) {
 
 	id := FuncID(fd)
 	if !barrier.IsValid() {
-		if dir == DirFsyncBarrier {
-			pass.Reportf(fd.Name.Pos(),
-				"//conn:fsync-barrier function %s resolves acknowledgements but contains no inner //conn:fsync-barrier call", id)
-		} else {
-			pass.Reportf(fd.Name.Pos(),
-				"//conn:ack-after-fsync function %s contains no //conn:fsync-barrier call", id)
-		}
+		pass.Reportf(fd.Name.Pos(),
+			"//conn:ack-after-fsync function %s contains no //conn:fsync-barrier call", id)
 		return
 	}
 
@@ -131,7 +82,7 @@ func checkAckOrdering(pass *Pass, fd *ast.FuncDecl, dir string) {
 			if _, isBuiltin := pass.Info.Uses[fun].(*types.Builtin); isBuiltin {
 				if fun.Name == "close" {
 					pass.Reportf(call.Pos(),
-						"//conn:%s function %s resolves a future (close) before the //conn:fsync-barrier call", dir, id)
+						"//conn:ack-after-fsync function %s resolves a future (close) before the //conn:fsync-barrier call", id)
 				}
 				return true
 			}
@@ -139,7 +90,7 @@ func checkAckOrdering(pass *Pass, fd *ast.FuncDecl, dir string) {
 		if ref, ok := resolveCallee(pass.Info, call); ok &&
 			pass.Annotated(ref.PkgPath, ref.ID, DirAck) {
 			pass.Reportf(call.Pos(),
-				"//conn:%s function %s calls //conn:ack %s before the //conn:fsync-barrier call", dir, id, ref.ID)
+				"//conn:ack-after-fsync function %s calls //conn:ack %s before the //conn:fsync-barrier call", id, ref.ID)
 		}
 		return true
 	})

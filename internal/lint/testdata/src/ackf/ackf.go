@@ -38,39 +38,3 @@ func commitGood(done chan struct{}) {
 	notify()
 	close(done)
 }
-
-// syncPointBad models a group-commit sync point gone wrong: a barrier site
-// that releases a deferred future before its own inner barrier. The check
-// is implied by //conn:fsync-barrier alone — no //conn:ack-after-fsync.
-//
-//conn:fsync-barrier
-func syncPointBad(done chan struct{}) {
-	close(done) // want "resolves a future .close. before the //conn:fsync-barrier call"
-	appendAndSync()
-}
-
-// syncPointNoBarrier acks but never reaches a durability primitive: a
-// barrier site that cannot uphold its own promise.
-//
-//conn:fsync-barrier
-func syncPointNoBarrier(done chan struct{}) { // want "resolves acknowledgements but contains no inner //conn:fsync-barrier call"
-	close(done)
-}
-
-// syncPointGood is the scheduler shape: one inner fsync, then the held-back
-// tee and every deferred release.
-//
-//conn:fsync-barrier
-func syncPointGood(pending []chan struct{}) {
-	appendAndSync()
-	notify()
-	for _, done := range pending {
-		close(done)
-	}
-}
-
-// syncLeaf is a plain fsync primitive: no acks inside, so the implied
-// check does not apply and no inner barrier is demanded.
-//
-//conn:fsync-barrier
-func syncLeaf() {}

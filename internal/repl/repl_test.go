@@ -69,7 +69,7 @@ func (c *collector) retarget(target uint64) chan struct{} {
 func TestHubStreamsLiveEpochs(t *testing.T) {
 	dir := t.TempDir()
 	g := conn.New(64)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	b := conn.NewBatcher(g, conn.WithDurability(dir))
 	defer b.Close()
 	h := NewHub(b, dir, 64)
 	defer h.Stop()
@@ -115,7 +115,7 @@ func TestHubStreamsLiveEpochs(t *testing.T) {
 func TestHubCatchUpAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	g := conn.New(64)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	b := conn.NewBatcher(g, conn.WithDurability(dir))
 	defer b.Close()
 
 	for i := 0; i < 8; i++ {
@@ -172,7 +172,7 @@ func TestHubDropsSlowFollower(t *testing.T) {
 
 	dir := t.TempDir()
 	g := conn.New(64)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	b := conn.NewBatcher(g, conn.WithDurability(dir))
 	defer b.Close()
 	h := NewHub(b, dir, 64)
 	defer h.Stop()
@@ -491,7 +491,7 @@ func replayFrames(t *testing.T, frames []Frame) (*conn.Graph, uint64) {
 func TestHubShipsRawCodec(t *testing.T) {
 	dir := t.TempDir()
 	g := conn.New(64)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	b := conn.NewBatcher(g, conn.WithDurability(dir))
 	defer b.Close()
 
 	for i := 0; i < 6; i++ {
@@ -585,7 +585,7 @@ func TestHubShipsLegacyV1Log(t *testing.T) {
 	dir := t.TempDir()
 	seedLegacyV1WAL(t, dir, 64)
 	g := conn.New(64)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	b := conn.NewBatcher(g, conn.WithDurability(dir))
 	defer b.Close()
 	for i := 0; i < 6; i++ {
 		b.Insert(int32(i), int32(i+1))
@@ -730,7 +730,7 @@ func TestFollowerAppliesRawFrames(t *testing.T) {
 func TestHubStats(t *testing.T) {
 	dir := t.TempDir()
 	g := conn.New(64)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0), conn.WithDurability(dir))
+	b := conn.NewBatcher(g, conn.WithDurability(dir))
 	defer b.Close()
 	h := NewHub(b, dir, 64)
 	defer h.Stop()

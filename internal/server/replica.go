@@ -165,7 +165,7 @@ func (m *replicaManager) startNamespace(name string, n int) {
 	g := conn.New(n)
 	ns := &namespace{
 		name: name, readonly: true,
-		g: g, b: conn.NewBatcher(g, conn.WithMaxDelay(0)),
+		g: g, b: conn.NewBatcher(g),
 	}
 	m.s.namespaces[name] = ns
 	m.s.mu.Unlock()
@@ -262,7 +262,7 @@ func (a *nsApplier) ApplyEpoch(seq uint64, ins, del []conn.Edge) error {
 func (a *nsApplier) ApplySnapshot(seq uint64, n int, edges []conn.Edge) error {
 	g := conn.New(n)
 	g.InsertEdges(edges)
-	b := conn.NewBatcher(g, conn.WithMaxDelay(0))
+	b := conn.NewBatcher(g)
 	a.ns.mu.Lock()
 	oldB := a.ns.b
 	a.ns.g, a.ns.b = g, b

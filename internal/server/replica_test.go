@@ -140,7 +140,7 @@ func TestReplicaDifferential(t *testing.T) {
 	dataDir := t.TempDir()
 
 	// --- primary, on a fixed address so it can restart in place.
-	primary, err := New(Options{DataDir: dataDir, MaxDelay: 100 * time.Microsecond})
+	primary, err := New(Options{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestReplicaDifferential(t *testing.T) {
 	// a pure tail subscribe.
 	waitSeq(t, "phase C: oracle pre-drain", seq, oracle.AppliedSeq)
 	primary.Shutdown()
-	primary, err = New(Options{DataDir: dataDir, MaxDelay: 100 * time.Microsecond})
+	primary, err = New(Options{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ import (
 	conn "repro"
 	"repro/internal/chaos"
 	"repro/internal/coalesce"
-	"repro/internal/engine"
 	"repro/internal/pubsub"
 	"repro/internal/query"
 	"repro/internal/repl"
@@ -42,18 +41,13 @@ import (
 // dispatcher goroutines and fsync streams stop buying anything.
 const maxShards = 256
 
-// Options configures a Server. The zero value is a memory-only server with
-// the Batcher's default coalescing parameters.
+// Options configures a Server. The zero value is a memory-only, unsharded
+// server.
 type Options struct {
 	// DataDir, when non-empty, enables durable namespaces: namespace <ns>
 	// keeps its WAL and checkpoints under DataDir/<ns>/, and New restores
 	// every namespace directory found there.
 	DataDir string
-
-	// MaxBatch / MaxDelay are passed through to each namespace's Batcher
-	// (zero selects the conn defaults).
-	MaxBatch int
-	MaxDelay time.Duration
 
 	// DefaultShards, when >= 2, hash-partitions every namespace created
 	// without an explicit shard count across that many engines (the -shards
@@ -223,7 +217,7 @@ func New(opts Options) (*Server, error) {
 			if k, n, found, err := shard.ReadMeta(dir); err != nil {
 				return nil, fmt.Errorf("server: restore namespace %q: %w", name, err)
 			} else if found {
-				coord, err := shard.New(n, k, s.shardOpts(dir))
+				coord, err := shard.New(n, k, shard.Options{DurDir: dir})
 				if err != nil {
 					return nil, fmt.Errorf("server: restore namespace %q: %w", name, err)
 				}
@@ -240,7 +234,7 @@ func New(opts Options) (*Server, error) {
 			if err != nil {
 				return nil, fmt.Errorf("server: restore namespace %q: %w", name, err)
 			}
-			b, err := newBatcher(g, s.batcherOpts(dir))
+			b, err := newBatcher(g, dir)
 			if err != nil {
 				return nil, fmt.Errorf("server: namespace %q: %w", name, err)
 			}
@@ -251,35 +245,6 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	return s, nil
-}
-
-func (s *Server) batcherOpts(durDir string) []conn.BatcherOption {
-	var o []conn.BatcherOption
-	if s.opts.MaxBatch > 0 {
-		o = append(o, conn.WithMaxBatch(s.opts.MaxBatch))
-	}
-	if s.opts.MaxDelay > 0 {
-		o = append(o, conn.WithMaxDelay(s.opts.MaxDelay))
-	}
-	if durDir != "" {
-		o = append(o, conn.WithDurability(durDir))
-	}
-	return o
-}
-
-// shardOpts mirrors batcherOpts for a shard coordinator. The engine treats
-// MaxDelay 0 as "commit immediately", so the conn default is restored here
-// explicitly — a zero server option must mean the same thing on both paths.
-func (s *Server) shardOpts(durDir string) shard.Options {
-	o := shard.Options{
-		MaxBatch: s.opts.MaxBatch,
-		MaxDelay: s.opts.MaxDelay,
-		DurDir:   durDir,
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = engine.DefaultMaxDelay
-	}
-	return o
 }
 
 // newShardHubs builds one replication hub per shard engine (boundary engine
@@ -1041,7 +1006,7 @@ func (s *Server) create(req *wire.Request, fail failFunc) *wire.Response {
 		}
 	}
 	if shards >= 2 {
-		coord, err := shard.New(int(req.N), shards, s.shardOpts(dir))
+		coord, err := shard.New(int(req.N), shards, shard.Options{DurDir: dir})
 		if err != nil {
 			return fail(wire.StatusInternal, "create %q: %v", req.NS, err)
 		}
@@ -1053,7 +1018,7 @@ func (s *Server) create(req *wire.Request, fail failFunc) *wire.Response {
 		return &wire.Response{ID: req.ID}
 	}
 	g := conn.New(int(req.N))
-	b, err := newBatcher(g, s.batcherOpts(dir))
+	b, err := newBatcher(g, dir)
 	if err != nil {
 		return fail(wire.StatusInternal, "create %q: %v", req.NS, err)
 	}
@@ -1065,16 +1030,20 @@ func (s *Server) create(req *wire.Request, fail failFunc) *wire.Response {
 	return &wire.Response{ID: req.ID}
 }
 
-// newBatcher converts conn.NewBatcher's environmental panics (unwritable
+// newBatcher starts a namespace's Batcher, durable under durDir when it is
+// non-empty. It converts conn.NewBatcher's environmental panics (unwritable
 // data subdirectory, WAL open failure) into errors: one tenant's bad
 // directory must never take down the whole server.
-func newBatcher(g *conn.Graph, opts []conn.BatcherOption) (b *conn.Batcher, err error) {
+func newBatcher(g *conn.Graph, durDir string) (b *conn.Batcher, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			b, err = nil, fmt.Errorf("%v", r)
 		}
 	}()
-	return conn.NewBatcher(g, opts...), nil
+	if durDir == "" {
+		return conn.NewBatcher(g), nil
+	}
+	return conn.NewBatcher(g, conn.WithDurability(durDir)), nil
 }
 
 func (s *Server) drop(req *wire.Request, fail failFunc) *wire.Response {

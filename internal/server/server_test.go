@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	conn "repro"
 	"repro/client"
@@ -60,7 +59,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	}
 
 	data := t.TempDir()
-	srv, addr, serveErr := start(t, Options{DataDir: data, MaxDelay: 200 * time.Microsecond})
+	srv, addr, serveErr := start(t, Options{DataDir: data})
 
 	cl, err := client.Dial(addr, client.WithConns(workers))
 	if err != nil {
@@ -324,7 +323,7 @@ func TestShutdownDuringTraffic(t *testing.T) {
 		warmup  = 5
 	)
 	data := t.TempDir()
-	srv, addr, serveErr := start(t, Options{DataDir: data, MaxDelay: 500 * time.Microsecond})
+	srv, addr, serveErr := start(t, Options{DataDir: data})
 	cl, err := client.Dial(addr, client.WithConns(workers))
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

@@ -32,7 +32,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/coalesce"
 	"repro/internal/core"
@@ -55,13 +54,8 @@ func Partition(u int32, k int) int {
 	return int((uint32(u) * 0x9E3779B1) % uint32(k))
 }
 
-// Options configure a Coordinator; the zero value selects the engine
-// defaults.
+// Options configure a Coordinator; the zero value is memory-only.
 type Options struct {
-	// MaxBatch and MaxDelay are passed to every engine (see
-	// engine.Options).
-	MaxBatch int
-	MaxDelay time.Duration
 	// DurDir, when non-empty, roots the per-shard durability directories.
 	// Existing state is restored; a fresh directory is initialized with a
 	// meta file pinning (shards, n).
@@ -151,11 +145,7 @@ func New(n, k int, o Options) (*Coordinator, error) {
 		}
 		cc, err := openCore(dir, n)
 		if err == nil {
-			c.engines[i], err = engine.New(cc, engine.Options{
-				MaxBatch: o.MaxBatch,
-				MaxDelay: o.MaxDelay,
-				DurDir:   dir,
-			})
+			c.engines[i], err = engine.New(cc, engine.Options{DurDir: dir})
 		}
 		if err != nil {
 			for _, e := range c.engines[:i] {

@@ -96,7 +96,7 @@ func TestShardedDifferential(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		t.Run(map[int]string{1: "k=1", 2: "k=2", 4: "k=4"}[k], func(t *testing.T) {
 			const n = 96
-			c, err := New(n, k, Options{MaxDelay: 0})
+			c, err := New(n, k, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestShardedDifferential(t *testing.T) {
 func TestCrossShardSplit(t *testing.T) {
 	const n = 64
 	const k = 4
-	c, err := New(n, k, Options{MaxDelay: 0})
+	c, err := New(n, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestShardedDurableRestore(t *testing.T) {
 	const n = 80
 	const k = 4
 	dir := t.TempDir()
-	c, err := New(n, k, Options{MaxDelay: 0, DurDir: dir})
+	c, err := New(n, k, Options{DurDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestShardedDurableRestore(t *testing.T) {
 	}
 
 	// Reopen: every shard restores independently (checkpoint + WAL tail).
-	c, err = New(n, k, Options{MaxDelay: 0, DurDir: dir})
+	c, err = New(n, k, Options{DurDir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -339,7 +339,7 @@ func TestShardedConcurrentSmoke(t *testing.T) {
 func TestLastBoundaryEdgeDelete(t *testing.T) {
 	const n = 64
 	const k = 2
-	c, err := New(n, k, Options{MaxDelay: 0})
+	c, err := New(n, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestLastBoundaryEdgeDelete(t *testing.T) {
 func TestCrossShardPairChurnOneEpoch(t *testing.T) {
 	const n = 64
 	const k = 4
-	c, err := New(n, k, Options{MaxDelay: 0})
+	c, err := New(n, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // epoch the dispatcher publishes, through an atomic.Pointer, an immutable
 // array lbl such that lbl[u] == lbl[v] iff u and v were connected as of that
 // epoch. A reader then answers a connectivity query with two array loads and
-// a compare — no locks, no coalescing window, no treap walks — at the price
+// a compare — no locks, no epoch wait, no treap walks — at the price
 // of bounded staleness (the last committed epoch, not the live structure).
 //
 // # Labelling invariant

@@ -5,7 +5,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/server"
@@ -41,10 +40,6 @@ func ChildMain() int {
 	switch role {
 	case rolePrimary:
 		opts.DataDir = os.Getenv(envData)
-		// A short coalescing window keeps epochs small and frequent: more
-		// WAL appends, more snapshot publishes, more seams for the armed
-		// sites to fire in.
-		opts.MaxDelay = 200 * time.Microsecond
 	case roleReplica:
 		opts.ReplicaOf = os.Getenv(envPrimary)
 	default:
