@@ -601,7 +601,7 @@ func runE18(cfg config) {
 		g.InsertEdges(out)
 		b := conn.NewBatcher(g, conn.WithDurability(sub))
 		if delay > 0 {
-			if err := chaos.Arm(cfg.seed, chaos.SiteWALAppendPostFsync+":delay="+delay.String()); err != nil {
+			if err := chaos.Arm(cfg.seed, chaos.SiteWALAppendPostFsync.String()+":delay="+delay.String()); err != nil {
 				panic(err)
 			}
 		}

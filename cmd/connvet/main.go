@@ -6,18 +6,8 @@
 //	go build -o /tmp/connvet ./cmd/connvet
 //	go vet -vettool=/tmp/connvet ./...
 //
-// or, using the self-installing helper path:
-//
-//	go vet -vettool=$(go run ./cmd/connvet -print-path) ./...
-//
-// (-print-path copies the running binary to a stable location under the
-// user cache dir and prints it, because a `go run` temporary would be gone
-// before `go vet` re-invokes it.)
-//
-// Invoked with package patterns instead of a vet.cfg file, connvet re-execs
-// `go vet -vettool=<itself>` for convenience:
-//
-//	go run ./cmd/connvet ./...
+// That protocol is connvet's only entry point; any other invocation exits 2
+// with a usage line.
 //
 // Protocol notes (mirroring x/tools' unitchecker, reimplemented here on the
 // standard library because this module carries no third-party deps):
@@ -44,7 +34,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -55,32 +44,20 @@ import (
 func main() {
 	vFlag := flag.String("V", "", "print version (cmd/go toolchain protocol)")
 	flagsFlag := flag.Bool("flags", false, "print analyzer flags as JSON (cmd/go vet protocol)")
-	printPath := flag.Bool("print-path", false, "install the binary to a stable path and print it")
 	flag.Parse()
 
+	args := flag.Args()
 	switch {
 	case *vFlag != "":
 		printVersion()
-		return
 	case *flagsFlag:
 		// No analyzer-specific flags; cmd/go requires a JSON list.
 		fmt.Println("[]")
-		return
-	case *printPath:
-		path, err := installStable()
-		if err != nil {
-			fatalf("connvet: %v", err)
-		}
-		fmt.Println(path)
-		return
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		os.Exit(runUnit(args[0]))
+	default:
+		fatalf("usage: go vet -vettool=/path/to/connvet [packages]")
 	}
-	// Convenience mode: behave like `go vet -vettool=<self> <args>`.
-	os.Exit(runStandalone(args))
 }
 
 func fatalf(format string, args ...any) {
@@ -104,73 +81,6 @@ func printVersion() {
 		}
 	}
 	fmt.Printf("connvet version devel buildID=%s\n", id)
-}
-
-// installStable copies the running executable to a fixed per-user location
-// and returns that path, so `$(go run ./cmd/connvet -print-path)` yields a
-// binary that outlives the `go run` temporary.
-func installStable() (string, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return "", err
-	}
-	base, err := os.UserCacheDir()
-	if err != nil {
-		base = os.TempDir()
-	}
-	dir := filepath.Join(base, "connvet")
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return "", err
-	}
-	dst := filepath.Join(dir, fmt.Sprintf("connvet-%s-%s", runtime.GOOS, runtime.GOARCH))
-	src, err := os.Open(exe)
-	if err != nil {
-		return "", err
-	}
-	defer src.Close()
-	tmp, err := os.CreateTemp(dir, "connvet-*")
-	if err != nil {
-		return "", err
-	}
-	if _, err := io.Copy(tmp, src); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := tmp.Chmod(0o755); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		_ = os.Remove(tmp.Name())
-		return "", err
-	}
-	return dst, nil
-}
-
-func runStandalone(args []string) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fatalf("connvet: %v", err)
-	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, args...)...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
-		}
-		fatalf("connvet: exec go vet: %v", err)
-	}
-	return 0
 }
 
 // vetConfig is the JSON cmd/go writes for each package (see

@@ -20,10 +20,9 @@
 // records firings in observed order for tests that hammer a site from one
 // goroutine; across goroutines only the per-site pattern is defined.
 //
-// The valid site names live in one table (Sites, sites.go); parsing a
-// schedule that references anything else fails loudly, and the connvet
-// `chaossite` analyzer keeps call sites honest by requiring every
-// chaos.Inject argument to be one of the named Site constants.
+// Sites are a closed type (Site, sites.go): its only constructor registers
+// the site in the Sites table, so Inject cannot be handed an unregistered
+// name, and parsing a schedule that references anything else fails loudly.
 package chaos
 
 import (
@@ -198,26 +197,18 @@ var active atomic.Pointer[Plan]
 
 var envOnce sync.Once
 
-// Inject is the fault point: site names a registered injection site (one of
-// the Site constants) and the return is nil unless an armed schedule fires
-// a fault for this execution of it. The disarmed fast path is one atomic
-// load. The first call checks the CONNCHAOS_SCHED environment once, so
-// child processes spawned with the variables set arm automatically.
-//
-// The //conn:fault-injector contract (enforced by connvet's chaossite
-// rule): every call site must pass one of this package's Site constants,
-// and every Site constant must be registered in the Sites table — so the
-// set of injection points is a single greppable registry a schedule can be
-// validated against.
-//
-//conn:fault-injector
-func Inject(site string) *Fault {
+// Inject is the fault point: site is one of the registered Site variables,
+// and the return is nil unless an armed schedule fires a fault for this
+// execution of it. The disarmed fast path is one atomic load. The first
+// call checks the CONNCHAOS_SCHED environment once, so child processes
+// spawned with the variables set arm automatically.
+func Inject(site Site) *Fault {
 	envOnce.Do(armFromEnv)
 	p := active.Load()
 	if p == nil {
 		return nil
 	}
-	return p.inject(site)
+	return p.inject(site.name)
 }
 
 // Arm parses schedule (see ParseSchedule for the grammar) and installs it:

@@ -11,9 +11,9 @@ import (
 // fast path.
 func TestDisarmedInjectIsNil(t *testing.T) {
 	Disarm()
-	for site := range Sites {
-		if f := Inject(site); f != nil {
-			t.Fatalf("disarmed Inject(%q) fired %+v", site, f)
+	for name := range Sites {
+		if f := Inject(Site{name}); f != nil {
+			t.Fatalf("disarmed Inject(%q) fired %+v", name, f)
 		}
 	}
 	if Armed() {
@@ -28,9 +28,9 @@ func TestDisarmedInjectIsNil(t *testing.T) {
 // is a pure function of (seed, schedule) — two independent plans agree hit
 // for hit, and a different seed produces a different pattern.
 func TestDeterministicFirePattern(t *testing.T) {
-	const sched = SiteServerConnRead + ":drop@p=0.1;" +
-		SiteWALAppendPreFsync + ":torn@nth=7;" +
-		SiteReplStreamSend + ":delay=1ms@p=0.3,after=5,times=10"
+	sched := SiteServerConnRead.String() + ":drop@p=0.1;" +
+		SiteWALAppendPreFsync.String() + ":torn@nth=7;" +
+		SiteReplStreamSend.String() + ":delay=1ms@p=0.3,after=5,times=10"
 	pattern := func(seed int64) []string {
 		p, err := NewPlan(seed, sched)
 		if err != nil {
@@ -58,7 +58,7 @@ func TestDeterministicFirePattern(t *testing.T) {
 // TestModifiers: nth fires exactly once at the named hit; times caps total
 // firings; after skips the leading hits.
 func TestModifiers(t *testing.T) {
-	p, err := NewPlan(1, SiteWALOpenTornTail+":torn@nth=3")
+	p, err := NewPlan(1, SiteWALOpenTornTail.String()+":torn@nth=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestModifiers(t *testing.T) {
 		t.Fatalf("nth=3 fired at hits %v", fired)
 	}
 
-	p, err = NewPlan(1, SiteServerAccept+":delay=2ms@after=4,times=2")
+	p, err = NewPlan(1, SiteServerAccept.String()+":delay=2ms@after=4,times=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestParseErrors(t *testing.T) {
 // trace records firings; disarming restores the no-op path.
 func TestArmDisarm(t *testing.T) {
 	defer Disarm()
-	if err := Arm(7, SiteEngineCheckpointReset+":fail@nth=2"); err != nil {
+	if err := Arm(7, SiteEngineCheckpointReset.String()+":fail@nth=2"); err != nil {
 		t.Fatal(err)
 	}
 	if Inject(SiteEngineCheckpointReset) != nil {
@@ -135,11 +135,11 @@ func TestArmDisarm(t *testing.T) {
 	if f == nil {
 		t.Fatal("did not fire on hit 2")
 	}
-	if err := f.Err(); err == nil || !strings.Contains(err.Error(), SiteEngineCheckpointReset) {
+	if err := f.Err(); err == nil || !strings.Contains(err.Error(), SiteEngineCheckpointReset.String()) {
 		t.Fatalf("Err() = %v", err)
 	}
 	tr := Trace()
-	if len(tr) != 1 || !strings.HasPrefix(tr[0], SiteEngineCheckpointReset+"#2") {
+	if len(tr) != 1 || !strings.HasPrefix(tr[0], SiteEngineCheckpointReset.String()+"#2") {
 		t.Fatalf("Trace() = %v", tr)
 	}
 	Disarm()
@@ -148,23 +148,37 @@ func TestArmDisarm(t *testing.T) {
 	}
 }
 
-// TestSiteConstantsRegistered: every Site* constant is a key in Sites (the
-// inverse direction — every key is a constant — is trivially true since the
-// table is built from the constants; the connvet chaossite analyzer checks
-// call sites use the constants).
-func TestSiteConstantsRegistered(t *testing.T) {
-	consts := []string{
-		SiteWALAppendPreFsync, SiteWALAppendPostFsync, SiteWALOpenTornTail,
-		SiteEngineCheckpointReset, SiteReplStreamSend, SiteReplSnapshotSend,
-		SiteReplFollowerConn, SiteServerAccept, SiteServerConnRead,
-		SiteServerConnWrite,
+// TestSiteRegistry: site() is the only way to make a Site, so the registry
+// is exactly the declared sites. Each has a distinct non-empty name and a
+// description, every name is accepted by the schedule grammar, a typo is
+// not, and the zero Site matches no rule even when every site is armed.
+func TestSiteRegistry(t *testing.T) {
+	if len(Sites) != 10 {
+		t.Fatalf("%d registered sites, want 10", len(Sites))
 	}
-	if len(consts) != len(Sites) {
-		t.Fatalf("%d Site constants, %d Sites entries", len(consts), len(Sites))
-	}
-	for _, c := range consts {
-		if _, ok := Sites[c]; !ok {
-			t.Errorf("site constant %q missing from Sites", c)
+	var all []string
+	for name, doc := range Sites {
+		if name == "" || doc == "" {
+			t.Errorf("site %q has an empty name or description %q", name, doc)
 		}
+		if _, err := ParseSchedule(name + ":fail"); err != nil {
+			t.Errorf("registered site rejected: %v", err)
+		}
+		all = append(all, name+":fail")
+	}
+	if _, err := ParseSchedule("wal.append.typo:fail"); err == nil {
+		t.Error("unregistered site wal.append.typo accepted")
+	}
+	p, err := NewPlan(1, strings.Join(all, ";"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if f := p.Inject(Site{}); f != nil {
+			t.Fatalf("zero Site fired %+v", f)
+		}
+	}
+	if f := p.Inject(SiteServerAccept); f == nil {
+		t.Fatal("a schedule arming every site did not fire server.accept")
 	}
 }

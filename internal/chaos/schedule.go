@@ -133,7 +133,7 @@ func NewPlan(seed int64, schedule string) (*Plan, error) {
 
 // Inject is the Plan-scoped fault point, identical to the package-level
 // Inject but against this plan regardless of what is armed globally.
-func (p *Plan) Inject(site string) *Fault { return p.inject(site) }
+func (p *Plan) Inject(site Site) *Fault { return p.inject(site.name) }
 
 // Trace returns a copy of this plan's fire log.
 func (p *Plan) Trace() []string {

@@ -188,8 +188,7 @@ func New(c *core.Conn, o Options) (*Engine, error) {
 	// core.Conn implements snapshot.Source (ComponentID / ComponentSize /
 	// ComponentVertices / ComponentLabels are read-only queries); the store
 	// computes the initial labelling from the structure's current state. Zero
-	// selects the store's default repair budget and GOMAXPROCS staging
-	// stripes.
+	// selects the store's default repair budget.
 	e.snap = snapshot.NewStore(c.N(), 0, c)
 	e.buf = coalesce.NewBuffer(e.execEpoch) //conn:dispatcher-entry — hands execEpoch to the dispatcher goroutine
 	return e, nil

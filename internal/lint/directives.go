@@ -32,8 +32,6 @@
 //	                         hostile-input-validated element count.
 //	//conn:durable-files     package comment — syncerr applies to the whole
 //	                         package.
-//	//conn:fault-injector    func doc — calls must pass a registered Site
-//	                         constant of the declaring package (chaossite).
 //
 // # Object IDs
 //
@@ -69,7 +67,6 @@ const (
 	DirDecoders        = "decoders"
 	DirValidatedLen    = "validated-len"
 	DirDurableFiles    = "durable-files"
-	DirFaultInjector   = "fault-injector"
 )
 
 // Directives is every //conn: annotation found in one package's production
@@ -93,15 +90,6 @@ func (d *Directives) Has(directive, id string) bool {
 // directive (on any file's package clause).
 func (d *Directives) PackageLevel(directive string) bool {
 	return d.pkgLevel[directive]
-}
-
-// IDs returns the object IDs annotated with directive, unordered.
-func (d *Directives) IDs(directive string) []string {
-	ids := make([]string, 0, len(d.byDirective[directive]))
-	for id := range d.byDirective[directive] {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // Facts packages the directive set as the fact map a dependent package

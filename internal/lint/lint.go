@@ -2,12 +2,11 @@
 // of golang.org/x/tools/go/analysis, built on the standard library's go/ast
 // and go/types only (the module has no third-party dependencies, and the
 // build environment does not assume network access). It hosts the connvet
-// analyzer suite: seven analyzers that mechanically enforce the concurrency
+// analyzer suite: six analyzers that mechanically enforce the concurrency
 // and durability contracts the engine otherwise states only in prose —
 // the read-only query contract, dispatcher-goroutine ownership, the
 // acked-implies-durable ordering, snapshot publication discipline, decoder
-// allocation bounds, durable-file error hygiene, and the fault-site
-// registry closed over by the chaos harness.
+// allocation bounds, and durable-file error hygiene.
 //
 // The contracts are declared in the source with //conn: directive comments
 // (see Directives) and verified per package by the analyzers. Annotations
@@ -86,7 +85,6 @@ func All() []*Analyzer {
 		AtomicPublish,
 		DecoderBounds,
 		SyncErr,
-		ChaosSite,
 	}
 }
 

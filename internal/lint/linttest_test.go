@@ -215,8 +215,6 @@ func TestAckAfterFsyncFixture(t *testing.T)  { runFixture(t, "ackf") }
 func TestAtomicPublishFixture(t *testing.T)  { runFixture(t, "atompub") }
 func TestDecoderBoundsFixture(t *testing.T)  { runFixture(t, "decb") }
 func TestSyncErrFixture(t *testing.T)        { runFixture(t, "sefix") }
-func TestChaosSiteFixture(t *testing.T)      { runFixture(t, "chsite") }
-func TestChaosRegistryFixture(t *testing.T)  { runFixture(t, "chreg") }
 
 // TestCrossPackageFacts proves annotations travel: factuse's Connected is
 // legal only because factdep's fact for Index.Len was imported, and the
@@ -239,7 +237,7 @@ func TestSuiteComplete(t *testing.T) {
 		names = append(names, a.Name)
 	}
 	sort.Strings(names)
-	want := []string{"ackafterfsync", "atomicpublish", "chaossite", "decoderbounds",
+	want := []string{"ackafterfsync", "atomicpublish", "decoderbounds",
 		"dispatcheronly", "readonlyquery", "syncerr"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("analyzer suite is %v, want %v", names, want)

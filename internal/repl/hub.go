@@ -39,6 +39,7 @@ import (
 	conn "repro"
 	"repro/internal/chaos"
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -108,7 +109,7 @@ func NewHub(src Source, dir string, n int) *Hub {
 	h := &Hub{
 		src:     src,
 		dir:     dir,
-		walPath: filepath.Join(dir, "wal.log"),
+		walPath: filepath.Join(dir, engine.WALFileName),
 		n:       n,
 		subs:    make(map[*subscriber]struct{}),
 	}

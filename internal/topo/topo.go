@@ -57,22 +57,22 @@ const universe = 48
 // it). WAL append failures panic the engine — fail-stop — so the pre-fsync
 // torn write and the post-fsync ack loss both crash the primary for real,
 // and the torn-tail site corrupts some of the subsequent restores.
-const defaultPrimarySchedule = chaos.SiteServerConnRead + ":drop@p=0.008;" +
-	chaos.SiteServerConnWrite + ":drop@p=0.008;" +
-	chaos.SiteServerAccept + ":delay=2ms@p=0.05;" +
-	chaos.SiteReplStreamSend + ":delay=5ms@p=0.02;" +
-	chaos.SiteReplStreamSend + ":drop@p=0.004;" +
-	chaos.SiteReplSnapshotSend + ":drop@p=0.1,times=4;" +
-	chaos.SiteEngineCheckpointReset + ":fail@nth=1;" +
-	chaos.SiteWALAppendPostFsync + ":fail@nth=150;" +
-	chaos.SiteWALAppendPreFsync + ":torn@after=60,p=0.05,times=1;" +
-	chaos.SiteWALOpenTornTail + ":torn@p=0.4"
+var defaultPrimarySchedule = chaos.SiteServerConnRead.String() + ":drop@p=0.008;" +
+	chaos.SiteServerConnWrite.String() + ":drop@p=0.008;" +
+	chaos.SiteServerAccept.String() + ":delay=2ms@p=0.05;" +
+	chaos.SiteReplStreamSend.String() + ":delay=5ms@p=0.02;" +
+	chaos.SiteReplStreamSend.String() + ":drop@p=0.004;" +
+	chaos.SiteReplSnapshotSend.String() + ":drop@p=0.1,times=4;" +
+	chaos.SiteEngineCheckpointReset.String() + ":fail@nth=1;" +
+	chaos.SiteWALAppendPostFsync.String() + ":fail@nth=150;" +
+	chaos.SiteWALAppendPreFsync.String() + ":torn@after=60,p=0.05,times=1;" +
+	chaos.SiteWALOpenTornTail.String() + ":torn@p=0.4"
 
 // defaultReplicaSchedule keeps replicas under mild connection chaos: the
 // subscription stream drops and resubscribes, and served reads see resets.
-const defaultReplicaSchedule = chaos.SiteReplFollowerConn + ":drop@p=0.01;" +
-	chaos.SiteServerConnRead + ":drop@p=0.004;" +
-	chaos.SiteServerConnWrite + ":drop@p=0.004"
+var defaultReplicaSchedule = chaos.SiteReplFollowerConn.String() + ":drop@p=0.01;" +
+	chaos.SiteServerConnRead.String() + ":drop@p=0.004;" +
+	chaos.SiteServerConnWrite.String() + ":drop@p=0.004"
 
 // Config parameterizes one chaos run. The zero value of each field selects
 // the default noted on it; Seed has no default — seed 0 is a real seed.

@@ -26,7 +26,7 @@ func TestChaosTornAppendRecovery(t *testing.T) {
 		}
 	}
 	// Hit counters are plan-scoped: this plan's first observed append tears.
-	if err := chaos.Arm(1, chaos.SiteWALAppendPreFsync+":torn@nth=1"); err != nil {
+	if err := chaos.Arm(1, chaos.SiteWALAppendPreFsync.String()+":torn@nth=1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append(Record{Seq: 3, Ins: []graph.Edge{{U: 0, V: 3}}}); err == nil {
@@ -73,7 +73,7 @@ func TestChaosOpenTornTail(t *testing.T) {
 	}
 	l.Close()
 
-	if err := chaos.Arm(1, chaos.SiteWALOpenTornTail+":torn@times=1"); err != nil {
+	if err := chaos.Arm(1, chaos.SiteWALOpenTornTail.String()+":torn@times=1"); err != nil {
 		t.Fatal(err)
 	}
 	l, err = Open(path, 16)
@@ -106,7 +106,7 @@ func TestChaosPostFsyncDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chaos.Arm(1, chaos.SiteWALAppendPostFsync+":fail@nth=1"); err != nil {
+	if err := chaos.Arm(1, chaos.SiteWALAppendPostFsync.String()+":fail@nth=1"); err != nil {
 		t.Fatal(err)
 	}
 	_, err = l.Append(Record{Seq: 1, Ins: []graph.Edge{{U: 3, V: 4}}})
@@ -131,14 +131,14 @@ func TestChaosPostFsyncDurable(t *testing.T) {
 func TestChaosDelayStallsWithoutFailing(t *testing.T) {
 	defer chaos.Disarm()
 	const stall = 5 * time.Millisecond
-	for _, site := range []string{chaos.SiteWALAppendPreFsync, chaos.SiteWALAppendPostFsync} {
-		t.Run(site, func(t *testing.T) {
+	for _, site := range []chaos.Site{chaos.SiteWALAppendPreFsync, chaos.SiteWALAppendPostFsync} {
+		t.Run(site.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
 			l, err := Open(path, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := chaos.Arm(1, site+":delay="+stall.String()); err != nil {
+			if err := chaos.Arm(1, site.String()+":delay="+stall.String()); err != nil {
 				t.Fatal(err)
 			}
 			t0 := time.Now()
