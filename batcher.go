@@ -11,8 +11,9 @@
 // The pipeline itself — coalesce drain → WAL append+fsync → epoch execution
 // → snapshot publish → subscriber tee → checkpoint service — lives in
 // internal/engine; a Batcher is a thin facade over exactly one Engine.
-// (internal/shard hosts several engines behind the same operation surface
-// for partitioned writes; the network server exposes both.)
+// The network server (internal/server) does not go through it: a plain
+// namespace is a bare Engine, and a sharded one an internal/shard
+// coordinator over several.
 //
 // Queries need not pay the write pipeline. Batcher serves them at two
 // consistency tiers:

@@ -6,7 +6,7 @@
 // may issue requests concurrently; each request is written as one frame on
 // a pooled connection and matched to its response by id, so many requests
 // ride one connection simultaneously (pipelining). On the server side every
-// in-flight frame blocks in the namespace's Batcher — concurrent frames
+// in-flight frame blocks in the namespace's engine — concurrent frames
 // from any mix of clients coalesce into one large epoch, which is the whole
 // reason the server exists: Theorem 1's per-operation cost falls as batches
 // grow, and the network layer's job is to deliver big batches.
@@ -803,7 +803,8 @@ func (ns *Namespace) ReadRecentBatch(qs []conn.Edge) ([]bool, error) {
 	return ns.read(wire.CmdReadRecent, qs)
 }
 
-// Stats returns the namespace's Batcher counters.
+// Stats returns the namespace's pipeline counters, summed over its engines
+// (with a per-engine breakdown when sharded).
 func (ns *Namespace) Stats() (wire.Stats, error) {
 	resp, err := ns.c.do(&wire.Request{Cmd: wire.CmdStats, NS: ns.name})
 	if err != nil {

@@ -2,7 +2,7 @@
 // library: a TCP server hosting multiple named graph namespaces, speaking
 // the length-prefixed binary protocol in internal/wire. Clients (the public
 // client package) keep many frames in flight per connection; every in-flight
-// request blocks in its namespace's Batcher, so concurrent network traffic
+// request blocks in its namespace's engine, so concurrent network traffic
 // coalesces into the large epochs the paper's Theorem 1 rewards — the
 // server is the piece that turns remote request streams into batch
 // parallelism.

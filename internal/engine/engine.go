@@ -6,14 +6,14 @@
 // buffer and block on futures.
 //
 // The package exists so that a front-end can host N of these: the public
-// conn.Batcher wraps exactly one Engine (unchanged API), and internal/shard
-// composes several — one per vertex partition plus one for the boundary
-// graph — into a sharded connectivity service. Every concurrency and
-// durability contract the Batcher used to carry lives here now, enforced by
-// the //conn: directives (see internal/lint): the epoch pipeline is
-// dispatcher-only, futures resolve only after the WAL fsync barrier, the
-// snapshot labelling is published immutably, and durable file errors are
-// never silently dropped.
+// conn.Batcher wraps exactly one Engine, a plain server namespace is a bare
+// Engine, and internal/shard composes several — one per vertex partition
+// plus one for the boundary graph — into a sharded connectivity service.
+// Every concurrency and durability contract the Batcher used to carry lives
+// here now, enforced by the //conn: directives (see internal/lint): the
+// epoch pipeline is dispatcher-only, futures resolve only after the WAL
+// fsync barrier, the snapshot labelling is published immutably, and durable
+// file errors are never silently dropped.
 //
 //conn:durable-files
 package engine
@@ -200,6 +200,14 @@ func (e *Engine) N() int { return e.c.N() }
 // Durable reports whether the Engine was created with a durability
 // directory.
 func (e *Engine) Durable() bool { return e.dur != nil }
+
+// Dir returns the durability directory, or "" for a memory-only Engine.
+func (e *Engine) Dir() string {
+	if e.dur == nil {
+		return ""
+	}
+	return e.dur.dir
+}
 
 // Closed reports whether Close has begun.
 func (e *Engine) Closed() bool { return e.closed.Load() }

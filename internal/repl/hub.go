@@ -1,12 +1,12 @@
-// Package repl implements WAL-shipping replication for Batcher-backed
+// Package repl implements WAL-shipping replication for engine-backed
 // namespaces, the read-scaling subsystem the epoch pipeline was built to
 // enable: the durable dispatcher already serializes every mutation into a
 // totally ordered, CRC-checked, replayable epoch stream (internal/wal), so
 // scaling reads horizontally is a matter of shipping that stream to
 // follower processes and letting them serve the bounded-stale read tiers.
 //
-// Primary side (Hub, one per durable namespace): a subscriber hook on the
-// Batcher tees every fsynced epoch into per-follower buffers, and Stream
+// Primary side (Hub, one per durable engine): a subscriber hook on the
+// engine tees every fsynced epoch into per-follower buffers, and Stream
 // serves one follower — catch-up first (the newest on-disk checkpoint, if
 // the follower's resume point predates the WAL floor, then the WAL tail
 // read from disk with a wal.Tail cursor), then the live buffer. Catch-up
@@ -61,8 +61,9 @@ var ErrStopped = errors.New("repl: hub stopped")
 // overflowed: the follower must reconnect and re-run catch-up.
 var ErrLagging = errors.New("repl: follower too slow, dropped from live stream")
 
-// Source is the primary-side surface the Hub needs from a durable
-// conn.Batcher: the epoch tee, the fsynced frontier bounding what may be
+// Source is the primary-side surface the Hub needs from a durable engine
+// (*engine.Engine; each shard engine of a sharded namespace gets its own
+// hub): the epoch tee, the fsynced frontier bounding what may be
 // shipped, and the truncation floor bounding what is still on disk.
 type Source interface {
 	SubscribeEpochs(fn func(conn.EpochRecord)) (cancel func())
@@ -78,8 +79,8 @@ type Frame struct {
 	EpochRaw *wire.EpochRawBody
 }
 
-// Hub is the primary-side replication fan-out for one durable namespace.
-// Construct with NewHub; Stop it before closing the Batcher.
+// Hub is the primary-side replication fan-out for one durable engine.
+// Construct with NewHub; Stop it before closing the engine.
 type Hub struct {
 	src     Source
 	dir     string
@@ -117,7 +118,7 @@ func NewHub(src Source, dir string, n int) *Hub {
 	return h
 }
 
-// tee runs on the Batcher's dispatcher goroutine: fan the epoch out to
+// tee runs on the source's dispatcher goroutine: fan the epoch out to
 // every follower buffer without ever blocking — a follower whose buffer is
 // full is dropped to catch-up instead.
 //
@@ -146,7 +147,7 @@ func (h *Hub) drop(s *subscriber) {
 	close(s.ch)
 }
 
-// Stop unregisters the Batcher hook and terminates every live stream. Safe
+// Stop unregisters the epoch hook and terminates every live stream. Safe
 // to call more than once; Stream calls after Stop fail fast.
 func (h *Hub) Stop() {
 	h.mu.Lock()

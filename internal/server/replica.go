@@ -5,9 +5,12 @@ import (
 	"sync"
 	"time"
 
-	conn "repro"
 	"repro/client"
 	"repro/internal/backoff"
+	"repro/internal/coalesce"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/repl"
 )
 
@@ -17,7 +20,7 @@ import (
 // connserver instead of owning its own write path. At startup the manager
 // asks the primary for its namespace list and starts one follower loop per
 // durable namespace; each loop subscribes to the primary's epoch stream and
-// applies it through a local read-only Batcher, so the replica serves the
+// applies it through a local read-only engine, so the replica serves the
 // committed read tier (its own published labelling) and query-only batches
 // with the machinery completely unchanged. Mutating requests are rejected with
 // StatusReadOnly carrying the primary's address — a redirect the client
@@ -61,7 +64,7 @@ func (s *Server) startReplication() {
 }
 
 // stopAll terminates discovery and every follower loop and waits them out —
-// called by Shutdown before any Batcher is closed, so no apply is mid-flight
+// called by Shutdown before any backend is closed, so no apply is mid-flight
 // when the namespaces quiesce.
 func (m *replicaManager) stopAll() {
 	m.once.Do(func() { close(m.stop) })
@@ -162,11 +165,13 @@ func (m *replicaManager) startNamespace(name string, n int) {
 		m.s.mu.Unlock()
 		return
 	}
-	g := conn.New(n)
-	ns := &namespace{
-		name: name, readonly: true,
-		g: g, b: conn.NewBatcher(g),
+	e, err := engine.New(core.New(n), engine.Options{})
+	if err != nil {
+		m.s.mu.Unlock()
+		m.s.logf("replica: namespace %q: %v", name, err)
+		return
 	}
+	ns := &namespace{name: name, readonly: true, be: plain{e}}
 	m.s.namespaces[name] = ns
 	m.s.mu.Unlock()
 	f := &followerHandle{stop: make(chan struct{}), done: make(chan struct{})}
@@ -210,7 +215,9 @@ func (m *replicaManager) dropNamespace(name string) {
 	ns.mu.Lock()
 	ns.closed = true
 	ns.mu.Unlock()
-	ns.b.Close()
+	if err := ns.be.Close(); err != nil {
+		m.s.logf("replica: closing namespace %q: %v", name, err)
+	}
 	m.s.logf("replica: namespace %q was dropped on the primary; retired", name)
 }
 
@@ -222,33 +229,33 @@ type nsApplier struct {
 func (a *nsApplier) AppliedSeq() uint64 { return a.ns.applied.Load() }
 
 // Universe is the vertex bound shipped WAL records decode against; the
-// namespace's graph is only ever swapped for one of the same universe
+// namespace's backend is only ever swapped for one of the same universe
 // (ApplySnapshot carries the primary's n).
 func (a *nsApplier) Universe() int {
 	a.ns.mu.RLock()
 	defer a.ns.mu.RUnlock()
-	return a.ns.g.N()
+	return a.ns.be.N()
 }
 
-// ApplyEpoch applies one shipped epoch as one Batcher epoch: a single mixed
-// Do (inserts, then deletes — the Batcher's epoch order matches the WAL's
+// ApplyEpoch applies one shipped epoch as one engine epoch: a single mixed
+// group (inserts, then deletes — the engine's epoch order matches the WAL's
 // replay order), blocking until it commits, so readers observe primary
-// epochs atomically and ReadRecent's snapshot republishes per epoch. The
-// apply loop is a single goroutine issuing one blocking Do at a time — it
+// epochs atomically and the committed tier republishes per epoch. The apply
+// loop is a single goroutine issuing one blocking Apply at a time — it
 // waits on futures, never spins, so it cannot starve the dispatcher even on
 // one CPU.
-func (a *nsApplier) ApplyEpoch(seq uint64, ins, del []conn.Edge) error {
-	ops := make([]conn.Op, 0, len(ins)+len(del))
+func (a *nsApplier) ApplyEpoch(seq uint64, ins, del []graph.Edge) error {
+	ops := make([]coalesce.Op, 0, len(ins)+len(del))
 	for _, e := range ins {
-		ops = append(ops, conn.Op{Kind: conn.OpInsert, U: e.U, V: e.V})
+		ops = append(ops, coalesce.Op{Kind: coalesce.OpInsert, U: e.U, V: e.V})
 	}
 	for _, e := range del {
-		ops = append(ops, conn.Op{Kind: conn.OpDelete, U: e.U, V: e.V})
+		ops = append(ops, coalesce.Op{Kind: coalesce.OpDelete, U: e.U, V: e.V})
 	}
 	a.ns.mu.RLock()
-	b := a.ns.b
+	be := a.ns.be
 	a.ns.mu.RUnlock()
-	if _, err := b.Do(ops); err != nil {
+	if _, _, err := be.Apply(ops); err != nil {
 		return fmt.Errorf("apply epoch %d: %w", seq, err)
 	}
 	a.ns.applied.Store(seq)
@@ -256,18 +263,20 @@ func (a *nsApplier) ApplyEpoch(seq uint64, ins, del []conn.Edge) error {
 }
 
 // ApplySnapshot rebuilds the namespace from a full-state transfer: a fresh
-// Graph+Batcher is prepared off to the side and swapped in under the
-// namespace write lock (waiting out in-flight readers), so requests always
-// observe either the complete old state or the complete new one.
-func (a *nsApplier) ApplySnapshot(seq uint64, n int, edges []conn.Edge) error {
-	g := conn.New(n)
-	g.InsertEdges(edges)
-	b := conn.NewBatcher(g)
+// engine is prepared off to the side and swapped in under the namespace
+// write lock (waiting out in-flight readers), so requests always observe
+// either the complete old state or the complete new one.
+func (a *nsApplier) ApplySnapshot(seq uint64, n int, edges []graph.Edge) error {
+	c := core.New(n)
+	c.BatchInsert(edges)
+	e, err := engine.New(c, engine.Options{})
+	if err != nil {
+		return err
+	}
 	a.ns.mu.Lock()
-	oldB := a.ns.b
-	a.ns.g, a.ns.b = g, b
+	old := a.ns.be
+	a.ns.be = plain{e}
 	a.ns.applied.Store(seq)
 	a.ns.mu.Unlock()
-	oldB.Close()
-	return nil
+	return old.Close()
 }

@@ -1,18 +1,18 @@
 // Package server hosts multiple named connectivity graphs behind a TCP
 // front-end speaking the internal/wire protocol. It is the network layer the
 // batch-parallel structure has been waiting for: each namespace owns its own
-// conn.Graph wrapped in a conn.Batcher, every connection may keep many
-// frames in flight (one goroutine per in-flight request), and all of those
-// blocked requests coalesce into the large epochs Theorem 1 rewards —
-// network concurrency translates directly into batch size.
+// epoch pipeline (internal/engine), every connection may keep many frames in
+// flight (one goroutine per in-flight request), and all of those blocked
+// requests coalesce into the large epochs Theorem 1 rewards — network
+// concurrency translates directly into batch size.
 //
-// Namespace lifecycle: Create instantiates a Graph+Batcher (durable
-// namespaces live under <data>/<name>/ via conn.WithDurability and survive
-// restarts — New restores every directory it finds); Drop quiesces the
-// Batcher and, for durable namespaces, deletes the directory. Shutdown is
-// the graceful drain: stop accepting, let every already-received request
-// commit and answer, then flush and checkpoint each durable namespace
-// before closing its Batcher.
+// Namespace lifecycle: Create opens a backend — one engine, or a
+// shard.Coordinator over k+1 engines (durable namespaces live under
+// <data>/<name>/ and survive restarts — New restores every directory it
+// finds); Drop quiesces the backend and, for durable namespaces, deletes the
+// directory. Shutdown is the graceful drain: stop accepting, let every
+// already-received request commit and answer, then flush and checkpoint each
+// durable namespace before closing its backend.
 package server
 
 import (
@@ -27,9 +27,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	conn "repro"
 	"repro/internal/chaos"
 	"repro/internal/coalesce"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/pubsub"
 	"repro/internal/query"
 	"repro/internal/repl"
@@ -87,32 +89,27 @@ type Server struct {
 	replMgr *replicaManager // non-nil iff Options.ReplicaOf is set
 }
 
-// namespace is one named graph: a Batcher over its own Graph, plus the
-// request-vs-drop guard. Requests hold mu.RLock while talking to b; Drop
-// and Shutdown take mu.Lock, so a namespace is closed only when no request
-// is mid-flight on it — the Batcher's panic-on-closed paths are unreachable.
+// namespace is one named graph: its backend, plus the request-vs-drop
+// guard. Requests hold mu.RLock while talking to be; Drop and Shutdown take
+// mu.Lock, so a namespace is closed only when no request is mid-flight on it.
 type namespace struct {
 	name    string
 	durable bool
 
 	// readonly marks a replica-mode namespace: its state comes from the
 	// primary's epoch stream, and mutating requests are redirected. The
-	// follower's apply loop may swap g and b wholesale (snapshot catch-up),
-	// which is why requests read them under mu like everything else.
+	// follower's apply loop may swap be wholesale (snapshot catch-up), which
+	// is why requests read it under mu like everything else.
 	readonly bool
 	// applied is the replica-side replication position: the seq of the last
 	// epoch fully applied from the primary's stream.
 	applied atomic.Uint64
 
-	// hub, on a primary-side durable namespace, tees committed epochs to
-	// subscribed followers and serves their catch-up (internal/repl).
-	hub *repl.Hub
-
-	// shardHubs, on a sharded durable namespace, holds one hub per shard
-	// engine plus a final one for the boundary engine — each shard's epoch
-	// stream is independently subscribable (CmdSubscribe's shard selector);
-	// hub is nil.
-	shardHubs []*repl.Hub
+	// hubs, on a primary-side durable namespace, holds one replication hub
+	// per backend engine (index-aligned with be.Engines()): each tees its
+	// engine's committed epochs to subscribed followers and serves their
+	// catch-up (internal/repl). CmdSubscribe's shard selector indexes it.
+	hubs []*repl.Hub
 
 	// ehub fans connectivity events out to CmdSubscribeEvents streams. Every
 	// primary-side namespace has one (nil on a replica — event subscriptions
@@ -127,31 +124,34 @@ type namespace struct {
 
 	mu     sync.RWMutex
 	closed bool
-	g      *conn.Graph
-	b      *conn.Batcher
+	be     backend
+}
 
-	// sh replaces g/b on a sharded namespace: writes scatter across its
-	// engines and reads compose through the boundary graph (internal/shard).
-	// Sharded namespaces have no single replication position, so batch and
-	// read responses carry Seq 0 (clients cannot fence replica reads on
-	// them; the replica manager skips sharded namespaces entirely).
-	sh *shard.Coordinator
+// newNamespace wraps a primary-side backend: an event hub, and — when dir
+// is non-empty, i.e. the namespace is durable — one replication hub per
+// engine, rooted in that engine's own durability directory so catch-up
+// reads the right checkpoint and WAL.
+func newNamespace(name, dir string, be backend) *namespace {
+	ns := &namespace{name: name, durable: dir != "", be: be, ehub: pubsub.NewHub()}
+	if ns.durable {
+		for _, e := range be.Engines() {
+			ns.hubs = append(ns.hubs, repl.NewHub(e, e.Dir(), e.N()))
+		}
+	}
+	return ns
 }
 
 // seq returns the namespace's replication position for read responses: the
-// last fully applied epoch — on a primary the Batcher's applied seq (which
-// trails WALSeq by at most the epoch being applied), on a replica the
-// follower's applied seq; zero for a memory-only namespace. Sampled before
-// a read it never exceeds the state the read reflects, the direction the
-// client's staleness fence depends on. Callers hold ns.mu (either mode).
+// last fully applied epoch — on a primary the backend's applied seq (which
+// trails the WAL by at most the epoch being applied; zero for a sharded or
+// memory-only namespace), on a replica the follower's applied seq. Sampled
+// before a read it never exceeds the state the read reflects, the direction
+// the client's staleness fence depends on. Callers hold ns.mu (either mode).
 func (ns *namespace) seq() uint64 {
 	if ns.readonly {
 		return ns.applied.Load()
 	}
-	if ns.sh != nil {
-		return 0 // no single-number position across k WAL streams
-	}
-	return ns.b.AppliedSeq()
+	return ns.be.AppliedSeq()
 }
 
 // retainEvents wires the namespace's diff stream into its event hub when the
@@ -162,13 +162,8 @@ func (ns *namespace) retainEvents() {
 	ns.evMu.Lock()
 	defer ns.evMu.Unlock()
 	ns.evRefs++
-	if ns.evRefs > 1 {
-		return
-	}
-	if ns.sh != nil {
-		ns.evCancel = ns.sh.SubscribeDiffs(ns.ehub.Feed) //conn:dispatcher-entry
-	} else {
-		ns.evCancel = ns.b.SubscribeDiffs(ns.ehub.Feed) //conn:dispatcher-entry
+	if ns.evRefs == 1 {
+		ns.evCancel = ns.be.SubscribeDiffs(ns.ehub.Feed) //conn:dispatcher-entry
 	}
 }
 
@@ -179,6 +174,17 @@ func (ns *namespace) releaseEvents() {
 	if ns.evRefs == 0 && ns.evCancel != nil {
 		ns.evCancel()
 		ns.evCancel = nil
+	}
+}
+
+// stopHubs ends every subscription stream on the namespace: replication
+// hubs, and the event hub (which wakes event pumps via their Done channels).
+func (ns *namespace) stopHubs() {
+	for _, h := range ns.hubs {
+		h.Stop()
+	}
+	if ns.ehub != nil {
+		ns.ehub.Close()
 	}
 }
 
@@ -221,42 +227,27 @@ func New(opts Options) (*Server, error) {
 				if err != nil {
 					return nil, fmt.Errorf("server: restore namespace %q: %w", name, err)
 				}
-				ns := &namespace{name: name, durable: true, sh: coord, ehub: pubsub.NewHub()}
-				ns.shardHubs = newShardHubs(coord, dir)
-				s.namespaces[name] = ns
+				s.namespaces[name] = newNamespace(name, dir, sharded{coord, dir})
 				s.logf("restored sharded namespace %q (n=%d, %d shards)", name, n, k)
 				continue
 			}
-			g, err := conn.Restore(dir)
-			if errors.Is(err, conn.ErrNoDurableState) {
+			c, err := engine.Restore(dir, func(n int) *core.Conn { return core.New(n) })
+			if errors.Is(err, engine.ErrNoDurableState) {
 				continue // empty leftover directory; nothing to serve
 			}
 			if err != nil {
 				return nil, fmt.Errorf("server: restore namespace %q: %w", name, err)
 			}
-			b, err := newBatcher(g, dir)
+			edges := c.NumEdges()
+			e, err := engine.New(c, engine.Options{DurDir: dir})
 			if err != nil {
 				return nil, fmt.Errorf("server: namespace %q: %w", name, err)
 			}
-			ns := &namespace{name: name, durable: true, g: g, b: b, ehub: pubsub.NewHub()}
-			ns.hub = repl.NewHub(b, dir, g.N())
-			s.namespaces[name] = ns
-			s.logf("restored namespace %q (n=%d, %d edges)", name, g.N(), g.NumEdges())
+			s.namespaces[name] = newNamespace(name, dir, plain{e})
+			s.logf("restored namespace %q (n=%d, %d edges)", name, c.N(), edges)
 		}
 	}
 	return s, nil
-}
-
-// newShardHubs builds one replication hub per shard engine (boundary engine
-// last), each rooted in that engine's own durability directory so catch-up
-// reads the right checkpoint and WAL. Only called for durable namespaces.
-func newShardHubs(coord *shard.Coordinator, dir string) []*repl.Hub {
-	engines := coord.Engines()
-	hubs := make([]*repl.Hub, len(engines))
-	for i, e := range engines {
-		hubs[i] = repl.NewHub(e, filepath.Join(dir, shard.DirName(i, coord.Shards())), coord.N())
-	}
-	return hubs
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -345,7 +336,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // Shutdown is the graceful drain: stop accepting, nudge every connection's
 // read loop to stop at the next frame boundary, wait until each in-flight
 // request has committed and its response has been written, then flush and
-// checkpoint every durable namespace and quiesce all Batchers. Safe to call
+// checkpoint every durable namespace and quiesce all backends. Safe to call
 // once; subsequent calls return immediately.
 func (s *Server) Shutdown() {
 	if s.draining.Swap(true) {
@@ -364,7 +355,7 @@ func (s *Server) Shutdown() {
 	}
 	s.connMu.Unlock()
 	// Replication winds down before the connection wait: follower loops
-	// (replica mode) must finish their in-flight apply before Batchers
+	// (replica mode) must finish their in-flight apply before backends
 	// close, and stopping the hubs terminates subscription streams, whose
 	// pump goroutines the connection handlers are waiting on.
 	if s.replMgr != nil {
@@ -372,15 +363,7 @@ func (s *Server) Shutdown() {
 	}
 	s.mu.RLock()
 	for _, ns := range s.namespaces {
-		if ns.hub != nil {
-			ns.hub.Stop()
-		}
-		for _, h := range ns.shardHubs {
-			h.Stop()
-		}
-		if ns.ehub != nil {
-			ns.ehub.Close() // wakes event pumps via their Done channels
-		}
+		ns.stopHubs()
 	}
 	s.mu.RUnlock()
 	// Sever subscription connections outright: their pumps are the one
@@ -402,29 +385,17 @@ func (s *Server) Shutdown() {
 		ns.mu.Lock()
 		ns.closed = true
 		ns.mu.Unlock()
-		if ns.sh != nil {
-			ns.sh.Flush()
-			if ns.durable {
-				if _, err := ns.sh.Checkpoint(); err != nil {
-					s.logf("drain checkpoint of %q failed: %v", name, err)
-				} else {
-					s.logf("namespace %q checkpointed (all shards)", name)
-				}
-			}
-			if err := ns.sh.Close(); err != nil {
-				s.logf("closing sharded namespace %q: %v", name, err)
-			}
-			continue
-		}
-		ns.b.Flush()
+		ns.be.Flush()
 		if ns.durable {
-			if _, err := ns.b.Checkpoint(); err != nil {
+			if _, err := ns.be.Checkpoint(); err != nil {
 				s.logf("drain checkpoint of %q failed: %v", name, err)
 			} else {
 				s.logf("namespace %q checkpointed", name)
 			}
 		}
-		ns.b.Close()
+		if err := ns.be.Close(); err != nil {
+			s.logf("closing namespace %q: %v", name, err)
+		}
 	}
 }
 
@@ -442,7 +413,7 @@ func newConnReader(c net.Conn) *connIO {
 }
 
 // handleConn reads frames, dispatching each request to its own goroutine so
-// a pipelined client's frames block in the Batcher concurrently — that is
+// a pipelined client's frames block in the engine concurrently — that is
 // what coalesces them into one epoch. Responses are written as they
 // complete, matched by request id, serialized by a per-connection lock.
 func (s *Server) handleConn(c net.Conn) {
@@ -560,38 +531,27 @@ func (s *Server) subscribe(req *wire.Request, write func(*wire.Response) error) 
 		return
 	}
 	ns.mu.RLock()
-	hub := ns.hub
-	if ns.sh != nil {
-		// Sharded namespaces stream per engine: the request names which one.
-		if idx := int(req.Shards); idx < len(ns.shardHubs) {
-			hub = ns.shardHubs[idx]
-		} else if ns.shardHubs != nil {
-			ns.mu.RUnlock()
-			write(fail(wire.StatusBadRequest,
-				"namespace %q: shard %d out of range [0, %d]",
-				req.NS, req.Shards, len(ns.shardHubs)-1))
-			return
-		}
-	} else if req.Shards != 0 {
-		ns.mu.RUnlock()
-		write(fail(wire.StatusBadRequest,
-			"namespace %q is not sharded; subscribe with shard 0", req.NS))
-		return
-	}
-	closed := ns.closed
+	closed, hubs := ns.closed, ns.hubs
 	ns.mu.RUnlock()
-	if closed || hub == nil {
-		if closed {
-			write(fail(wire.StatusNotFound, "namespace %q: dropped", req.NS))
-		} else {
-			write(fail(wire.StatusBadRequest,
-				"namespace %q is not durable; only durable namespaces replicate", req.NS))
-		}
+	switch {
+	case closed:
+		write(fail(wire.StatusNotFound, "namespace %q: dropped", req.NS))
+		return
+	case hubs == nil:
+		write(fail(wire.StatusBadRequest,
+			"namespace %q is not durable; only durable namespaces replicate", req.NS))
+		return
+	case int(req.Shards) >= len(hubs):
+		// One stream per engine: shard 0 alone on a plain namespace; shards
+		// 0..k-1 then the boundary engine k on a sharded one.
+		write(fail(wire.StatusBadRequest, "namespace %q: shard %d out of range [0, %d]",
+			req.NS, req.Shards, len(hubs)-1))
 		return
 	}
+	hub := hubs[req.Shards]
 	// The stream deliberately runs outside the namespace read-lock: Drop
 	// and Shutdown stop the hub first, which terminates this pump before
-	// the Batcher closes.
+	// the backend closes.
 	err := hub.Stream(req.FromSeq, func(f repl.Frame) error {
 		return write(&wire.Response{ID: req.ID, Snapshot: f.Snapshot, EpochRaw: f.EpochRaw})
 	})
@@ -625,13 +585,7 @@ func (s *Server) subscribeEvents(req *wire.Request, write func(*wire.Response) e
 		return
 	}
 	ns.mu.RLock()
-	closed := ns.closed
-	var n int32
-	if ns.sh != nil {
-		n = int32(ns.sh.N())
-	} else {
-		n = int32(ns.g.N())
-	}
+	closed, n := ns.closed, int32(ns.be.N())
 	ns.mu.RUnlock()
 	if closed {
 		write(fail(wire.StatusNotFound, "namespace %q: dropped", req.NS))
@@ -718,8 +672,8 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 	}
 
 	// Everything else targets an existing namespace. The read lock is held
-	// across the whole operation: Drop/Shutdown close a Batcher only under
-	// the write lock, so b is never closed mid-request.
+	// across the whole operation: Drop/Shutdown close a backend only under
+	// the write lock, so be is never closed mid-request.
 	ns, resp := s.lookup(req, fail)
 	if resp != nil {
 		return resp
@@ -731,28 +685,10 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 	}
 	switch req.Cmd {
 	case wire.CmdBatch:
-		if ns.sh != nil {
-			// Sharded path: the coordinator routes each op to its partition's
-			// engine (cross-shard edges to the boundary engine) and answers
-			// queries after every mutation future resolves. Atomicity is per
-			// engine; Seq is 0 — k WAL streams have no single position.
-			cops := make([]coalesce.Op, len(req.Ops))
-			for i, op := range req.Ops {
-				cops[i] = coalesce.Op{Kind: coalesce.Kind(op.Kind), U: op.U, V: op.V}
-			}
-			bits, err := ns.sh.Apply(cops)
-			if err != nil {
-				return fail(wire.StatusBadRequest, "%v", err)
-			}
-			if bits == nil {
-				bits = []bool{}
-			}
-			return &wire.Response{ID: req.ID, Bits: bits}
-		}
-		ops := make([]conn.Op, len(req.Ops))
+		ops := make([]coalesce.Op, len(req.Ops))
 		mutates := false
 		for i, op := range req.Ops {
-			ops[i] = conn.Op{Kind: conn.OpKind(op.Kind), U: op.U, V: op.V}
+			ops[i] = coalesce.Op{Kind: coalesce.Kind(op.Kind), U: op.U, V: op.V}
 			mutates = mutates || op.Kind != wire.KindQuery
 		}
 		if mutates && ns.readonly {
@@ -760,12 +696,20 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 			// client package lifts into a RedirectError.
 			return fail(wire.StatusReadOnly, "%s", s.opts.ReplicaOf)
 		}
-		// A replica's batcher has no WAL, so its position is the applied
+		// The whole frame is range-checked before any of it is staged: a
+		// frame is one atomic group, so a bad pair rejects all of it.
+		n := int32(ns.be.N())
+		for _, op := range ops {
+			if op.U < 0 || op.U >= n || op.V < 0 || op.V >= n {
+				return fail(wire.StatusBadRequest, "vertex pair {%d, %d} out of range [0, %d)", op.U, op.V, n)
+			}
+		}
+		// A replica's engine has no WAL, so its position is the applied
 		// seq — sampled BEFORE executing: a reported seq must never exceed
 		// the state the answer reflects, or it would defeat the client's
 		// read-your-writes fence.
-		seqBefore := ns.seq()
-		bits, epochSeq, err := ns.b.DoSeq(ops)
+		seq := ns.seq()
+		bits, epochSeq, err := ns.be.Apply(ops)
 		if err != nil {
 			return fail(wire.StatusBadRequest, "%v", err)
 		}
@@ -773,47 +717,32 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 			bits = []bool{}
 		}
 		if !ns.readonly {
-			// On a primary DoSeq is exact (the committed epoch's own seq),
+			// On a primary Apply is exact (the committed epoch's own seq),
 			// which keeps a writer's fence free of later writers' epochs.
-			seqBefore = epochSeq
+			seq = epochSeq
 		}
-		return &wire.Response{ID: req.ID, Bits: bits, Seq: seqBefore}
+		return &wire.Response{ID: req.ID, Bits: bits, Seq: seq}
 	case wire.CmdReadNow, wire.CmdReadRecent:
-		nv := 0
-		if ns.sh != nil {
-			nv = ns.sh.N()
-		} else {
-			nv = ns.g.N()
-		}
-		n := int32(nv)
-		qs := make([]conn.Edge, len(req.Pairs))
+		n := int32(ns.be.N())
+		qs := make([]graph.Edge, len(req.Pairs))
 		for i, p := range req.Pairs {
 			if p.U < 0 || p.U >= n || p.V < 0 || p.V >= n {
 				return fail(wire.StatusBadRequest,
 					"vertex pair {%d, %d} out of range [0, %d)", p.U, p.V, n)
 			}
-			qs[i] = conn.Edge{U: p.U, V: p.V}
+			qs[i] = graph.Edge{U: p.U, V: p.V}
 		}
-		if ns.sh != nil {
-			// Both read commands are served by the same scatter-gather
-			// composition on a sharded namespace: per-engine committed
-			// answers joined through the boundary index.
-			bits, err := ns.sh.ConnectedBatch(qs)
-			if err != nil {
-				return fail(wire.StatusInternal, "%v", err)
-			}
-			if bits == nil {
-				bits = []bool{}
-			}
-			return &wire.Response{ID: req.ID, Bits: bits}
-		}
-		// Both commands read the published labelling: the committed tier.
-		// They differ only in routing — clients pin ReadNow to the primary.
-		// Position sampled BEFORE the read: the answer may reflect a newer
-		// state than it claims (harmlessly conservative), never an older
-		// one — the direction the client's staleness fence depends on.
+		// Both commands read the committed tier (a sharded namespace's
+		// composed labelling); they differ only in routing — clients pin
+		// ReadNow to the primary. Position sampled BEFORE the read: the
+		// answer may reflect a newer state than it claims (harmlessly
+		// conservative), never an older one — the direction the client's
+		// staleness fence depends on.
 		seq := ns.seq()
-		bits := ns.b.ReadRecentBatch(qs)
+		bits, err := ns.be.ReadBatch(qs)
+		if err != nil {
+			return fail(wire.StatusInternal, "%v", err)
+		}
 		if bits == nil {
 			bits = []bool{}
 		}
@@ -821,13 +750,6 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 	case wire.CmdQuery:
 		qreq := query.Request{Kind: query.Kind(req.QKind), Linearized: req.Linearized,
 			U: req.U, V: req.V, K: req.K}
-		if ns.sh != nil {
-			res, err := ns.sh.Query(qreq)
-			if err != nil {
-				return fail(wire.StatusBadRequest, "%v", err)
-			}
-			return queryResponse(req.ID, res)
-		}
 		if qreq.Linearized && ns.readonly {
 			// A linearized query must observe every acknowledged write;
 			// only the primary can promise that.
@@ -837,7 +759,7 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 		// local engine's seq counts locally applied epochs, not primary
 		// stream positions, so the follower's applied seq replaces it.
 		seqBefore := ns.seq()
-		res, err := ns.b.Query(qreq)
+		res, err := ns.be.Query(qreq)
 		if err != nil {
 			return fail(wire.StatusBadRequest, "%v", err)
 		}
@@ -846,34 +768,7 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 		}
 		return queryResponse(req.ID, res)
 	case wire.CmdStats:
-		if ns.sh != nil {
-			ws := shardedStats(ns)
-			addEventStats(ns, &ws)
-			return &wire.Response{ID: req.ID, Stats: ws}
-		}
-		st := ns.b.Stats()
-		ws := wire.Stats{
-			Epochs:            uint64(st.Epochs),
-			Ops:               uint64(st.Ops),
-			MaxEpoch:          uint64(st.MaxEpoch),
-			SnapshotPublishes: uint64(st.SnapshotPublishes),
-			SnapshotRebuilds:  uint64(st.SnapshotRebuilds),
-			WALRecords:        uint64(st.WALRecords),
-			WALBytes:          uint64(st.WALBytes),
-			WALRawBytes:       uint64(st.WALRawBytes),
-			WALFsyncs:         uint64(st.WALFsyncs),
-			WALAppendNanos:    uint64(st.WALAppendTime.Nanoseconds()),
-			Checkpoints:       uint64(st.Checkpoints),
-			AppliedSeq:        ns.applied.Load(),
-		}
-		if ns.hub != nil {
-			subs, shipped, lag := ns.hub.Stats()
-			ws.Subscribers = uint64(subs)
-			ws.LastShippedSeq = shipped
-			ws.MaxFollowerLag = lag
-		}
-		addEventStats(ns, &ws)
-		return &wire.Response{ID: req.ID, Stats: ws}
+		return &wire.Response{ID: req.ID, Stats: namespaceStats(ns)}
 	case wire.CmdCheckpoint:
 		if ns.readonly {
 			return fail(wire.StatusReadOnly, "%s", s.opts.ReplicaOf)
@@ -881,16 +776,7 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 		if !ns.durable {
 			return fail(wire.StatusBadRequest, "namespace %q is not durable", req.NS)
 		}
-		if ns.sh != nil {
-			// Every shard engine checkpoints; the response names the
-			// namespace's directory, which now holds one fresh checkpoint
-			// per shard.
-			if _, err := ns.sh.Checkpoint(); err != nil {
-				return fail(wire.StatusInternal, "checkpoint: %v", err)
-			}
-			return &wire.Response{ID: req.ID, Path: filepath.Join(s.opts.DataDir, ns.name)}
-		}
-		path, err := ns.b.Checkpoint()
+		path, err := ns.be.Checkpoint()
 		if err != nil {
 			return fail(wire.StatusInternal, "checkpoint: %v", err)
 		}
@@ -911,30 +797,18 @@ func (s *Server) lookup(req *wire.Request, fail failFunc) (*namespace, *wire.Res
 
 type failFunc func(st wire.Status, format string, args ...any) *wire.Response
 
-// addEventStats folds the namespace's event-hub counters into a stats
-// response; a replica namespace has no hub and reports zeros.
-func addEventStats(ns *namespace, ws *wire.Stats) {
-	if ns.ehub == nil {
-		return
-	}
-	subs, delivered, dropped := ns.ehub.Stats()
-	ws.EventSubscribers = uint64(subs)
-	ws.EventsDelivered = uint64(delivered)
-	ws.EventsDropped = uint64(dropped)
-}
-
-// shardedStats aggregates a sharded namespace's counters across its engines
-// and attaches the per-engine breakdown (shards 0..k-1, then the boundary
-// engine). Caller holds ns.mu.
-func shardedStats(ns *namespace) wire.Stats {
-	var ws wire.Stats
-	for _, es := range ns.sh.ShardStats() {
-		st := es.Stats
+// namespaceStats sums a namespace's pipeline counters over its engines and
+// folds in its replication and event hubs. A sharded namespace also gets the
+// per-engine breakdown (shards 0..k-1, then the boundary engine); a plain
+// one has a single engine and no breakdown. Caller holds ns.mu.
+func namespaceStats(ns *namespace) wire.Stats {
+	ws := wire.Stats{AppliedSeq: ns.applied.Load()}
+	engines := ns.be.Engines()
+	for _, e := range engines {
+		st := e.Stats()
 		ws.Epochs += uint64(st.Epochs)
 		ws.Ops += uint64(st.Ops)
-		if m := uint64(st.MaxEpoch); m > ws.MaxEpoch {
-			ws.MaxEpoch = m
-		}
+		ws.MaxEpoch = max(ws.MaxEpoch, uint64(st.MaxEpoch))
 		ws.SnapshotPublishes += uint64(st.SnapshotPublishes)
 		ws.SnapshotRebuilds += uint64(st.SnapshotRebuilds)
 		ws.WALRecords += uint64(st.WALRecords)
@@ -943,24 +817,28 @@ func shardedStats(ns *namespace) wire.Stats {
 		ws.WALFsyncs += uint64(st.WALFsyncs)
 		ws.WALAppendNanos += uint64(st.WALAppendTime.Nanoseconds())
 		ws.Checkpoints += uint64(st.Checkpoints)
-		ws.Shards = append(ws.Shards, wire.ShardStats{
-			Epochs:     uint64(st.Epochs),
-			Ops:        uint64(st.Ops),
-			WALRecords: uint64(st.WALRecords),
-			WALSeq:     es.WALSeq,
-			WALFloor:   es.WALFloor,
-			AppliedSeq: es.AppliedSeq,
-		})
+		if len(engines) > 1 {
+			ws.Shards = append(ws.Shards, wire.ShardStats{
+				Epochs:     uint64(st.Epochs),
+				Ops:        uint64(st.Ops),
+				WALRecords: uint64(st.WALRecords),
+				WALSeq:     e.WALSeq(),
+				WALFloor:   e.WALFloor(),
+				AppliedSeq: e.AppliedSeq(),
+			})
+		}
 	}
-	for _, h := range ns.shardHubs {
+	for _, h := range ns.hubs {
 		subs, shipped, lag := h.Stats()
 		ws.Subscribers += uint64(subs)
-		if shipped > ws.LastShippedSeq {
-			ws.LastShippedSeq = shipped
-		}
-		if lag > ws.MaxFollowerLag {
-			ws.MaxFollowerLag = lag
-		}
+		ws.LastShippedSeq = max(ws.LastShippedSeq, shipped)
+		ws.MaxFollowerLag = max(ws.MaxFollowerLag, lag)
+	}
+	if ns.ehub != nil { // a replica namespace has no event hub
+		subs, delivered, dropped := ns.ehub.Stats()
+		ws.EventSubscribers = uint64(subs)
+		ws.EventsDelivered = uint64(delivered)
+		ws.EventsDropped = uint64(dropped)
 	}
 	return ws
 }
@@ -1005,45 +883,22 @@ func (s *Server) create(req *wire.Request, fail failFunc) *wire.Response {
 				"namespace %q has leftover durable state; restart the server to restore it or drop it", req.NS)
 		}
 	}
+	var be backend
 	if shards >= 2 {
 		coord, err := shard.New(int(req.N), shards, shard.Options{DurDir: dir})
 		if err != nil {
 			return fail(wire.StatusInternal, "create %q: %v", req.NS, err)
 		}
-		ns := &namespace{name: req.NS, durable: req.Durable, sh: coord, ehub: pubsub.NewHub()}
-		if req.Durable {
-			ns.shardHubs = newShardHubs(coord, dir)
+		be = sharded{coord, dir}
+	} else {
+		e, err := engine.New(core.New(int(req.N)), engine.Options{DurDir: dir})
+		if err != nil {
+			return fail(wire.StatusInternal, "create %q: %v", req.NS, err)
 		}
-		s.namespaces[req.NS] = ns
-		return &wire.Response{ID: req.ID}
+		be = plain{e}
 	}
-	g := conn.New(int(req.N))
-	b, err := newBatcher(g, dir)
-	if err != nil {
-		return fail(wire.StatusInternal, "create %q: %v", req.NS, err)
-	}
-	ns := &namespace{name: req.NS, durable: req.Durable, g: g, b: b, ehub: pubsub.NewHub()}
-	if req.Durable {
-		ns.hub = repl.NewHub(b, dir, g.N())
-	}
-	s.namespaces[req.NS] = ns
+	s.namespaces[req.NS] = newNamespace(req.NS, dir, be)
 	return &wire.Response{ID: req.ID}
-}
-
-// newBatcher starts a namespace's Batcher, durable under durDir when it is
-// non-empty. It converts conn.NewBatcher's environmental panics (unwritable
-// data subdirectory, WAL open failure) into errors: one tenant's bad
-// directory must never take down the whole server.
-func newBatcher(g *conn.Graph, durDir string) (b *conn.Batcher, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			b, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	if durDir == "" {
-		return conn.NewBatcher(g), nil
-	}
-	return conn.NewBatcher(g, conn.WithDurability(durDir)), nil
 }
 
 func (s *Server) drop(req *wire.Request, fail failFunc) *wire.Response {
@@ -1061,27 +916,15 @@ func (s *Server) drop(req *wire.Request, fail failFunc) *wire.Response {
 	}
 	delete(s.namespaces, req.NS)
 	// Terminate subscription streams first: their pumps run outside the
-	// namespace lock and must not outlive the Batcher.
-	if ns.hub != nil {
-		ns.hub.Stop()
-	}
-	for _, h := range ns.shardHubs {
-		h.Stop()
-	}
-	if ns.ehub != nil {
-		ns.ehub.Close()
-	}
+	// namespace lock and must not outlive the backend.
+	ns.stopHubs()
 	// The write lock waits out every in-flight request on this namespace;
 	// new lookups already miss the map.
 	ns.mu.Lock()
 	ns.closed = true
 	ns.mu.Unlock()
-	if ns.sh != nil {
-		if err := ns.sh.Close(); err != nil {
-			s.logf("drop %q: closing coordinator: %v", req.NS, err)
-		}
-	} else {
-		ns.b.Close()
+	if err := ns.be.Close(); err != nil {
+		s.logf("drop %q: %v", req.NS, err)
 	}
 	if ns.durable {
 		if err := os.RemoveAll(filepath.Join(s.opts.DataDir, ns.name)); err != nil {
@@ -1095,15 +938,12 @@ func (s *Server) list(req *wire.Request) *wire.Response {
 	s.mu.RLock()
 	infos := make([]wire.NSInfo, 0, len(s.namespaces))
 	for _, ns := range s.namespaces {
-		// ns.g is read under the namespace lock: on a replica the follower's
-		// snapshot catch-up swaps the graph wholesale (ApplySnapshot).
+		// ns.be is read under the namespace lock: on a replica the
+		// follower's snapshot catch-up swaps it wholesale (ApplySnapshot).
+		// A backend has k+1 engines when sharded k ways, one when plain —
+		// reported as 0 shards.
 		ns.mu.RLock()
-		var n, shards int
-		if ns.sh != nil {
-			n, shards = ns.sh.N(), ns.sh.Shards()
-		} else {
-			n = ns.g.N()
-		}
+		n, shards := ns.be.N(), len(ns.be.Engines())-1
 		ns.mu.RUnlock()
 		infos = append(infos, wire.NSInfo{Name: ns.name, N: n, Durable: ns.durable, Shards: shards})
 	}

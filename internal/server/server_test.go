@@ -11,11 +11,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	conn "repro"
 	"repro/client"
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -36,6 +38,24 @@ func start(t *testing.T, opts Options) (*Server, string, chan error) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(ln) }()
 	return s, ln.Addr().String(), serveErr
+}
+
+// hasEdge reports whether a plain namespace's engine holds edge {u, v}.
+func hasEdge(t *testing.T, ns *namespace, u, v int32) (has bool) {
+	t.Helper()
+	if err := ns.be.Engines()[0].Read(func(c *core.Conn) { has = c.HasEdge(u, v) }); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return has
+}
+
+// numEdges counts a plain namespace's live edges.
+func numEdges(t *testing.T, ns *namespace) (m int) {
+	t.Helper()
+	if err := ns.be.Engines()[0].Read(func(c *core.Conn) { m = c.NumEdges() }); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return m
 }
 
 // edgesOf enumerates a graph's full live edge set.
@@ -194,6 +214,9 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	if st.Ops < 2*st.Epochs {
 		t.Errorf("no coalescing: %d ops over %d epochs", st.Ops, st.Epochs)
 	}
+	if len(st.Shards) != 0 {
+		t.Errorf("plain namespace stats carry %d per-engine entries, want none", len(st.Shards))
+	}
 	// A freshly created durable namespace logs in the v2 codec.
 	walBytes, err := os.ReadFile(filepath.Join(data, "dur", "wal.log"))
 	if err != nil {
@@ -272,12 +295,12 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		m := mirrors["dur"][w]
 		want += m.NumEdges()
 		for _, e := range edgesOf(m) {
-			if !dur.g.HasEdge(e.U, e.V) {
+			if !hasEdge(t, dur, e.U, e.V) {
 				t.Fatalf("restored graph missing acked edge {%d,%d}", e.U, e.V)
 			}
 		}
 	}
-	if got := dur.g.NumEdges(); got != want {
+	if got := numEdges(t, dur); got != want {
 		t.Fatalf("restored graph has %d edges, acked state has %d", got, want)
 	}
 
@@ -383,7 +406,7 @@ func TestShutdownDuringTraffic(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		for _, e := range acked[w] {
-			if e.U != e.V && !d.g.HasEdge(e.U, e.V) {
+			if e.U != e.V && !hasEdge(t, d, e.U, e.V) {
 				t.Fatalf("acked edge {%d,%d} lost across drain+restart", e.U, e.V)
 			}
 		}
@@ -415,35 +438,48 @@ func TestNamespaceAdmin(t *testing.T) {
 	if err := cl.Create("g", 0, false); err == nil {
 		t.Fatal("Create with n=0 succeeded")
 	}
-	if err := cl.Create("g", 16, false); err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if err := cl.Create("g", 16, false); !errors.Is(err, client.ErrExists) {
-		t.Fatalf("duplicate Create: %v, want ErrExists", err)
-	}
-	if _, err := cl.Namespace("nope").Insert(0, 1); !errors.Is(err, client.ErrNotFound) {
-		t.Fatalf("Insert on unknown namespace: %v, want ErrNotFound", err)
-	}
-	if _, err := cl.Namespace("g").Insert(0, 99); err == nil {
-		t.Fatal("out-of-range insert succeeded")
-	}
-	if _, err := cl.Namespace("g").ReadNow(-1, 3); err == nil {
-		t.Fatal("out-of-range ReadNow succeeded")
-	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("server unhealthy after rejections: %v", err)
-	}
-	if ok, err := cl.Namespace("g").Insert(0, 1); err != nil || !ok {
-		t.Fatalf("Insert = %v, %v", ok, err)
-	}
-	if _, err := cl.Namespace("g").Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on non-durable namespace succeeded")
-	}
-	if err := cl.Drop("g"); err != nil {
-		t.Fatalf("Drop: %v", err)
-	}
-	if err := cl.Drop("g"); !errors.Is(err, client.ErrNotFound) {
-		t.Fatalf("double Drop: %v, want ErrNotFound", err)
+	// The namespace-level rejections hold on both backends: a bare engine
+	// and a 2-shard coordinator.
+	for _, shards := range []int{0, 2} {
+		if err := cl.CreateSharded("g", 16, false, shards); err != nil {
+			t.Fatalf("shards=%d: Create: %v", shards, err)
+		}
+		if err := cl.Create("g", 16, false); !errors.Is(err, client.ErrExists) {
+			t.Fatalf("shards=%d: duplicate Create: %v, want ErrExists", shards, err)
+		}
+		if _, err := cl.Namespace("nope").Insert(0, 1); !errors.Is(err, client.ErrNotFound) {
+			t.Fatalf("shards=%d: Insert on unknown namespace: %v, want ErrNotFound", shards, err)
+		}
+		g := cl.Namespace("g")
+		if _, err := g.Insert(0, 99); err == nil {
+			t.Fatalf("shards=%d: out-of-range insert succeeded", shards)
+		}
+		// One bad pair rejects the whole frame before any of it is staged.
+		_, err := g.Do([]conn.Op{{Kind: conn.OpInsert, U: 0, V: 1}, {Kind: conn.OpInsert, U: 0, V: 99}})
+		if err == nil || !strings.Contains(err.Error(), "bad request") {
+			t.Fatalf("shards=%d: frame with an out-of-range pair: %v, want a bad request", shards, err)
+		}
+		if ok, err := g.ReadNow(0, 1); err != nil || ok {
+			t.Fatalf("shards=%d: ReadNow(0, 1) after the rejected frame = %v, %v; want false", shards, ok, err)
+		}
+		if _, err := g.ReadNow(-1, 3); err == nil {
+			t.Fatalf("shards=%d: out-of-range ReadNow succeeded", shards)
+		}
+		if err := cl.Ping(); err != nil {
+			t.Fatalf("shards=%d: server unhealthy after rejections: %v", shards, err)
+		}
+		if ok, err := g.Insert(0, 1); err != nil || !ok {
+			t.Fatalf("shards=%d: Insert = %v, %v", shards, ok, err)
+		}
+		if _, err := g.Checkpoint(); err == nil {
+			t.Fatalf("shards=%d: Checkpoint on non-durable namespace succeeded", shards)
+		}
+		if err := cl.Drop("g"); err != nil {
+			t.Fatalf("shards=%d: Drop: %v", shards, err)
+		}
+		if err := cl.Drop("g"); !errors.Is(err, client.ErrNotFound) {
+			t.Fatalf("shards=%d: double Drop: %v, want ErrNotFound", shards, err)
+		}
 	}
 	srv.Shutdown()
 	if err := <-serveErr; err != nil {

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"math/rand"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	conn "repro"
 	"repro/client"
@@ -174,12 +178,16 @@ func TestShardedLoopback(t *testing.T) {
 	if len(st.Shards) != shards+1 {
 		t.Fatalf("stats has %d shard entries, want %d", len(st.Shards), shards+1)
 	}
-	var sumOps uint64
+	var sumOps, sumRecords uint64
 	for _, sh := range st.Shards {
 		sumOps += sh.Ops
+		sumRecords += sh.WALRecords
 	}
 	if sumOps == 0 || st.Ops != sumOps {
 		t.Fatalf("aggregate ops %d != per-shard sum %d", st.Ops, sumOps)
+	}
+	if sumRecords == 0 || st.WALRecords != sumRecords {
+		t.Fatalf("aggregate WAL records %d != per-shard sum %d", st.WALRecords, sumRecords)
 	}
 
 	// A wire checkpoint lands on every shard.
@@ -339,5 +347,111 @@ func TestShardedReadFramesReuseIndex(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / frames; per >= n {
 		t.Fatalf("read frames allocate %d bytes each; a compose is %d, so they recompose", per, 4*n)
+	}
+}
+
+// subscribeOnce opens a dedicated connection, sends one CmdSubscribe for
+// the given engine of ns, and returns the first response frame: an epoch
+// when the subscription was accepted, an error status when it was not.
+func subscribeOnce(t *testing.T, addr, ns string, engine uint32) *wire.Response {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	payload, err := wire.EncodeRequest(&wire.Request{ID: 1, Cmd: wire.CmdSubscribe, NS: ns, Shards: engine})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	bw := bufio.NewWriter(c)
+	if err := wire.WriteFrame(bw, payload); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	raw, err := wire.ReadFrame(bufio.NewReader(c))
+	if err != nil {
+		t.Fatalf("subscribe %s/%d: read: %v", ns, engine, err)
+	}
+	resp, err := wire.DecodeResponse(raw)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return resp
+}
+
+// TestSubscribeShardSelector pins CmdSubscribe's shard selector: one epoch
+// stream per engine — shard 0 alone on a plain durable namespace, shards
+// 0..k-1 plus the boundary engine k on a k-shard one — and no stream at all
+// on a memory-only namespace.
+func TestSubscribeShardSelector(t *testing.T) {
+	const n = 64
+	s, addr, serveErr := start(t, Options{DataDir: t.TempDir()})
+	defer func() { s.Shutdown(); <-serveErr }()
+	cl, err := client.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	if err := cl.Create("plain", n, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.CreateSharded("sharded", n, true, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Create("mem", n, false); err != nil {
+		t.Fatal(err)
+	}
+	// One committed epoch per engine, so every accepted stream opens with
+	// a catch-up epoch: an edge inside shard 0, one inside shard 1, and one
+	// across them (the boundary engine).
+	byShard := [2][]int32{}
+	for v := int32(0); v < n; v++ {
+		p := client.Partition(v, 2)
+		byShard[p] = append(byShard[p], v)
+	}
+	edges := []conn.Edge{
+		{U: byShard[0][0], V: byShard[0][1]},
+		{U: byShard[1][0], V: byShard[1][1]},
+		{U: byShard[0][0], V: byShard[1][0]},
+	}
+	if _, err := cl.Namespace("sharded").InsertEdges(edges); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Namespace("plain").InsertEdges(edges); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		ns     string
+		engine uint32
+		want   string // "" accepts; otherwise a fragment of the rejection
+	}{
+		{"plain", 0, ""},
+		{"plain", 1, "shard 1 out of range [0, 0]"},
+		{"sharded", 0, ""},
+		{"sharded", 1, ""},
+		{"sharded", 2, ""}, // the boundary engine
+		{"sharded", 3, "shard 3 out of range [0, 2]"},
+		{"mem", 0, "not durable"},
+	} {
+		resp := subscribeOnce(t, addr, tc.ns, tc.engine)
+		if tc.want == "" {
+			if resp.Status != wire.StatusOK || resp.EpochRaw == nil {
+				t.Fatalf("%s shard %d: status %d (%s), epoch %v; want an epoch frame",
+					tc.ns, tc.engine, resp.Status, resp.Msg, resp.EpochRaw != nil)
+			}
+			continue
+		}
+		if resp.Status != wire.StatusBadRequest || !strings.Contains(resp.Msg, tc.want) {
+			t.Fatalf("%s shard %d: status %d %q; want a bad request naming %q",
+				tc.ns, tc.engine, resp.Status, resp.Msg, tc.want)
+		}
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("ping after subscriptions: %v", err)
 	}
 }

@@ -150,9 +150,7 @@ func TestShardedIndexReuse(t *testing.T) {
 	// read the same index.
 	for i := 0; i < 10; i++ {
 		read()
-		if _, err := c.Connected(1, 3); err != nil {
-			t.Fatal(err)
-		}
+		connected(t, c, 1, 3)
 		if _, err := c.Apply([]coalesce.Op{{Kind: coalesce.OpQuery, U: 1, V: 3}}); err != nil {
 			t.Fatal(err)
 		}

@@ -141,7 +141,7 @@ func New(n, k int, o Options) (*Coordinator, error) {
 	for i := 0; i <= k; i++ {
 		dir := ""
 		if o.DurDir != "" {
-			dir = filepath.Join(o.DurDir, DirName(i, k))
+			dir = filepath.Join(o.DurDir, dirName(i, k))
 		}
 		cc, err := openCore(dir, n)
 		if err == nil {
@@ -152,17 +152,16 @@ func New(n, k int, o Options) (*Coordinator, error) {
 				// Best-effort unwind; the open error is the one that matters.
 				_ = e.Close()
 			}
-			return nil, fmt.Errorf("shard: opening %s: %w", DirName(i, k), err)
+			return nil, fmt.Errorf("shard: opening %s: %w", dirName(i, k), err)
 		}
 	}
 	c.initComposer()
 	return c, nil
 }
 
-// DirName returns the durability subdirectory for engine i of a k-shard
-// layout: shard-0 .. shard-<k-1>, then "boundary" for i == k. The server
-// uses it to place per-shard replication hubs next to each engine's WAL.
-func DirName(i, k int) string {
+// dirName returns the durability subdirectory for engine i of a k-shard
+// layout: shard-0 .. shard-<k-1>, then "boundary" for i == k.
+func dirName(i, k int) string {
 	if i == k {
 		return "boundary"
 	}
@@ -235,18 +234,11 @@ func writeMeta(dir string, k, n int) error {
 // N returns the vertex count.
 func (c *Coordinator) N() int { return c.n }
 
-// Shards returns the shard count k (the boundary engine is not counted).
-func (c *Coordinator) Shards() int { return c.k }
-
 // Engines returns the coordinator's pipelines: index 0..k-1 are the shard
 // engines, index k the boundary engine. The slice is owned by the
-// Coordinator and must not be mutated; entries satisfy repl.Source, which
-// is how the server attaches one replication hub per shard.
+// Coordinator and must not be mutated; the server attaches one replication
+// hub and sums stats per entry.
 func (c *Coordinator) Engines() []*engine.Engine { return c.engines }
-
-// Durable reports whether the Coordinator was opened with a durability
-// directory.
-func (c *Coordinator) Durable() bool { return c.engines[0].Durable() }
 
 func (c *Coordinator) checkRange(u, v int32) error {
 	if n := int32(c.n); u < 0 || u >= n || v < 0 || v >= n {
@@ -340,36 +332,6 @@ func (c *Coordinator) Apply(ops []coalesce.Op) ([]bool, error) {
 	return res, nil
 }
 
-// Insert adds edge {u, v}; reports whether it was newly added.
-func (c *Coordinator) Insert(u, v int32) (bool, error) {
-	return c.one(coalesce.Op{Kind: coalesce.OpInsert, U: u, V: v})
-}
-
-// Delete removes edge {u, v}; reports whether it was removed.
-func (c *Coordinator) Delete(u, v int32) (bool, error) {
-	return c.one(coalesce.Op{Kind: coalesce.OpDelete, U: u, V: v})
-}
-
-// Connected reports whether u and v are connected in the combined graph.
-func (c *Coordinator) Connected(u, v int32) (bool, error) {
-	if err := c.checkRange(u, v); err != nil {
-		return false, err
-	}
-	ans, err := c.ConnectedBatch([]graph.Edge{{U: u, V: v}})
-	if err != nil {
-		return false, err
-	}
-	return ans[0], nil
-}
-
-func (c *Coordinator) one(op coalesce.Op) (bool, error) {
-	res, err := c.Apply([]coalesce.Op{op})
-	if err != nil {
-		return false, err
-	}
-	return res[0], nil
-}
-
 // Flush forces an epoch on every engine and blocks until everything staged
 // before the call has committed on its shard, then advances the version so
 // the next query composes the flushed state.
@@ -387,7 +349,7 @@ func (c *Coordinator) Flush() {
 // shard independently and the union is exactly the acknowledged edge set.
 // Returns the snapshot paths.
 func (c *Coordinator) Checkpoint() ([]string, error) {
-	if !c.Durable() {
+	if !c.engines[0].Durable() {
 		return nil, errors.New("shard: Checkpoint on a Coordinator without durability")
 	}
 	paths := make([]string, 0, len(c.engines))
@@ -397,7 +359,7 @@ func (c *Coordinator) Checkpoint() ([]string, error) {
 			return nil, ErrClosed
 		}
 		if err != nil {
-			return nil, fmt.Errorf("shard: checkpoint %s: %w", DirName(i, c.k), err)
+			return nil, fmt.Errorf("shard: checkpoint %s: %w", dirName(i, c.k), err)
 		}
 		paths = append(paths, p)
 	}
@@ -412,33 +374,8 @@ func (c *Coordinator) Close() error {
 	var errs []error
 	for i, e := range c.engines {
 		if err := e.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("shard: closing %s: %w", DirName(i, c.k), err))
+			errs = append(errs, fmt.Errorf("shard: closing %s: %w", dirName(i, c.k), err))
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// EngineStat is one engine's pipeline counters plus its durable log
-// positions — the per-shard breakdown the server's stats surface and
-// conncli print.
-type EngineStat struct {
-	Stats      engine.Stats
-	WALSeq     uint64
-	WALFloor   uint64
-	AppliedSeq uint64
-}
-
-// ShardStats returns one EngineStat per pipeline: index 0..k-1 the shards,
-// index k the boundary engine.
-func (c *Coordinator) ShardStats() []EngineStat {
-	out := make([]EngineStat, len(c.engines))
-	for i, e := range c.engines {
-		out[i] = EngineStat{
-			Stats:      e.Stats(),
-			WALSeq:     e.WALSeq(),
-			WALFloor:   e.WALFloor(),
-			AppliedSeq: e.AppliedSeq(),
-		}
-	}
-	return out
 }

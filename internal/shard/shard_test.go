@@ -11,6 +11,26 @@ import (
 	"repro/internal/unionfind"
 )
 
+// applyOne applies a single insert or delete and returns its credit.
+func applyOne(t *testing.T, c *Coordinator, kind coalesce.Kind, u, v int32) bool {
+	t.Helper()
+	res, err := c.Apply([]coalesce.Op{{Kind: kind, U: u, V: v}})
+	if err != nil {
+		t.Fatalf("apply %v {%d,%d}: %v", kind, u, v, err)
+	}
+	return res[0]
+}
+
+// connected answers one pair from the composed labelling.
+func connected(t *testing.T, c *Coordinator, u, v int32) bool {
+	t.Helper()
+	ans, err := c.ConnectedBatch([]graph.Edge{{U: u, V: v}})
+	if err != nil {
+		t.Fatalf("connected {%d,%d}: %v", u, v, err)
+	}
+	return ans[0]
+}
+
 // oracle is a sequential model of the combined edge set with the same batch
 // semantics as Coordinator.Apply: inserts first (first staging of an absent
 // edge gets credit), then deletes (against the post-insert set), then
@@ -163,34 +183,34 @@ func TestCrossShardSplit(t *testing.T) {
 		next++
 	}
 	for i := 0; i+1 < len(path); i++ {
-		if ok, err := c.Insert(path[i], path[i+1]); err != nil || !ok {
-			t.Fatalf("insert {%d,%d}: ok=%v err=%v", path[i], path[i+1], ok, err)
+		if !applyOne(t, c, coalesce.OpInsert, path[i], path[i+1]) {
+			t.Fatalf("insert {%d,%d}: not credited", path[i], path[i+1])
 		}
 	}
-	if ok, _ := c.Connected(path[0], path[3]); !ok {
+	if !connected(t, c, path[0], path[3]) {
 		t.Fatal("path endpoints not connected after cross-shard inserts")
 	}
 	// Sever the middle cross-shard edge: the component must split through
 	// the boundary graph.
-	if ok, err := c.Delete(path[1], path[2]); err != nil || !ok {
-		t.Fatalf("delete middle edge: ok=%v err=%v", ok, err)
+	if !applyOne(t, c, coalesce.OpDelete, path[1], path[2]) {
+		t.Fatal("delete middle edge: not credited")
 	}
-	if ok, _ := c.Connected(path[0], path[3]); ok {
+	if connected(t, c, path[0], path[3]) {
 		t.Fatal("endpoints still connected after boundary split")
 	}
-	if ok, _ := c.Connected(path[0], path[1]); !ok {
+	if !connected(t, c, path[0], path[1]) {
 		t.Fatal("left half lost its own edge")
 	}
-	if ok, _ := c.Connected(path[2], path[3]); !ok {
+	if !connected(t, c, path[2], path[3]) {
 		t.Fatal("right half lost its own edge")
 	}
 
 	// Reconnect through a different boundary route and verify the index
 	// follows (rebuild after every mutation batch).
-	if ok, err := c.Insert(path[0], path[3]); err != nil || !ok {
-		t.Fatalf("reinsert: ok=%v err=%v", ok, err)
+	if !applyOne(t, c, coalesce.OpInsert, path[0], path[3]) {
+		t.Fatal("reinsert: not credited")
 	}
-	if ok, _ := c.Connected(path[1], path[2]); !ok {
+	if !connected(t, c, path[1], path[2]) {
 		t.Fatal("reconnect through new boundary edge not observed")
 	}
 }
@@ -355,8 +375,8 @@ func TestLastBoundaryEdgeDelete(t *testing.T) {
 		}
 	}
 	mustDo := func(kind coalesce.Kind, u, v int32) {
-		if ok, err := c.Apply([]coalesce.Op{{Kind: kind, U: u, V: v}}); err != nil || !ok[0] {
-			t.Fatalf("op %v {%d,%d}: ok=%v err=%v", kind, u, v, ok, err)
+		if !applyOne(t, c, kind, u, v) {
+			t.Fatalf("op %v {%d,%d}: not credited", kind, u, v)
 		}
 	}
 	// Intra-shard spines plus two parallel boundary edges between the pair.
@@ -365,31 +385,31 @@ func TestLastBoundaryEdgeDelete(t *testing.T) {
 	mustDo(coalesce.OpInsert, a[0], b[0])
 	mustDo(coalesce.OpInsert, a[1], b[1])
 
-	if ok, _ := c.Connected(a[0], b[1]); !ok {
+	if !connected(t, c, a[0], b[1]) {
 		t.Fatal("component not assembled across the boundary")
 	}
 	// Drop the redundant boundary edge: still one component via a1-b1.
 	mustDo(coalesce.OpDelete, a[0], b[0])
-	if ok, _ := c.Connected(a[0], b[1]); !ok {
+	if !connected(t, c, a[0], b[1]) {
 		t.Fatal("severed after deleting a REDUNDANT boundary edge")
 	}
 	// Drop the last boundary edge: the shard pair must disconnect entirely.
 	mustDo(coalesce.OpDelete, a[1], b[1])
 	for _, q := range []graph.Edge{{U: a[0], V: b[0]}, {U: a[0], V: b[1]}, {U: a[1], V: b[0]}, {U: a[1], V: b[1]}} {
-		if ok, _ := c.Connected(q.U, q.V); ok {
+		if connected(t, c, q.U, q.V) {
 			t.Fatalf("{%d,%d} still connected after last boundary edge was deleted", q.U, q.V)
 		}
 	}
 	// Each side keeps its intra-shard spine.
-	if ok, _ := c.Connected(a[0], a[1]); !ok {
+	if !connected(t, c, a[0], a[1]) {
 		t.Fatal("left shard lost its intra-shard edge")
 	}
-	if ok, _ := c.Connected(b[0], b[1]); !ok {
+	if !connected(t, c, b[0], b[1]) {
 		t.Fatal("right shard lost its intra-shard edge")
 	}
 	// And one reinsert reconnects everything.
 	mustDo(coalesce.OpInsert, a[0], b[1])
-	if ok, _ := c.Connected(a[1], b[0]); !ok {
+	if !connected(t, c, a[1], b[0]) {
 		t.Fatal("reinsert of a boundary edge did not reconnect the component")
 	}
 }

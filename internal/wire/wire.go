@@ -12,7 +12,7 @@
 // Requests and responses are matched by id, not by position: a client may
 // keep many frames in flight on one connection (pipelining) and the server
 // answers each as its epoch commits. That is the whole point of the
-// protocol — concurrent frames blocked in the Batcher coalesce into the
+// protocol — concurrent frames blocked in an engine coalesce into the
 // large epochs Theorem 1 rewards, exactly as concurrent goroutines do in
 // process.
 //
@@ -192,8 +192,9 @@ type NSInfo struct {
 }
 
 // Stats is the fixed counter block of a CmdStats response — the subset of
-// conn.BatcherStats that is meaningful across the wire, plus the
-// replication counters the server layers on top.
+// engine.Stats that is meaningful across the wire, summed over a
+// namespace's engines, plus the replication and event counters the server
+// layers on top.
 type Stats struct {
 	Epochs            uint64
 	Ops               uint64
