@@ -169,7 +169,9 @@ func NewBatcher(g *Graph, opts ...BatcherOption) *Batcher {
 // or drop on its own side of the hand-off, never stall the write pipeline.
 // Only durable Batchers (WithDurability) emit epochs; on a memory-only
 // Batcher the subscription is registered but never fires. The returned
-// cancel function removes the subscription and is idempotent.
+// cancel function removes the subscription, is idempotent, is a no-op after
+// Close, and must not be called from a subscriber callback (it waits for
+// the dispatcher).
 func (b *Batcher) SubscribeEpochs(fn func(EpochRecord)) (cancel func()) {
 	return b.e.SubscribeEpochs(fn)
 }
@@ -185,8 +187,8 @@ type SnapshotDiff = snapshot.Diff
 // dispatcher goroutine, after the new labelling is published and before the
 // epoch's callers unblock. seq is the epoch's durable WAL position (zero
 // without WithDurability). fn must not block; it fires on memory-only
-// Batchers too. The returned cancel removes the subscription and is
-// idempotent.
+// Batchers too. The returned cancel removes the subscription and behaves
+// as SubscribeEpochs' does.
 func (b *Batcher) SubscribeDiffs(fn func(seq uint64, d *SnapshotDiff)) (cancel func()) {
 	return b.e.SubscribeDiffs(fn)
 }
@@ -217,11 +219,12 @@ const (
 )
 
 // Query executes one structural query. Recent mode (the default) answers
-// label-shaped queries wait-free from the published snapshot and runs
-// traversals over the live structure under the engine's read lock, which
-// excludes only an epoch's mutating phase; Linearized mode rides the
-// dispatcher first (a full epoch barrier), ordering the answer after all
-// previously acknowledged writes. Returns ErrClosed once Close has begun.
+// label-shaped queries wait-free from the published snapshot; Linearized
+// mode rides the dispatcher first (a full epoch barrier), ordering the
+// answer after all previously acknowledged writes. Traversals (k-hop,
+// path) always run over the live structure on the dispatcher, between
+// epochs, after every earlier write. Returns ErrClosed once Close has
+// begun.
 func (b *Batcher) Query(req QueryRequest) (QueryResult, error) {
 	if b.e.Closed() {
 		return QueryResult{}, ErrClosed
@@ -266,8 +269,9 @@ func (b *Batcher) WALFloor() uint64 { return b.e.WALFloor() }
 // before Checkpoint returns is either in the snapshot or in the remaining
 // WAL tail. Returns an error if the Batcher has no durability configured,
 // and ErrClosed (never a panic) once Close has begun. Safe on any graph,
-// including an edgeless one — the request rides a dispatcher nudge, not a
-// vertex operation.
+// including an edgeless one — the snapshot runs on the dispatcher between
+// epochs, not as a vertex operation. Must not be called from a subscriber
+// callback, which runs on the dispatcher it would wait for.
 func (b *Batcher) Checkpoint() (string, error) {
 	if !b.e.Durable() {
 		return "", errors.New("conn: Checkpoint on a Batcher without WithDurability")

@@ -495,8 +495,8 @@ func TestReadTiersConcurrentConsistency(t *testing.T) {
 				case 0:
 					gotLo, gotHi = b.Connected(lo1, lo2), b.Connected(hi1, hi2)
 				case 1:
-					// A tree-path query walks the live forest under the
-					// engine's read lock, racing the mutating phase.
+					// A tree-path query walks the live forest on the
+					// dispatcher, between the writers' epochs.
 					lo, err1 := b.Query(QueryRequest{Kind: QueryPath, U: lo1, V: lo2})
 					hi, err2 := b.Query(QueryRequest{Kind: QueryPath, U: hi1, V: hi2})
 					if err1 != nil || err2 != nil {

@@ -43,8 +43,8 @@ func (ns *Namespace) Query(req conn.QueryRequest) (conn.QueryResult, error) {
 }
 
 // KHop returns every vertex within k edges of u (including u), ascending.
-// Served from the live structure under the server engine's read lock; the
-// call is still replica-eligible and fenced.
+// Served from the live structure on the server engine's dispatcher, between
+// epochs; the call is still replica-eligible and fenced.
 func (ns *Namespace) KHop(u int32, k uint32) ([]int32, error) {
 	res, err := ns.Query(conn.QueryRequest{Kind: conn.QueryKHop, U: u, K: k})
 	return res.Verts, err

@@ -25,7 +25,10 @@
 // The dispatcher is the only goroutine that calls exec, so the executor may
 // use a structure that is not itself safe for concurrent use. Results fan
 // back to callers through per-submission futures: exec returns one bool per
-// operation, sliced back onto each submission's group.
+// operation, sliced back onto each submission's group. Do extends the same
+// ownership to arbitrary work: its function runs on the dispatcher at the
+// boundary after the epoch it was staged in, so whatever exec owns can be
+// read there with no lock.
 package coalesce
 
 import (
@@ -56,12 +59,14 @@ type Op struct {
 	U, V int32
 }
 
-// ErrClosed is returned by Submit and Flush after Close.
+// ErrClosed is returned by Submit, Flush and Do after Close.
 var ErrClosed = errors.New("coalesce: buffer is closed")
 
-// group is one caller submission: ops sharing a single future.
+// group is one caller submission: ops sharing a single future, or (fn
+// non-nil) a Do call, which carries no ops.
 type group struct {
 	ops  []Op
+	fn   func()        // Do's function, run by the dispatcher after the epoch's acks
 	res  []bool        // written by the dispatcher before done is closed
 	seq  uint64        // executor-assigned commit position of the group's epoch
 	done chan struct{} // closed once the group's epoch has committed
@@ -102,9 +107,8 @@ type Buffer struct {
 // epoch's commit position (an executor-defined sequence number, zero if it
 // has none; fanned back to every group via Future.Seq). exec is only ever
 // called from the dispatcher goroutine. A drain that collected only barrier
-// groups (Flush with nothing staged) still calls exec with an empty op
-// slice — executors with out-of-band epoch-boundary work rely on Flush as
-// a dispatcher nudge.
+// groups (Flush or Do with nothing else staged) still calls exec, with an
+// empty op slice, so every group resolves to the seq of an executed epoch.
 func NewBuffer(exec func(ops []Op) ([]bool, uint64)) *Buffer {
 	b := &Buffer{
 		kick:    make(chan struct{}, 1),
@@ -140,13 +144,21 @@ func (f Future) Seq() uint64 {
 // future resolves once every group staged before it has committed.
 func (b *Buffer) Submit(ops []Op) (Future, error) {
 	g := &group{ops: ops, done: make(chan struct{})}
+	if err := b.stage(g); err != nil {
+		return Future{}, err
+	}
+	return Future{g}, nil
+}
+
+// stage appends g to the buffer and wakes the dispatcher.
+func (b *Buffer) stage(g *group) error {
 	b.mu.Lock()
 	// The closed check shares the lock with the final drain, which runs
 	// after closed is set: a submission either lands before that drain
 	// (and is committed by it) or observes closed.
 	if b.closed {
 		b.mu.Unlock()
-		return Future{}, ErrClosed
+		return ErrClosed
 	}
 	b.groups = append(b.groups, g)
 	b.mu.Unlock()
@@ -154,16 +166,26 @@ func (b *Buffer) Submit(ops []Op) (Future, error) {
 	case b.kick <- struct{}{}:
 	default: // a wake-up is already pending
 	}
-	return Future{g}, nil
+	return nil
 }
 
 // Flush blocks until every operation staged before the call has committed.
-func (b *Buffer) Flush() error {
-	f, err := b.Submit(nil)
-	if err != nil {
+func (b *Buffer) Flush() error { return b.Do(func() {}) }
+
+// Do runs f on the dispatcher goroutine and blocks until it returns. f is
+// staged as a group with no ops: it runs after every group staged before
+// it has executed, and after the op groups of its own epoch have been
+// acked, so it never delays a write's acknowledgement — only the next
+// epoch. Everything exec owns may be read (or written) by f without a lock.
+// A Do staged before Close runs in the final sweep; after Close has begun,
+// Do returns ErrClosed and f never runs. f must not call Do, Flush or Wait
+// on this buffer: they wait for the dispatcher that is running f.
+func (b *Buffer) Do(f func()) error {
+	g := &group{fn: f, done: make(chan struct{})}
+	if err := b.stage(g); err != nil {
 		return err
 	}
-	f.Wait()
+	<-g.done
 	return nil
 }
 
@@ -226,10 +248,10 @@ func (b *Buffer) run() {
 }
 
 // drain collects every staged group, executes them as one epoch, fans the
-// results back, and releases the blocked callers. The close of each group's
-// done channel is the acknowledgement callers' Wait unblocks on, so it must
-// stay after the exec call — acked means committed (and, with a durable
-// executor, fsynced).
+// results back, releases the blocked callers, then runs the epoch's Do
+// functions in staging order. The close of each group's done channel is the
+// acknowledgement callers' Wait unblocks on, so it must stay after the exec
+// call — acked means committed (and, with a durable executor, fsynced).
 //
 //conn:dispatcher-only
 //conn:ack-after-fsync
@@ -243,11 +265,9 @@ func (b *Buffer) drain() {
 		total += len(g.ops)
 	}
 	if len(groups) > 0 {
-		// exec runs even when every drained group is an empty barrier
-		// (total == 0): a Flush is the dispatcher nudge that executors use
-		// to service out-of-band requests (conn.Batcher checkpoints) at an
-		// epoch boundary, so it must reach them. Empty drains are not
-		// counted as epochs.
+		// exec runs even when every drained group is an empty barrier or a
+		// Do (total == 0), so every group resolves to an executed epoch's
+		// seq. Empty drains are not counted as epochs.
 		ops := make([]Op, 0, total)
 		for _, g := range groups {
 			ops = append(ops, g.ops...)
@@ -269,9 +289,18 @@ func (b *Buffer) drain() {
 			}
 		}
 		// The acknowledgement: closing the done channels unblocks every
-		// caller's Wait.
+		// caller's Wait. Do functions run after it, so a long one delays
+		// the next epoch but never this one's acks.
 		for _, g := range groups {
-			close(g.done)
+			if g.fn == nil {
+				close(g.done)
+			}
+		}
+		for _, g := range groups {
+			if g.fn != nil {
+				g.fn()
+				close(g.done)
+			}
 		}
 	}
 }

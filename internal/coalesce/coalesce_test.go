@@ -299,3 +299,148 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatalf("Stats.Ops = %d, want %d", s.Ops, want)
 	}
 }
+
+// waitStaged polls until b holds want staged groups (Do groups carry no
+// ops, so Pending cannot see them).
+func waitStaged(t *testing.T, b *Buffer, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		b.mu.Lock()
+		got := len(b.groups)
+		b.mu.Unlock()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("staged groups = %d, want %d", got, want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestDoRunsAfterItsEpoch: a Do staged behind an op group runs on the
+// dispatcher after that group's epoch has executed and after its future
+// has resolved.
+func TestDoRunsAfterItsEpoch(t *testing.T) {
+	var calls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	b := NewBuffer(gatedExec(&calls, entered, release))
+	defer b.Close()
+	if _, err := b.Submit(nil); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	f, err := b.Submit([]Op{{Kind: OpInsert, U: 1, V: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var execs int64
+	acked := false
+	done := make(chan error, 1)
+	go func() {
+		done <- b.Do(func() {
+			execs = calls.Load()
+			select {
+			case <-f.g.done:
+				acked = true
+			default:
+			}
+		})
+	}()
+	waitStaged(t, b, 2)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if execs != 2 {
+		t.Fatalf("Do ran after %d exec calls, want 2 (the gate's and its own epoch's)", execs)
+	}
+	if !acked {
+		t.Fatal("Do ran before its epoch's op future resolved")
+	}
+	if res := f.Wait(); len(res) != 1 || !res[0] {
+		t.Fatalf("op staged before Do resolved to %v", res)
+	}
+}
+
+// TestDoSerialWithExec: Do functions and exec run on one goroutine, so
+// state exec writes can be read and written by Do with no lock — the race
+// detector checks it here.
+func TestDoSerialWithExec(t *testing.T) {
+	const goroutines, perG = 4, 200
+	committed := 0 // owned by the dispatcher
+	b := NewBuffer(func(ops []Op) ([]bool, uint64) {
+		committed += len(ops)
+		return make([]bool, len(ops)), 0
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			last := 0
+			for i := 0; i < perG; i++ {
+				f, err := b.Submit([]Op{{U: int32(g), V: int32(i)}})
+				if err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+				f.Wait()
+				seen := 0
+				if err := b.Do(func() { seen = committed }); err != nil {
+					t.Errorf("Do: %v", err)
+					return
+				}
+				// This goroutine's own i+1 ops have committed, and the
+				// count only grows.
+				if seen < i+1 || seen < last {
+					t.Errorf("goroutine %d op %d: Do saw %d committed ops after %d", g, i, seen, last)
+					return
+				}
+				last = seen
+			}
+		}(g)
+	}
+	wg.Wait()
+	total := 0
+	if err := b.Do(func() { total = committed }); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if total != goroutines*perG {
+		t.Fatalf("committed = %d, want %d", total, goroutines*perG)
+	}
+}
+
+// TestDoAndClose: a Do staged before Close runs in the final sweep; after
+// Close, Do fails with ErrClosed and its function never runs.
+func TestDoAndClose(t *testing.T) {
+	var calls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	b := NewBuffer(gatedExec(&calls, entered, release))
+	if _, err := b.Submit(nil); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	ran := false
+	done := make(chan error, 1)
+	go func() { done <- b.Do(func() { ran = true }) }()
+	waitStaged(t, b, 1)
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	for {
+		if _, err := b.Submit(nil); err == ErrClosed {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	<-closed
+	if err := <-done; err != nil || !ran {
+		t.Fatalf("Do staged before Close: err = %v, ran = %v; want nil, true", err, ran)
+	}
+	if err := b.Do(func() { t.Error("Do after Close ran its function") }); err != ErrClosed {
+		t.Fatalf("Do after Close: err = %v, want ErrClosed", err)
+	}
+}

@@ -1,9 +1,13 @@
 // Package engine is the dispatcher-owned epoch pipeline extracted from the
 // public Batcher: coalesce drain → WAL append+fsync → epoch execution →
-// snapshot publish → epoch-subscriber tee → checkpoint service. One Engine
-// owns one single-writer core.Conn and is the only goroutine that mutates
-// it; any number of goroutines submit operations through the coalescing
-// buffer and block on futures.
+// snapshot publish → acks → epoch-boundary work. One Engine owns one
+// single-writer core.Conn, and its dispatcher goroutine is the only one
+// that touches it: mutations run in execEpoch, and everything else that
+// needs the live structure or dispatcher-owned state — traversals (Read),
+// checkpoints, subscriber registration — runs on the dispatcher between
+// epochs through coalesce.Buffer.Do. The package declares no lock. Any
+// number of goroutines submit operations through the coalescing buffer and
+// block on futures.
 //
 // The package exists so that a front-end can host N of these: the public
 // conn.Batcher wraps exactly one Engine, a plain server namespace is a bare
@@ -23,7 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -106,26 +110,17 @@ type durability struct {
 	checkpoints atomic.Int64
 }
 
-// ckptRequest is one pending Checkpoint call.
-type ckptRequest struct {
-	done chan struct{}
-	path string
-	err  error
-}
-
 // Engine runs the epoch pipeline for one core.Conn. All methods are safe
-// from any goroutine; the structure itself is mutated only by the dispatcher
+// from any goroutine; the structure itself is touched only by the dispatcher
 // goroutine the coalescing buffer starts.
+//
+// Read, Checkpoint and a subscription's cancel wait for the dispatcher, so
+// they must not be called from a dispatcher callback (an epoch or diff
+// subscriber, the Hook, or a function Read runs): the call would wait for
+// itself.
 type Engine struct {
 	c   *core.Conn
 	buf *coalesce.Buffer
-
-	// mu exists only for Read: execEpoch write-holds it around the
-	// insert/delete phase, Read read-holds it around its adjacency and
-	// forest walks. Connectivity reads never take it — they answer from
-	// snap — and Read callers never block each other (the read-only
-	// contract makes concurrent walks safe).
-	mu sync.RWMutex
 
 	// snap is the epoch-published component labelling: the committed read
 	// tier (ReadNowBatch, Recent).
@@ -136,12 +131,6 @@ type Engine struct {
 	// structure, so an acknowledged write is a durable write.
 	dur *durability
 
-	// ckptReq hands a checkpoint request to the dispatcher, which services
-	// it at the end of an epoch — the one point where the graph is stable
-	// and every appended WAL record has been applied.
-	ckptReq atomic.Pointer[ckptRequest]
-	ckptMu  sync.Mutex // serializes Checkpoint callers
-
 	closed atomic.Bool
 
 	// applied is the durable seq of the last fully applied (and snapshot-
@@ -150,16 +139,14 @@ type Engine struct {
 	// after.
 	applied atomic.Uint64
 
-	// subs is the copy-on-write list of epoch subscribers (SubscribeEpochs):
-	// the durable dispatcher path tees each fsynced epoch to every entry.
-	subsMu sync.Mutex
-	subs   atomic.Pointer[[]*epochSub]
-
-	// diffSubs is the copy-on-write list of snapshot-diff subscribers
-	// (SubscribeDiffs): execEpoch tees each partition-changing labelling
-	// transition — the connectivity event feed.
-	diffSubsMu sync.Mutex
-	diffSubs   atomic.Pointer[[]*diffSub]
+	// subs are the epoch subscribers (SubscribeEpochs): the durable
+	// dispatcher path tees each fsynced epoch to every entry. diffSubs are
+	// the snapshot-diff subscribers (SubscribeDiffs): execEpoch tees each
+	// partition-changing labelling transition — the connectivity event
+	// feed. Both are touched only on the dispatcher; registration and
+	// cancellation go through Do.
+	subs     []*epochSub
+	diffSubs []*diffSub
 
 	hook func(ops []coalesce.Op, res []bool)
 }
@@ -292,10 +279,8 @@ func (e *Engine) logEpoch(ops []coalesce.Op) {
 	// Replication tee: the record is durable, so subscribers (the Hub
 	// shipping epochs to followers) may see it now — before the epoch is
 	// applied or acknowledged, exactly the ordering the WAL itself gets.
-	if subs := e.subs.Load(); subs != nil && len(*subs) > 0 {
-		for _, s := range *subs {
-			s.fn(er)
-		}
+	for _, s := range e.subs {
+		s.fn(er)
 	}
 }
 
@@ -305,34 +290,21 @@ func (e *Engine) logEpoch(ops []coalesce.Op) {
 // caller's future resolves. fn must not block — a slow consumer must buffer
 // or drop on its own side of the hand-off, never stall the write pipeline.
 // Only durable Engines emit epochs; on a memory-only Engine the
-// subscription is registered but never fires. The returned cancel function
-// removes the subscription and is idempotent.
+// subscription is registered but never fires. Registration and the returned
+// cancel both run on the dispatcher between epochs; cancel is idempotent,
+// is a no-op once Close has begun, and must not be called from a dispatcher
+// callback.
 func (e *Engine) SubscribeEpochs(fn func(EpochRecord)) (cancel func()) {
-	sub := &epochSub{fn: fn}
-	e.subsMu.Lock()
-	var cur []*epochSub
-	if p := e.subs.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]*epochSub, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = sub
-	e.subs.Store(&next)
-	e.subsMu.Unlock()
+	return subscribe(e, &e.subs, &epochSub{fn: fn})
+}
+
+// subscribe appends sub to a dispatcher-owned subscriber list, on the
+// dispatcher, and returns the cancel that removes it there. Both are no-ops
+// once Close has begun.
+func subscribe[T comparable](e *Engine, list *[]T, sub T) (cancel func()) {
+	_ = e.buf.Do(func() { *list = append(*list, sub) })
 	return func() {
-		e.subsMu.Lock()
-		defer e.subsMu.Unlock()
-		p := e.subs.Load()
-		if p == nil {
-			return
-		}
-		out := make([]*epochSub, 0, len(*p))
-		for _, s := range *p {
-			if s != sub {
-				out = append(out, s)
-			}
-		}
-		e.subs.Store(&out)
+		_ = e.buf.Do(func() { *list = slices.DeleteFunc(*list, func(s T) bool { return s == sub }) })
 	}
 }
 
@@ -343,35 +315,11 @@ func (e *Engine) SubscribeEpochs(fn func(EpochRecord)) (cancel func()) {
 // without durability). fn must not block — internal/pubsub's Hub.Feed, the
 // intended consumer, buffers per subscriber and drops on overflow. Unlike
 // SubscribeEpochs this fires on memory-only engines too: events are a
-// property of the partition, not of the log. The returned cancel removes
-// the subscription and is idempotent.
+// property of the partition, not of the log. Registration and cancel run
+// on the dispatcher, exactly as for SubscribeEpochs.
 func (e *Engine) SubscribeDiffs(fn func(seq uint64, d *snapshot.Diff)) (cancel func()) {
-	sub := &diffSub{fn: fn} //conn:dispatcher-entry — hands the diff tee to the dispatcher goroutine
-	e.diffSubsMu.Lock()
-	var cur []*diffSub
-	if p := e.diffSubs.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]*diffSub, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = sub
-	e.diffSubs.Store(&next)
-	e.diffSubsMu.Unlock()
-	return func() {
-		e.diffSubsMu.Lock()
-		defer e.diffSubsMu.Unlock()
-		p := e.diffSubs.Load()
-		if p == nil {
-			return
-		}
-		out := make([]*diffSub, 0, len(*p))
-		for _, s := range *p {
-			if s != sub {
-				out = append(out, s)
-			}
-		}
-		e.diffSubs.Store(&out)
-	}
+	//conn:dispatcher-entry — hands the diff tee to the dispatcher goroutine
+	return subscribe(e, &e.diffSubs, &diffSub{fn: fn})
 }
 
 // WALSeq returns the sequence number of the last durable epoch (zero
@@ -414,21 +362,13 @@ func (e *Engine) WALFloor() uint64 {
 	return e.dur.log.BaseSeq()
 }
 
-// serviceCheckpoint runs on the dispatcher at the end of an epoch, when the
-// graph is stable and every WAL record appended so far has been applied —
-// so a snapshot of the live edge set captures exactly the log's prefix and
-// the log can be truncated behind it.
-//
-// close(req.done) releases the Checkpoint caller, so it must stay behind
-// the checkpoint.Write durability barrier.
+// checkpoint runs on the dispatcher between epochs, when the graph is
+// stable and every WAL record appended so far has been applied — so a
+// snapshot of the live edge set captures exactly the log's prefix and the
+// log can be truncated behind it.
 //
 //conn:dispatcher-only
-//conn:ack-after-fsync
-func (e *Engine) serviceCheckpoint() {
-	req := e.ckptReq.Swap(nil)
-	if req == nil {
-		return
-	}
+func (e *Engine) checkpoint() (string, error) {
 	seq := e.dur.log.LastSeq()
 	edges := e.c.SpanningForest()
 	edges = append(edges, e.c.NonTreeEdges()...)
@@ -449,13 +389,12 @@ func (e *Engine) serviceCheckpoint() {
 			path = ""
 		}
 	}
-	req.path, req.err = path, err
-	close(req.done)
+	return path, err
 }
 
 // resetLog truncates the WAL behind the durable checkpoint at seq. The
 // chaos site models the truncation failing (a disk error between the
-// checkpoint write and the log reset): serviceCheckpoint's fallback must
+// checkpoint write and the log reset): checkpoint's fallback must
 // keep the older checkpoints and the full log so Restore still recovers the
 // complete acked history.
 func (e *Engine) resetLog(seq uint64) error {
@@ -472,31 +411,21 @@ func (e *Engine) resetLog(seq uint64) error {
 // transactionally consistent with the log: every operation acknowledged
 // before Checkpoint returns is either in the snapshot or in the remaining
 // WAL tail. Returns an error on an Engine without durability, and ErrClosed
-// (never a panic) once Close has begun.
+// (never a panic) once Close has begun; a Checkpoint that raced Close and
+// was staged first runs in the final sweep. Must not be called from a
+// dispatcher callback.
 func (e *Engine) Checkpoint() (string, error) {
 	if e.dur == nil {
 		return "", errors.New("engine: Checkpoint without durability")
 	}
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-	req := &ckptRequest{done: make(chan struct{})}
-	e.ckptReq.Store(req)
-	// Dedicated dispatcher nudge: a flush barrier forces a drain, and the
-	// dispatcher services checkpoint requests at the end of every drain —
-	// even an empty one — so the wait below is bounded by one epoch without
-	// smuggling a fake query through the pipeline (which would touch vertex
-	// 0 and panic after Close instead of failing cleanly).
-	if err := e.buf.Flush(); err != nil {
-		// Close raced in. The request was published before the flush
-		// attempt, so the dispatcher's final sweep may still have serviced
-		// it; only if it can be retracted unserviced did the checkpoint
-		// definitely not happen.
-		if e.ckptReq.CompareAndSwap(req, nil) {
-			return "", ErrClosed
-		}
+	var path string
+	var err error
+	if e.buf.Do(func() {
+		path, err = e.checkpoint() //conn:dispatcher-entry — Do runs this on the dispatcher
+	}) != nil {
+		return "", ErrClosed
 	}
-	<-req.done
-	return req.path, req.err
+	return path, err
 }
 
 // execEpoch applies one drained epoch to the underlying structure and
@@ -505,15 +434,8 @@ func (e *Engine) Checkpoint() (string, error) {
 // the last logged seq for a query-only one, zero without durability). It
 // runs on the dispatcher goroutine only, so the single-writer contract of
 // core.Conn holds. Insert and delete credit goes to the first staging of
-// each edge in epoch order; queries run against the post-update state.
-//
-// Locking: only the mutating phase write-holds e.mu, and only Read takes
-// it, so a Read walk never observes inserts applied but deletes pending.
-// The epoch's own queries and the snapshot publish are read-only walks and
-// run lock-free alongside Read (read-read is safe under the core contract;
-// no other writer can exist because this is the sole dispatcher).
-// Connectivity reads never touch the lock: they answer from the labelling
-// published below, before any of the epoch's futures resolve.
+// each edge in epoch order; queries are answered from the post-epoch
+// labelling, published before any of the epoch's futures resolve.
 //
 //conn:dispatcher-only
 func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
@@ -561,8 +483,7 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 	var touched []int32
 
 	// The insert pre-scan (dedup + presence filter) and Prepare read only
-	// pre-epoch state, so they run before the write lock — concurrent Read
-	// walks are not blocked by them.
+	// pre-epoch state.
 	var insBatch []graph.Edge
 	if len(insIdx) > 0 {
 		lbl := e.snap.Current() // pre-epoch labelling
@@ -591,50 +512,35 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 	// Publish must relabel whenever a dirty component is too large to walk.
 	e.snap.Prepare(touched)
 
-	if len(insBatch) > 0 || len(delIdx) > 0 {
-		// The write lock spans from the first structure mutation to the
-		// last: Read must never observe inserts applied but deletes
-		// pending. The delete pre-scan has to sit inside the window — it
-		// reads post-insert presence so an insert and delete of the same
-		// edge in one epoch compose.
-		e.mu.Lock()
+	if len(insBatch) > 0 {
 		e.c.BatchInsert(insBatch)
-		if len(delIdx) > 0 {
-			seen := make(map[uint64]struct{}, len(delIdx))
-			batch := make([]graph.Edge, 0, len(delIdx))
-			for _, i := range delIdx {
-				u, v := ops[i].U, ops[i].V
-				if u == v {
-					continue
-				}
-				k := graph.Edge{U: u, V: v}.Key()
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				// Tree-ness is read post-insert, pre-delete — exactly the
-				// forest BatchDelete will sever.
-				if present, tree := e.c.EdgeInfo(u, v); present {
-					res[i] = true
-					batch = append(batch, graph.Edge{U: u, V: v})
-					if tree {
-						touched = append(touched, u, v)
-					}
+	}
+	if len(delIdx) > 0 {
+		// The delete pre-scan reads post-insert presence, so an insert and
+		// a delete of the same edge in one epoch compose.
+		seen := make(map[uint64]struct{}, len(delIdx))
+		batch := make([]graph.Edge, 0, len(delIdx))
+		for _, i := range delIdx {
+			u, v := ops[i].U, ops[i].V
+			if u == v {
+				continue
+			}
+			k := graph.Edge{U: u, V: v}.Key()
+			if _, dup := seen[k]; dup {
+				continue
+			}
+			seen[k] = struct{}{}
+			// Tree-ness is read post-insert, pre-delete — exactly the
+			// forest BatchDelete will sever.
+			if present, tree := e.c.EdgeInfo(u, v); present {
+				res[i] = true
+				batch = append(batch, graph.Edge{U: u, V: v})
+				if tree {
+					touched = append(touched, u, v)
 				}
 			}
-			e.c.BatchDelete(batch)
 		}
-		e.mu.Unlock()
-	}
-
-	if len(qIdx) > 0 {
-		qs := make([]graph.Edge, len(qIdx))
-		for j, i := range qIdx {
-			qs[j] = graph.Edge{U: ops[i].U, V: ops[i].V}
-		}
-		for j, ok := range e.c.BatchConnected(qs) {
-			res[qIdx[j]] = ok
-		}
+		e.c.BatchDelete(batch)
 	}
 
 	// Publish before the dispatcher resolves the epoch's futures (our
@@ -646,15 +552,18 @@ func (e *Engine) execEpoch(ops []coalesce.Op) ([]bool, uint64) {
 	// a caller that observes its commit can also already observe its
 	// events.
 	if d := e.snap.Publish(touched); d != nil {
-		if subs := e.diffSubs.Load(); subs != nil && len(*subs) > 0 {
-			for _, s := range *subs {
-				s.fn(epochSeq, d)
-			}
+		for _, s := range e.diffSubs {
+			s.fn(epochSeq, d)
 		}
 	}
 
-	if e.dur != nil {
-		e.serviceCheckpoint()
+	// The epoch's queries read the labelling just published, which is
+	// exact for the post-epoch graph.
+	if len(qIdx) > 0 {
+		lbl := e.snap.Current()
+		for _, i := range qIdx {
+			res[i] = lbl.Connected(ops[i].U, ops[i].V)
+		}
 	}
 
 	if e.hook != nil {
@@ -683,20 +592,19 @@ func (e *Engine) ReadNowBatch(qs []graph.Edge) ([]bool, error) {
 	return out, nil
 }
 
-// Read runs f against the live structure under the engine's read lock,
-// which excludes only the mutating phase of an epoch: f may use any
-// read-only query of core.Conn and must not retain the pointer. It is the
-// path for what the labelling cannot answer — adjacency and spanning-forest
-// walks (internal/query traversals) and the shard coordinator's component
-// ids and edge sets. Returns ErrClosed once Close has begun.
+// Read runs f against the live structure on the dispatcher, between
+// epochs, and blocks until it returns: f sees every operation staged before
+// the call, never a partial epoch, and may call AppliedSeq for the exact
+// seq of the state it reads. f must use only read-only queries of
+// core.Conn and must not retain the pointer. It is the path for what the
+// labelling cannot answer — the adjacency and spanning-forest walks of
+// internal/query traversals. A long f delays the next epoch, never the acks
+// of its own. Returns ErrClosed once Close has begun; must not be called
+// from a dispatcher callback (f included).
 func (e *Engine) Read(f func(c *core.Conn)) error {
-	e.mu.RLock()
-	if e.closed.Load() {
-		e.mu.RUnlock()
+	if e.buf.Do(func() { f(e.c) }) != nil {
 		return ErrClosed
 	}
-	f(e.c)
-	e.mu.RUnlock()
 	return nil
 }
 
@@ -734,12 +642,6 @@ func (e *Engine) Close() error {
 		// error still surfaces to the caller.
 		err = e.dur.log.Close()
 	}
-	// Empty critical section as a barrier: wait out any Read that
-	// acquired the read lock before the closed flag landed, so the
-	// structure is truly quiesced when we return.
-	e.mu.Lock()
-	//lint:ignore SA2001 the empty critical section IS the barrier
-	e.mu.Unlock()
 	return err
 }
 

@@ -147,7 +147,7 @@ func TestEngineEpochPipeline(t *testing.T) {
 		checkAllPairs(t, e, o)
 	}
 
-	// The live structure, walked under the read lock, agrees with the
+	// The live structure, walked on the dispatcher, agrees with the
 	// labelling the committed tier answered from.
 	uf := o.uf()
 	if err := e.Read(func(c *core.Conn) {

@@ -32,7 +32,7 @@ var liveMutations = []mutation{
 		file: "internal/engine/engine.go",
 		from: "\trec := wal.Record{Seq: e.dur.log.LastSeq() + 1, Ins: ins, Del: del}\n",
 		to: "\trec := wal.Record{Seq: e.dur.log.LastSeq() + 1, Ins: ins, Del: del}\n" +
-			"\tfor _, s := range *e.subs.Load() {\n\t\ts.fn(EpochRecord{Seq: rec.Seq})\n\t}\n",
+			"\tfor _, s := range e.subs {\n\t\ts.fn(EpochRecord{Seq: rec.Seq})\n\t}\n",
 		want: `.*\[ackafterfsync\]`,
 	},
 	{

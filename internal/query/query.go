@@ -11,17 +11,21 @@
 //   - Recent (default): label-shaped queries (members, size, aggregate) are
 //     answered from the wait-free published snapshot (snapshot.Labels) — no
 //     locks, no dispatcher, exactly the tier replicas serve read load from.
-//     Structural traversals (k-hop, tree path) have no snapshot to walk, so
-//     they run against the live structure under the engine's read lock,
-//     which excludes only the mutating phase of an epoch.
-//   - Linearized: the executor first rides the dispatcher (Flush — a full
-//     epoch barrier, so every operation staged before the query arrived has
-//     committed and published), then executes as in recent mode. The
-//     answer is ordered after all prior acknowledged writes.
+//   - Linearized: label-shaped queries first ride the dispatcher (Flush — a
+//     full epoch barrier, so every operation staged before the query arrived
+//     has committed and published), then read the snapshot as in recent
+//     mode. The answer is ordered after all prior acknowledged writes.
 //
-// The returned Seq is the engine's applied durable position sampled before
-// the read, so it never exceeds the state the answer reflects — the same
-// fencing contract ReadRecent's replica routing relies on.
+// Structural traversals (k-hop, tree path) have no snapshot to walk, so in
+// both modes they run against the live structure on the engine's
+// dispatcher, between epochs (engine.Read): already ordered after every
+// operation staged before them, they need no Flush.
+//
+// The returned Seq never exceeds the state the answer reflects — the same
+// fencing contract ReadRecent's replica routing relies on. For a label-
+// shaped query it is the engine's applied durable position sampled before
+// the read; for a traversal it is read on the dispatcher with the walk, so
+// it is exactly the position of the state walked.
 package query
 
 import (
@@ -74,7 +78,7 @@ func (k Kind) String() string {
 
 // Request is one query. U is the subject vertex (KHop/Members/Size/Path),
 // V the path target, K the hop bound. Linearized selects the dispatcher-
-// ordered tier.
+// ordered tier for label-shaped kinds; traversals are always in it.
 type Request struct {
 	Kind       Kind
 	Linearized bool
@@ -94,7 +98,7 @@ type Result struct {
 }
 
 // Engine is the executor's view of one engine: the wait-free snapshot
-// tier, live-structure walks under the read lock, and the dispatcher
+// tier, live-structure walks on the dispatcher, and the dispatcher
 // barrier. *engine.Engine implements it.
 type Engine interface {
 	N() int
@@ -112,14 +116,11 @@ func Run(e Engine, req Request) (Result, error) {
 	if err := Validate(req, n); err != nil {
 		return Result{}, err
 	}
+	if req.Kind == KindKHop || req.Kind == KindPath {
+		return traverse(e, req)
+	}
 	if req.Linearized {
 		e.Flush()
-	}
-	switch req.Kind {
-	case KindKHop:
-		return runKHop(e, req)
-	case KindPath:
-		return runPath(e, req)
 	}
 	// Label-shaped queries read the published snapshot in both modes: the
 	// flushed epoch published before Flush returned, so in linearized mode
@@ -188,25 +189,29 @@ func Aggregate(lbl []int32) (count uint64, hist []uint64) {
 	return uint64(len(sizes)), append([]uint64(nil), h[:maxB+1]...)
 }
 
-// runKHop is the breadth-first k-hop traversal over the live structure,
-// under the engine's read lock (the snapshot tier has labels, not
-// adjacency).
-func runKHop(e Engine, req Request) (Result, error) {
-	seq := e.AppliedSeq()
-	var verts []int32
+// traverse runs a k-hop or tree-path traversal over the live structure on
+// the engine's dispatcher (the snapshot tier has labels, not adjacency),
+// reading the applied seq there too, so it names exactly the state walked.
+func traverse(e Engine, req Request) (Result, error) {
+	var res Result
 	err := e.Read(func(c *core.Conn) {
-		verts = khop(c.Neighbors, int32(e.N()), req.U, req.K)
+		if req.Kind == KindKHop {
+			verts := KHop(c.Neighbors, int32(e.N()), req.U, req.K)
+			res = Result{Found: true, Verts: verts, Size: uint64(len(verts))}
+		} else {
+			path, found := TreePath(c.TreeNeighbors, int32(e.N()), req.U, req.V)
+			res = Result{Found: found, Verts: path, Size: uint64(len(path))}
+		}
+		res.Seq = e.AppliedSeq()
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Seq: seq, Found: true, Verts: verts, Size: uint64(len(verts))}, nil
+	return res, err
 }
 
-// khop runs BFS to depth k over any neighbor enumerator and returns the
-// visited set ascending. Factored out so the sharded coordinator can reuse
-// it per-round across engines.
-func khop(neighbors func(int32, []int32) []int32, n, u int32, k uint32) []int32 {
+// KHop runs BFS to depth k over any neighbor enumerator and returns the
+// visited set ascending — the vertices within k hops of u, u included. The
+// sharded coordinator's enumerator unions the neighbor lists of every
+// engine owning the vertex, boundary engine included.
+func KHop(neighbors func(int32, []int32) []int32, n, u int32, k uint32) []int32 {
 	visited := make([]bool, n)
 	visited[u] = true
 	frontier := []int32{u}
@@ -230,26 +235,14 @@ func khop(neighbors func(int32, []int32) []int32, n, u int32, k uint32) []int32 
 	return out
 }
 
-// runPath extracts a U→V path of spanning-forest edges: BFS over tree
-// neighbors, then parent-chain reconstruction. The forest spans every
-// component, so a path exists iff U and V are connected.
-func runPath(e Engine, req Request) (Result, error) {
-	seq := e.AppliedSeq()
-	var path []int32
-	var found bool
-	err := e.Read(func(c *core.Conn) {
-		path, found = treePath(c.TreeNeighbors, int32(e.N()), req.U, req.V)
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Seq: seq, Found: found, Verts: path, Size: uint64(len(path))}, nil
-}
-
-// treePath runs BFS from u toward v over any tree-neighbor enumerator and
-// reconstructs the vertex sequence u..v. Exported to the coordinator via
-// TreePath.
-func treePath(neighbors func(int32, []int32) []int32, n, u, v int32) ([]int32, bool) {
+// TreePath extracts a u→v path of spanning-forest edges: BFS from u toward
+// v over any tree-neighbor enumerator, then parent-chain reconstruction of
+// the vertex sequence u..v. The forest spans every component, so a path
+// exists iff u and v are connected; the union of per-engine spanning
+// forests preserves the union graph's connectivity, so the sharded
+// coordinator's composed enumerator still finds a path exactly when one
+// exists.
+func TreePath(neighbors func(int32, []int32) []int32, n, u, v int32) ([]int32, bool) {
 	if u == v {
 		return []int32{u}, true
 	}
@@ -288,20 +281,4 @@ func treePath(neighbors func(int32, []int32) []int32, n, u, v int32) ([]int32, b
 		frontier = next
 	}
 	return nil, false
-}
-
-// KHop runs the BFS primitive over a caller-supplied neighbor enumerator —
-// the hook the sharded coordinator uses to make the traversal boundary-
-// aware (its enumerator unions the neighbor lists of every engine owning
-// the vertex, including the boundary engine).
-func KHop(neighbors func(int32, []int32) []int32, n, u int32, k uint32) []int32 {
-	return khop(neighbors, n, u, k)
-}
-
-// TreePath runs the tree-path primitive over a caller-supplied tree-
-// neighbor enumerator; the union of per-engine spanning forests preserves
-// the union graph's connectivity, so the sharded coordinator's composed
-// enumerator still finds a path exactly when one exists.
-func TreePath(neighbors func(int32, []int32) []int32, n, u, v int32) ([]int32, bool) {
-	return treePath(neighbors, n, u, v)
 }

@@ -20,10 +20,10 @@
 // or path compression to tempt them). Any number of goroutines may therefore run them
 // concurrently with each other on the same treap, provided no mutation
 // (NewNode on a shared pool aside, Join, SplitAt, SplitBefore, SetVal,
-// AddVal, Remove, Free) is in flight. This is the foundation the
-// concurrent read path builds on: the snapshot publisher and the engine's
-// Read walks (query traversals) run beside each other under a read lock
-// that excludes exactly the mutating epoch. The contract is enforced by
+// AddVal, Remove, Free) is in flight. Every walk of a live structure runs
+// on its engine's dispatcher, so the contract guards the parallel workers
+// inside one batch operation (a batch query or lookup fanned out over
+// parallel.For), not concurrent readers. It is enforced by
 // TestConcurrentReadOnlyQueries under -race.
 package treap
 
