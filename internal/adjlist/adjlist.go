@@ -215,14 +215,16 @@ type Delta struct {
 
 // endpointGroups semisorts records by endpoint so each vertex's mutations can
 // run sequentially while distinct vertices proceed in parallel. Each record
-// appears in exactly two groups (once per endpoint).
-func endpointGroups(recs []*Rec) []parallel.Group {
+// appears in exactly two groups (once per endpoint): index i stands for
+// endpoint i%2 of recs[i/2]. Groups are laid out as parallel.GroupBy returns
+// them.
+func endpointGroups(recs []*Rec) (order, start []int) {
 	keys := make([]uint64, 2*len(recs))
 	parallel.For(len(recs), 2048, func(i int) {
 		keys[2*i] = uint64(uint32(recs[i].E.U))
 		keys[2*i+1] = uint64(uint32(recs[i].E.V))
 	})
-	return parallel.GroupByParallel(keys)
+	return parallel.GroupBy(keys)
 }
 
 // BatchInsert inserts all records (each into both endpoint lists) and
@@ -243,25 +245,34 @@ func (s *Store) batch(recs []*Rec, insert bool) []Delta {
 	}
 	// Grouping by endpoint gives each goroutine its own vertices, so the
 	// cells it creates and drops are never shared.
-	groups := endpointGroups(recs)
-	out := make([][]Delta, len(groups))
-	parallel.For(len(groups), 0, func(gi int) {
-		g := groups[gi]
-		u := graph.Vertex(uint32(g.Key))
-		// Per-level delta accumulation for this vertex.
-		var dl []Delta
-		find := func(lvl int32) *Delta {
-			for i := range dl {
-				if dl[i].Level == lvl {
-					return &dl[i]
+	order, start := endpointGroups(recs)
+	// A vertex's group of k records touches at most k levels, so group g
+	// accumulates its deltas in out[start[g]:start[g+1]] and marks the
+	// slots it leaves over with Level -1; one pass then compacts.
+	out := make([]Delta, len(order))
+	parallel.For(len(start)-1, 0, func(g int) {
+		grp := order[start[g]:start[g+1]]
+		r0 := recs[grp[0]/2]
+		u := r0.E.U
+		if grp[0]%2 == 1 {
+			u = r0.E.V
+		}
+		dl := out[start[g]:start[g+1]]
+		used := 0
+		for _, idx := range grp {
+			r := recs[idx/2]
+			d := -1
+			for i := 0; i < used; i++ {
+				if dl[i].Level == r.Level {
+					d = i
+					break
 				}
 			}
-			dl = append(dl, Delta{V: u, Level: lvl})
-			return &dl[len(dl)-1]
-		}
-		for _, idx := range g.Indices {
-			r := recs[idx/2]
-			d := find(r.Level)
+			if d < 0 {
+				d = used
+				dl[d] = Delta{V: u, Level: r.Level}
+				used++
+			}
 			sign := int64(1)
 			if insert {
 				s.insertAt(u, r)
@@ -270,18 +281,23 @@ func (s *Store) batch(recs []*Rec, insert bool) []Delta {
 				sign = -1
 			}
 			if r.IsTree {
-				d.Tree += sign
+				dl[d].Tree += sign
 			} else {
-				d.NonTree += sign
+				dl[d].NonTree += sign
 			}
 		}
-		out[gi] = dl
+		for i := used; i < len(dl); i++ {
+			dl[i].Level = -1
+		}
 	})
-	var flat []Delta
-	for _, dl := range out {
-		flat = append(flat, dl...)
+	n := 0
+	for _, d := range out {
+		if d.Level >= 0 {
+			out[n] = d
+			n++
+		}
 	}
-	return flat
+	return out[:n]
 }
 
 // CheckInvariants verifies position back-pointers for vertex u, and that

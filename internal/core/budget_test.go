@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/graphgen"
+	"repro/internal/parallel"
 )
 
 // TestTreePushBudget pins the tree-edge push count of a sliding-window
@@ -71,4 +73,69 @@ func TestTreePushBudget(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestAllocBudget pins the allocations of two batch shapes the server runs,
+// measured with testing.AllocsPerRun (which runs at GOMAXPROCS 1) and one
+// parallel worker, so every count is exact and repeats:
+//   - chords: a BatchInsert of 64 new chords of the path 0..n-1 at n = 1024,
+//     all intra-component, so none is a tree edge (the chords of
+//     engine.TestEpochAllocBudget);
+//   - churn: a round of 7 inserts of new random edges and 7 deletes of the
+//     oldest live ones at n = 4096 after a 2n-edge preload (the server's
+//     16-op frame without its 2 queries), averaged over 50 rounds.
+func TestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	const runs = 50
+
+	t.Run("chords", func(t *testing.T) {
+		const n, batch = 1024, 64
+		rounds := make([][]graph.Edge, runs+1)
+		for r := range rounds {
+			for i := 0; i < batch; i++ {
+				k := r*batch + i
+				u := int32(k % n)
+				rounds[r] = append(rounds[r], graph.Edge{U: u, V: (u + 2 + int32(k/n)) % n})
+			}
+		}
+		c := New(n)
+		c.BatchInsert(graphgen.Path(n))
+		r := 0
+		got := testing.AllocsPerRun(runs, func() {
+			if c.BatchInsert(rounds[r]) != batch {
+				t.Fatalf("round %d: not every chord inserted", r)
+			}
+			r++
+		})
+		// Measured 234 on go1.24.0, 455 when the semisort still built a
+		// slice per group; the budget is 234 plus 25 %.
+		const budget = 292
+		t.Logf("64-chord BatchInsert: %v allocations", got)
+		if got > budget {
+			t.Fatalf("64-chord BatchInsert makes %v allocations, budget %v", got, budget)
+		}
+	})
+
+	t.Run("churn", func(t *testing.T) {
+		const n, m, delta = 4096, 2 * 4096, 7
+		es := graphgen.RandomGraph(n, m+(runs+1)*delta, 43)
+		c := New(n)
+		c.BatchInsert(es[:m])
+		lo := 0
+		got := testing.AllocsPerRun(runs, func() {
+			c.BatchInsert(es[m+lo : m+lo+delta])
+			c.BatchDelete(es[lo : lo+delta])
+			lo += delta
+		})
+		// Measured 1174 on go1.24.0, 1384 when the semisort still built a
+		// slice per group; the budget is 1174 plus 25 %.
+		const budget = 1467
+		t.Logf("7 + 7 churn round: %v allocations", got)
+		if got > budget {
+			t.Fatalf("a 7 + 7 churn round makes %v allocations, budget %v", got, budget)
+		}
+	})
 }

@@ -32,19 +32,20 @@
 // Stats are pure reads: they bottom out in internal/ett's (and so
 // internal/treap's) read-only root walks and touch none of the structure's
 // mutable state. Any number of goroutines may run them concurrently with
-// each other, provided no mutation (BatchInsert, BatchDelete) is in flight
-// — this is what lets conn.Batcher serve queries outside the write
-// pipeline. HasEdge and NumEdges additionally read the edge dictionary,
-// which is phase-concurrent and safe for concurrent lookups under the same
-// no-writer condition. Enforced under -race by
-// TestConnConcurrentReadOnlyQueries.
+// each other, provided no mutation (BatchInsert, BatchDelete) is in flight.
+// Queries run on the engine's dispatcher between epochs, not beside it, so
+// the contract guards the parallel workers inside one batch operation
+// (BatchConnected and the ETT and dictionary batch lookups fan out over
+// parallel.For), not concurrent readers of a live structure. HasEdge and
+// NumEdges additionally read the edge dictionary, which is phase-concurrent
+// and safe for concurrent lookups under the same no-writer condition.
+// Enforced under -race by TestConnConcurrentReadOnlyQueries.
 package core
 
 import (
 	"repro/internal/adjlist"
 	"repro/internal/ett"
 	"repro/internal/graph"
-	"repro/internal/hdt"
 	"repro/internal/levelcheck"
 	"repro/internal/parallel"
 	"repro/internal/pdict"
@@ -109,7 +110,7 @@ func WithAlgorithm(a Algorithm) Option {
 
 // New creates an empty graph over n vertices.
 func New(n int, opts ...Option) *Conn {
-	l := hdt.Levels(n)
+	l := graph.Levels(n)
 	c := &Conn{
 		n:     n,
 		top:   int32(l),
@@ -435,9 +436,9 @@ func (c *Conn) applyDeltas(deltas []adjlist.Delta) {
 			keys[i] = 1<<63 | uint64(uint32(d.V))<<6 | uint64(uint32(d.Level))
 		}
 	})
-	groups := parallel.GroupByParallel(keys)
-	parallel.For(len(groups), 0, func(gi int) {
-		for _, idx := range groups[gi].Indices {
+	order, start := parallel.GroupBy(keys)
+	parallel.For(len(start)-1, 0, func(g int) {
+		for _, idx := range order[start[g]:start[g+1]] {
 			d := deltas[idx]
 			c.f[d.Level].AddCounts(d.V, d.Tree, d.NonTree)
 		}

@@ -465,9 +465,9 @@ func (f *Forest) BatchCut(es []graph.Edge) {
 	parallel.For(len(es), 256, func(i int) {
 		keys[i] = treap.Root(aus[i]).ID()
 	})
-	groups := parallel.GroupByParallel(keys)
-	parallel.For(len(groups), 8, func(gi int) {
-		for _, idx := range groups[gi].Indices {
+	order, start := parallel.GroupBy(keys)
+	parallel.For(len(start)-1, 8, func(g int) {
+		for _, idx := range order[start[g]:start[g+1]] {
 			cutArcs(aus[idx], avs[idx])
 		}
 	})

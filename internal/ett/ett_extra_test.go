@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 func TestBatchLinkDisjointParallelGroups(t *testing.T) {
@@ -84,7 +83,11 @@ func TestConcurrentQueriesDuringNoMutation(t *testing.T) {
 			t.Fatalf("single tree: query %d false", i)
 		}
 	}
-	reps := f.BatchFindRep(parallel.Tabulate(n, func(i int) graph.Vertex { return graph.Vertex(i) }))
+	vs := make([]graph.Vertex, n)
+	for i := range vs {
+		vs[i] = graph.Vertex(i)
+	}
+	reps := f.BatchFindRep(vs)
 	for i := 1; i < n; i++ {
 		if reps[i] != reps[0] {
 			t.Fatalf("rep mismatch at %d", i)

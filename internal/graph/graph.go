@@ -3,6 +3,8 @@
 // into dictionaries and semisorts), and small helpers for edge batches.
 package graph
 
+import "math/bits"
+
 // Vertex is a vertex identifier in [0, n).
 type Vertex = int32
 
@@ -95,4 +97,13 @@ func Dedup(es []Edge) []Edge {
 		out = append(out, e.Canon())
 	}
 	return out
+}
+
+// Levels returns L, the number of levels of an n-vertex HDT hierarchy:
+// ceil(lg2 n), at least 1.
+func Levels(n int) int {
+	if n <= 2 {
+		return 1
+	}
+	return bits.Len(uint(n - 1))
 }

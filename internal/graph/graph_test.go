@@ -122,3 +122,12 @@ func TestDedupPropertySetEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestLevels(t *testing.T) {
+	cases := map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 1025: 11}
+	for n, want := range cases {
+		if got := Levels(n); got != want {
+			t.Fatalf("Levels(%d) = %d, want %d", n, got, want)
+		}
+	}
+}

@@ -12,8 +12,6 @@
 package hdt
 
 import (
-	"math/bits"
-
 	"repro/internal/adjlist"
 	"repro/internal/ett"
 	"repro/internal/graph"
@@ -40,17 +38,9 @@ type Conn struct {
 	stats Stats
 }
 
-// Levels returns L for an n-vertex structure: ceil(lg2 n), at least 1.
-func Levels(n int) int {
-	if n <= 2 {
-		return 1
-	}
-	return bits.Len(uint(n - 1))
-}
-
 // New creates an empty graph over n vertices.
 func New(n int) *Conn {
-	l := Levels(n)
+	l := graph.Levels(n)
 	c := &Conn{
 		n:     n,
 		top:   int32(l),

@@ -55,7 +55,7 @@ func TestWorkBoundedByBudget(t *testing.T) {
 		c.Delete(e.U, e.V)
 	}
 	s := c.Stats()
-	budget := s.Inserts * int64(Levels(n))
+	budget := s.Inserts * int64(graph.Levels(n))
 	if s.Pushdowns+s.TreePushes > budget {
 		t.Fatalf("pushes %d exceed budget %d", s.Pushdowns+s.TreePushes, budget)
 	}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -65,37 +66,15 @@ func TestForExplicitGrainOne(t *testing.T) {
 	}
 }
 
-func TestReduceAutoGrain(t *testing.T) {
-	n := 1 << 18
-	got := Reduce(n, 0, 0, func(i int) int { return 1 }, func(a, b int) int { return a + b })
-	if got != n {
-		t.Fatalf("Reduce = %d", got)
-	}
-}
-
 func TestGroupBySmallFastPath(t *testing.T) {
-	// n <= 24 takes the quadratic path; semantics must match the general
-	// one: partition with first-occurrence group ordering.
+	// n <= 24 takes the bitmask scan: groups in order of first occurrence,
+	// indices ascending within each.
 	keys := []uint64{9, 9, 3, 9, 3, 7}
-	gs := GroupBy(keys)
-	if len(gs) != 3 {
-		t.Fatalf("groups = %d", len(gs))
-	}
-	if gs[0].Key != 9 || len(gs[0].Indices) != 3 {
-		t.Fatalf("first group wrong: %+v", gs[0])
-	}
-	if gs[1].Key != 3 || len(gs[1].Indices) != 2 {
-		t.Fatalf("second group wrong: %+v", gs[1])
-	}
-	if gs[2].Key != 7 || len(gs[2].Indices) != 1 {
-		t.Fatalf("third group wrong: %+v", gs[2])
-	}
-	total := 0
-	for _, g := range gs {
-		total += len(g.Indices)
-	}
-	if total != len(keys) {
-		t.Fatal("fast path lost indices")
+	order, start := GroupBy(keys)
+	want := []int{0, 1, 3, 2, 4, 5}
+	wantStart := []int{0, 3, 5, 6}
+	if !slices.Equal(order, want) || !slices.Equal(start, wantStart) {
+		t.Fatalf("GroupBy = %v, %v; want %v, %v", order, start, want, wantStart)
 	}
 }
 
@@ -106,18 +85,8 @@ func TestGroupByBoundaryAt24(t *testing.T) {
 		for i := range keys {
 			keys[i] = uint64(i % 5)
 		}
-		gs := GroupBy(keys)
-		if len(gs) != 5 {
-			t.Fatalf("n=%d: groups = %d", n, len(gs))
-		}
-		seen := make([]bool, n)
-		for _, g := range gs {
-			for _, idx := range g.Indices {
-				if seen[idx] || keys[idx] != g.Key {
-					t.Fatalf("n=%d: bad index %d", n, idx)
-				}
-				seen[idx] = true
-			}
+		if got := checkGroups(t, keys); len(got) != 5 {
+			t.Fatalf("n=%d: groups = %d", n, len(got))
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package parallel provides the fork-join work-depth primitives that the
-// paper's MT-RAM model assumes: parallel loops, binary fork-join, reductions,
-// prefix sums, packing and semisorting. All primitives are implemented on top
-// of goroutines with explicit grain control so that scheduling overhead is
-// amortized against useful work (Go offers no fine-grained work stealing, so
-// grain sizes substitute for it).
+// paper's MT-RAM model assumes: parallel loops, prefix sums, packing and
+// semisorting. All primitives are implemented on top of goroutines with
+// explicit grain control so that scheduling overhead is amortized against
+// useful work (Go offers no fine-grained work stealing, so grain sizes
+// substitute for it).
 package parallel
 
 import (
@@ -32,29 +32,6 @@ func SetWorkers(p int) int {
 
 // Workers reports the current worker bound.
 func Workers() int { return int(maxWorkers.Load()) }
-
-// Do runs f and g as a binary fork-join: g executes on the current goroutine
-// while f may execute concurrently. Both have completed when Do returns.
-func Do(f, g func()) {
-	if Workers() <= 1 {
-		f()
-		g()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		f()
-	}()
-	g()
-	wg.Wait()
-}
-
-// Do3 runs three functions as a fork-join.
-func Do3(f, g, h func()) {
-	Do(f, func() { Do(g, h) })
-}
 
 // DefaultGrain caps the automatic block size used by For when the caller
 // passes grain <= 0; MinAutoGrain floors it. The floor matters most: a
@@ -146,64 +123,4 @@ func ForRange(n int, grain int, body func(lo, hi int)) {
 	}
 	run()
 	wg.Wait()
-}
-
-// Reduce combines f(i) for i in [0, n) under the associative operation op,
-// starting from the identity value id.
-func Reduce[T any](n int, grain int, id T, f func(i int) T, op func(a, b T) T) T {
-	if n <= 0 {
-		return id
-	}
-	p := Workers()
-	if grain <= 0 {
-		grain = autoGrain(n, p)
-	}
-	blocks := (n + grain - 1) / grain
-	if p <= 1 || blocks == 1 {
-		acc := id
-		for i := 0; i < n; i++ {
-			acc = op(acc, f(i))
-		}
-		return acc
-	}
-	partial := make([]T, blocks)
-	ForRange(n, grain, func(lo, hi int) {
-		acc := id
-		for i := lo; i < hi; i++ {
-			acc = op(acc, f(i))
-		}
-		partial[lo/grain] = acc
-	})
-	acc := id
-	for _, v := range partial {
-		acc = op(acc, v)
-	}
-	return acc
-}
-
-// MaxInt returns the maximum of f(i) over [0, n), or lo if n == 0.
-func MaxInt(n int, lo int, f func(i int) int) int {
-	return Reduce(n, 0, lo, f, func(a, b int) int {
-		if a >= b {
-			return a
-		}
-		return b
-	})
-}
-
-// SumInt returns the sum of f(i) over [0, n).
-func SumInt(n int, f func(i int) int) int {
-	return Reduce(n, 0, 0, f, func(a, b int) int { return a + b })
-}
-
-// Fill sets dst[i] = v for all i, in parallel.
-func Fill[T any](dst []T, v T) {
-	For(len(dst), 2048, func(i int) { dst[i] = v })
-}
-
-// Tabulate builds a slice of length n with element i equal to f(i).
-func Tabulate[T any](n int, f func(i int) T) []T {
-	out := make([]T, n)
-	For(n, 0, func(i int) { out[i] = f(i) })
-	return out
 }

@@ -2,27 +2,10 @@ package parallel
 
 import (
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
-
-func TestDoRunsBoth(t *testing.T) {
-	var a, b atomic.Bool
-	Do(func() { a.Store(true) }, func() { b.Store(true) })
-	if !a.Load() || !b.Load() {
-		t.Fatalf("Do did not run both branches: a=%v b=%v", a.Load(), b.Load())
-	}
-}
-
-func TestDo3RunsAll(t *testing.T) {
-	var n atomic.Int64
-	Do3(func() { n.Add(1) }, func() { n.Add(1) }, func() { n.Add(1) })
-	if n.Load() != 3 {
-		t.Fatalf("Do3 ran %d branches, want 3", n.Load())
-	}
-}
 
 func TestForCoversAllIndicesOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 5000, 123457} {
@@ -51,26 +34,6 @@ func TestForRangePartition(t *testing.T) {
 		if covered[i] != 1 {
 			t.Fatalf("index %d covered %d times", i, covered[i])
 		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	n := 100000
-	got := SumInt(n, func(i int) int { return i })
-	want := n * (n - 1) / 2
-	if got != want {
-		t.Fatalf("SumInt = %d, want %d", got, want)
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	vals := []int{3, 9, 2, 9, 1, -5}
-	got := MaxInt(len(vals), -1<<62, func(i int) int { return vals[i] })
-	if got != 9 {
-		t.Fatalf("MaxInt = %d, want 9", got)
-	}
-	if got := MaxInt(0, -7, func(int) int { return 0 }); got != -7 {
-		t.Fatalf("MaxInt empty = %d, want identity -7", got)
 	}
 }
 
@@ -125,7 +88,10 @@ func TestPackPreservesOrder(t *testing.T) {
 }
 
 func TestFilterAndPackIndex(t *testing.T) {
-	src := Tabulate(1000, func(i int) int { return i })
+	src := make([]int, 1000)
+	for i := range src {
+		src[i] = i
+	}
 	evens := Filter(src, func(x int) bool { return x%2 == 0 })
 	if len(evens) != 500 {
 		t.Fatalf("Filter kept %d, want 500", len(evens))
@@ -141,23 +107,6 @@ func TestFilterAndPackIndex(t *testing.T) {
 	}
 }
 
-func TestTabulateAndFillAndMap(t *testing.T) {
-	s := Tabulate(100, func(i int) int { return i * i })
-	if s[7] != 49 {
-		t.Fatalf("Tabulate[7] = %d", s[7])
-	}
-	Fill(s, -1)
-	for i, v := range s {
-		if v != -1 {
-			t.Fatalf("Fill[%d] = %d", i, v)
-		}
-	}
-	m := Map([]int{1, 2, 3}, func(x int) int { return x + 1 })
-	if m[0] != 2 || m[2] != 4 {
-		t.Fatalf("Map wrong: %v", m)
-	}
-}
-
 func TestSetWorkersRestores(t *testing.T) {
 	old := SetWorkers(1)
 	defer SetWorkers(old)
@@ -165,8 +114,11 @@ func TestSetWorkersRestores(t *testing.T) {
 		t.Fatalf("Workers = %d, want 1", Workers())
 	}
 	// Primitives still correct with one worker.
-	if got := SumInt(1000, func(i int) int { return 1 }); got != 1000 {
-		t.Fatalf("SumInt under P=1 = %d", got)
+	if _, total := Scan(make([]int, 5000)); total != 0 {
+		t.Fatalf("Scan under P=1 total = %d", total)
+	}
+	if got := Map([]int{1, 2, 3}, func(x int) int { return x + 1 }); got[0] != 2 || got[2] != 4 {
+		t.Fatalf("Map under P=1 = %v", got)
 	}
 	SetWorkers(0)
 	if Workers() < 1 {
@@ -176,26 +128,18 @@ func TestSetWorkersRestores(t *testing.T) {
 
 func TestGroupByCollectsEqualKeys(t *testing.T) {
 	keys := []uint64{5, 7, 5, 5, 9, 7}
-	groups := GroupBy(keys)
-	byKey := map[uint64][]int{}
-	for _, g := range groups {
-		if _, dup := byKey[g.Key]; dup {
-			t.Fatalf("key %d appears in two groups", g.Key)
-		}
-		byKey[g.Key] = g.Indices
+	got := checkGroups(t, keys)
+	if len(got) != 3 {
+		t.Fatalf("got %d groups, want 3", len(got))
 	}
-	if len(byKey) != 3 {
-		t.Fatalf("got %d groups, want 3", len(byKey))
-	}
-	sort.Ints(byKey[5])
-	if len(byKey[5]) != 3 || byKey[5][0] != 0 || byKey[5][1] != 2 || byKey[5][2] != 3 {
-		t.Fatalf("group for key 5 wrong: %v", byKey[5])
+	if g := got[5]; len(g) != 3 || g[0] != 0 || g[1] != 2 || g[2] != 3 {
+		t.Fatalf("group for key 5 wrong: %v", g)
 	}
 }
 
 func TestGroupByEmpty(t *testing.T) {
-	if g := GroupBy(nil); g != nil {
-		t.Fatalf("GroupBy(nil) = %v, want nil", g)
+	if order, start := GroupBy(nil); order != nil || start != nil {
+		t.Fatalf("GroupBy(nil) = %v, %v, want nil, nil", order, start)
 	}
 }
 
@@ -205,22 +149,8 @@ func TestGroupByPropertyPartition(t *testing.T) {
 		for i, r := range raw {
 			keys[i] = uint64(r % 50)
 		}
-		groups := GroupByParallel(keys)
-		seen := make([]bool, len(keys))
-		for _, g := range groups {
-			for _, idx := range g.Indices {
-				if idx < 0 || idx >= len(keys) || seen[idx] || keys[idx] != g.Key {
-					return false
-				}
-				seen[idx] = true
-			}
-		}
-		for _, s := range seen {
-			if !s {
-				return false
-			}
-		}
-		return true
+		order, start := GroupBy(keys)
+		return groupingError(keys, order, start) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -228,25 +158,14 @@ func TestGroupByPropertyPartition(t *testing.T) {
 }
 
 func TestGroupByParallelLarge(t *testing.T) {
+	// Large enough that the hashing phase runs in parallel.
 	n := 1 << 15
 	keys := make([]uint64, n)
 	rng := rand.New(rand.NewSource(42))
 	for i := range keys {
 		keys[i] = uint64(rng.Intn(1000))
 	}
-	groups := GroupByParallel(keys)
-	total := 0
-	for _, g := range groups {
-		total += len(g.Indices)
-		for _, idx := range g.Indices {
-			if keys[idx] != g.Key {
-				t.Fatalf("index %d has key %d, group key %d", idx, keys[idx], g.Key)
-			}
-		}
-	}
-	if total != n {
-		t.Fatalf("groups cover %d elements, want %d", total, n)
-	}
+	checkGroups(t, keys)
 }
 
 func TestHash64Deterministic(t *testing.T) {

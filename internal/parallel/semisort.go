@@ -18,161 +18,80 @@ func hash64(x uint64) uint64 {
 // consistent hash (e.g. the parallel dictionary).
 func Hash64(x uint64) uint64 { return hash64(x) }
 
-// Group is one equivalence class produced by GroupBy: the common key and the
-// indices (into the input) of the elements carrying it.
-type Group struct {
-	Key     uint64
-	Indices []int
-}
-
-// GroupBy semisorts the inputs by key: it returns one Group per distinct key,
-// each listing the input indices holding that key. Groups are in no
-// particular order (semisorted, not sorted). O(n) expected work.
-func GroupBy(keys []uint64) []Group {
+// GroupBy semisorts the inputs by key (Gu, Shun, Sun and Blelloch, SPAA '15):
+// it partitions the indices [0, len(keys)) into groups of equal key and
+// returns them flat. Group g is order[start[g]:start[g+1]], its indices in
+// ascending input order; len(start) is the group count plus one. Groups are
+// in no particular order (semisorted, not sorted). O(n) expected work, and a
+// fixed number of allocations whatever the number of groups.
+func GroupBy(keys []uint64) (order, start []int) {
 	n := len(keys)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
+	// order and start share one allocation; start has room for n groups.
+	buf := make([]int, 2*n+1)
+	order, start = buf[:0:n], buf[n:n]
 	if n <= 24 {
-		// Small-batch fast path: quadratic scan beats allocating the
+		// Small-batch fast path: a quadratic scan beats allocating the
 		// bucket arrays (batch operations issue many tiny groupings).
-		var groups []Group
 		var used uint32
 		for i := 0; i < n; i++ {
 			if used&(1<<uint(i)) != 0 {
 				continue
 			}
-			g := Group{Key: keys[i], Indices: []int{i}}
+			start = append(start, len(order))
+			order = append(order, i)
 			for j := i + 1; j < n; j++ {
 				if used&(1<<uint(j)) == 0 && keys[j] == keys[i] {
-					g.Indices = append(g.Indices, j)
+					order = append(order, j)
 					used |= 1 << uint(j)
 				}
 			}
-			groups = append(groups, g)
 		}
-		return groups
+		return order, append(start, n)
 	}
-	// Bucket count: next power of two >= 2n for low collision chains.
+	// Bucket count: next power of two >= 2n for short collision chains.
+	// scratch holds each key's bucket, then the bucket offsets, then the
+	// indices scattered by bucket.
 	nb := 1 << bits.Len(uint(2*n-1))
 	mask := uint64(nb - 1)
-	// Count per bucket.
-	cnt := make([]int, nb+1)
-	bkt := make([]int, n)
-	for i := 0; i < n; i++ {
-		b := int(hash64(keys[i]) & mask)
-		bkt[i] = b
-		cnt[b]++
+	scratch := make([]int, 2*n+nb+1)
+	bkt, off, byBucket := scratch[:n], scratch[n:n+nb+1], scratch[n+nb+1:]
+	For(n, 4096, func(i int) { bkt[i] = int(hash64(keys[i]) & mask) })
+	for _, b := range bkt {
+		off[b+1]++
 	}
-	off := make([]int, nb+1)
-	acc := 0
 	for b := 0; b < nb; b++ {
-		off[b] = acc
-		acc += cnt[b]
+		off[b+1] += off[b]
 	}
-	off[nb] = acc
-	pos := make([]int, nb)
-	copy(pos, off[:nb])
-	order := make([]int, n)
-	for i := 0; i < n; i++ {
-		b := bkt[i]
-		order[pos[b]] = i
-		pos[b]++
+	// A stable scatter: afterwards off[b] is where bucket b+1 begins, and
+	// each bucket lists its indices in ascending order.
+	for i, b := range bkt {
+		byBucket[off[b]] = i
+		off[b]++
 	}
 	// Within each bucket, split by exact key (buckets are tiny in
 	// expectation, so a quadratic-in-bucket pass is linear overall).
-	var groups []Group
+	lo := 0
 	for b := 0; b < nb; b++ {
-		lo, hi := off[b], off[b+1]
-		if lo == hi {
-			continue
-		}
+		hi := off[b]
 		for i := lo; i < hi; i++ {
-			idx := order[i]
+			idx := byBucket[i]
 			if idx < 0 {
 				continue
 			}
 			k := keys[idx]
-			g := Group{Key: k, Indices: []int{idx}}
+			start = append(start, len(order))
+			order = append(order, idx)
 			for j := i + 1; j < hi; j++ {
-				idx2 := order[j]
-				if idx2 >= 0 && keys[idx2] == k {
-					g.Indices = append(g.Indices, idx2)
-					order[j] = -1
+				if idx2 := byBucket[j]; idx2 >= 0 && keys[idx2] == k {
+					order = append(order, idx2)
+					byBucket[j] = -1
 				}
 			}
-			groups = append(groups, g)
 		}
+		lo = hi
 	}
-	return groups
-}
-
-// GroupByParallel is GroupBy with the counting and scattering phases run in
-// parallel when n is large. Group discovery within buckets remains
-// sequential per bucket but buckets are processed concurrently.
-//
-// The worker count and grain are snapshotted once on entry: benchmarks call
-// SetWorkers concurrently, and the per-block output slots below must stay
-// aligned with the block partition ForRange actually uses. ForRange
-// guarantees block boundaries depend only on (nb, grain), so indexing by
-// lo/grain gives every block its own slot — no two blocks ever share one.
-func GroupByParallel(keys []uint64) []Group {
-	n := len(keys)
-	p := Workers()
-	if n < 1<<14 || p <= 1 {
-		return GroupBy(keys)
-	}
-	nb := 1 << bits.Len(uint(2*n-1))
-	mask := uint64(nb - 1)
-	bkt := make([]int, n)
-	For(n, 4096, func(i int) { bkt[i] = int(hash64(keys[i]) & mask) })
-	cnt := make([]int, nb+1)
-	for i := 0; i < n; i++ {
-		cnt[bkt[i]]++
-	}
-	off := make([]int, nb+1)
-	acc := 0
-	for b := 0; b < nb; b++ {
-		off[b] = acc
-		acc += cnt[b]
-	}
-	off[nb] = acc
-	pos := make([]int, nb)
-	copy(pos, off[:nb])
-	order := make([]int, n)
-	for i := 0; i < n; i++ {
-		b := bkt[i]
-		order[pos[b]] = i
-		pos[b]++
-	}
-	grain := (nb + p - 1) / p
-	perBlock := make([][]Group, (nb+grain-1)/grain)
-	ForRange(nb, grain, func(lo, hi int) {
-		var out []Group
-		for b := lo; b < hi; b++ {
-			l, h := off[b], off[b+1]
-			for i := l; i < h; i++ {
-				idx := order[i]
-				if idx < 0 {
-					continue
-				}
-				k := keys[idx]
-				g := Group{Key: k, Indices: []int{idx}}
-				for j := i + 1; j < h; j++ {
-					idx2 := order[j]
-					if idx2 >= 0 && keys[idx2] == k {
-						g.Indices = append(g.Indices, idx2)
-						order[j] = -1
-					}
-				}
-				out = append(out, g)
-			}
-		}
-		perBlock[lo/grain] = out
-	})
-	var groups []Group
-	for _, g := range perBlock {
-		groups = append(groups, g...)
-	}
-	return groups
+	return order, append(start, n)
 }

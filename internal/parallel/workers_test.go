@@ -1,10 +1,9 @@
 package parallel
 
 import (
+	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,7 +45,7 @@ func TestForRangeRespectsWorkerBound(t *testing.T) {
 
 // TestForRangeCoversPartition checks every index is visited exactly once and
 // that block boundaries sit at multiples of the grain (the contract
-// GroupByParallel's per-block output slots rely on).
+// ScanInto's per-block sums rely on).
 func TestForRangeCoversPartition(t *testing.T) {
 	defer SetWorkers(SetWorkers(0))
 	SetWorkers(4)
@@ -67,57 +66,59 @@ func TestForRangeCoversPartition(t *testing.T) {
 	}
 }
 
-// normalizeGroups maps a grouping to a canonical form: key -> sorted indices.
-// It also verifies each index appears exactly once across all groups and that
-// every group's indices actually carry the group's key.
-func normalizeGroups(t *testing.T, keys []uint64, groups []Group) map[uint64][]int {
-	t.Helper()
-	out := make(map[uint64][]int, len(groups))
-	seen := make([]bool, len(keys))
-	for _, g := range groups {
-		if _, dup := out[g.Key]; dup {
-			t.Fatalf("key %d appears in two groups", g.Key)
-		}
-		idx := append([]int(nil), g.Indices...)
-		sort.Ints(idx)
-		for _, i := range idx {
-			if i < 0 || i >= len(keys) {
-				t.Fatalf("index %d out of range", i)
-			}
-			if seen[i] {
-				t.Fatalf("index %d grouped twice", i)
-			}
-			seen[i] = true
-			if keys[i] != g.Key {
-				t.Fatalf("index %d has key %d, grouped under %d", i, keys[i], g.Key)
-			}
-		}
-		out[g.Key] = idx
+// groupingError checks GroupBy's flat result against a map oracle built from
+// keys: every index appears exactly once, each group holds one key and no two
+// groups share one, and indices ascend within each group. It returns "" when
+// the result is a correct semisort of keys.
+func groupingError(keys []uint64, order, start []int) string {
+	oracle := map[uint64][]int{}
+	for i, k := range keys {
+		oracle[k] = append(oracle[k], i)
 	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d missing from grouping", i)
+	if len(keys) == 0 {
+		if order != nil || start != nil {
+			return "non-nil result for no keys"
+		}
+		return ""
+	}
+	if len(order) != len(keys) {
+		return fmt.Sprintf("order has %d indices, want %d", len(order), len(keys))
+	}
+	if len(start) != len(oracle)+1 || start[0] != 0 || start[len(start)-1] != len(keys) {
+		return fmt.Sprintf("start = %v, want %d groups spanning [0, %d)", start, len(oracle), len(keys))
+	}
+	seen := map[uint64]bool{}
+	for g := 0; g+1 < len(start); g++ {
+		if start[g] >= start[g+1] {
+			return fmt.Sprintf("group %d is empty or inverted: [%d, %d)", g, start[g], start[g+1])
+		}
+		grp := order[start[g]:start[g+1]]
+		k := keys[grp[0]]
+		if seen[k] {
+			return fmt.Sprintf("key %d appears in two groups", k)
+		}
+		seen[k] = true
+		if !slices.Equal(grp, oracle[k]) {
+			return fmt.Sprintf("group of key %d = %v, want %v", k, grp, oracle[k])
 		}
 	}
-	return out
+	return ""
 }
 
-func equalGroupings(a, b map[uint64][]int) bool {
-	if len(a) != len(b) {
-		return false
+// checkGroups runs GroupBy on keys, fails t unless groupingError accepts the
+// result, and returns it as key -> indices.
+func checkGroups(t *testing.T, keys []uint64) map[uint64][]int {
+	t.Helper()
+	order, start := GroupBy(keys)
+	if msg := groupingError(keys, order, start); msg != "" {
+		t.Fatalf("n=%d: %s", len(keys), msg)
 	}
-	for k, ia := range a {
-		ib, ok := b[k]
-		if !ok || len(ia) != len(ib) {
-			return false
-		}
-		for j := range ia {
-			if ia[j] != ib[j] {
-				return false
-			}
-		}
+	out := make(map[uint64][]int, len(start))
+	for g := 0; g+1 < len(start); g++ {
+		grp := order[start[g]:start[g+1]]
+		out[keys[grp[0]]] = grp
 	}
-	return true
+	return out
 }
 
 func randomKeys(seed int64, n, keyRange int) []uint64 {
@@ -135,18 +136,17 @@ func randomKeys(seed int64, n, keyRange int) []uint64 {
 	return keys
 }
 
-// FuzzGroupByDifferential asserts GroupBy and GroupByParallel produce
-// identical groupings (after normalization) on random key multisets. Seeds
-// cover the n<=24 fast path, its boundary, the sequential bucket path, and
-// sizes >= 1<<14 that take the parallel path; tiny keyRange makes duplicate
+// FuzzSemisort checks GroupBy against a map oracle on random key multisets.
+// Seeds cover the n <= 24 bitmask scan, its boundary and the bucket path at
+// sizes up to where hashing runs in parallel; a tiny keyRange makes duplicate
 // chains long and bucket collisions frequent.
-func FuzzGroupByDifferential(f *testing.F) {
+func FuzzSemisort(f *testing.F) {
 	f.Add(int64(1), 0, 1)
 	f.Add(int64(2), 7, 2)
-	f.Add(int64(3), 24, 3) // fast-path upper boundary
+	f.Add(int64(3), 24, 3) // bitmask-scan upper boundary
 	f.Add(int64(4), 25, 3) // first bucketed size
 	f.Add(int64(5), 4096, 7)
-	f.Add(int64(6), 1<<14, 50) // first parallel size
+	f.Add(int64(6), 1<<14, 50) // hashing runs in parallel
 	f.Add(int64(7), 20000, 1)  // single hot key: one maximal bucket chain
 	f.Add(int64(8), 20000, 997)
 	f.Fuzz(func(t *testing.T, seed int64, n, keyRange int) {
@@ -157,18 +157,16 @@ func FuzzGroupByDifferential(f *testing.F) {
 			keyRange = 1
 		}
 		keys := randomKeys(seed, n, keyRange)
-		seq := normalizeGroups(t, keys, GroupBy(keys))
-		par := normalizeGroups(t, keys, GroupByParallel(keys))
-		if !equalGroupings(seq, par) {
-			t.Fatalf("GroupBy and GroupByParallel disagree (seed=%d n=%d keyRange=%d)",
-				seed, n, keyRange)
+		order, start := GroupBy(keys)
+		if msg := groupingError(keys, order, start); msg != "" {
+			t.Fatalf("seed=%d n=%d keyRange=%d: %s", seed, n, keyRange, msg)
 		}
 	})
 }
 
-// TestGroupByDifferentialRandom runs the differential check across a spread
-// of sizes without requiring -fuzz (the fuzz target alone only replays its
-// seed corpus under plain `go test`).
+// TestGroupByDifferentialRandom runs the oracle check across a spread of
+// sizes without requiring -fuzz (the fuzz target alone only replays its seed
+// corpus under plain `go test`).
 func TestGroupByDifferentialRandom(t *testing.T) {
 	for _, tc := range []struct {
 		n, keyRange int
@@ -177,52 +175,7 @@ func TestGroupByDifferentialRandom(t *testing.T) {
 		{1 << 14, 11}, {40000, 3}, {40000, 5000},
 	} {
 		for seed := int64(0); seed < 3; seed++ {
-			keys := randomKeys(seed, tc.n, tc.keyRange)
-			seq := normalizeGroups(t, keys, GroupBy(keys))
-			par := normalizeGroups(t, keys, GroupByParallel(keys))
-			if !equalGroupings(seq, par) {
-				t.Fatalf("disagree at n=%d keyRange=%d seed=%d", tc.n, tc.keyRange, seed)
-			}
+			checkGroups(t, randomKeys(seed, tc.n, tc.keyRange))
 		}
 	}
-}
-
-// TestGroupByParallelSetWorkersRace flips the global worker bound while
-// groupings are in flight — the scenario benchmarks create. Run with -race:
-// the old writer-index computation re-read Workers() after sizing its output
-// slots and could make two blocks append to one slice concurrently.
-func TestGroupByParallelSetWorkersRace(t *testing.T) {
-	defer SetWorkers(SetWorkers(0))
-	keys := randomKeys(42, 1<<15, 300)
-	want := normalizeGroups(t, keys, GroupBy(keys))
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			SetWorkers(1 + i%8)
-			runtime.Gosched()
-		}
-	}()
-	iters := 60
-	if testing.Short() {
-		iters = 15
-	}
-	for i := 0; i < iters; i++ {
-		got := normalizeGroups(t, keys, GroupByParallel(keys))
-		if !equalGroupings(want, got) {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("iteration %d: grouping diverged under SetWorkers churn", i)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

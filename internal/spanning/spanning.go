@@ -11,7 +11,6 @@
 package spanning
 
 import (
-	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/unionfind"
 )
@@ -70,17 +69,4 @@ func Forest(us, vs []uint64) Result {
 		res.Label[res.Verts[i]] = int(labels[i])
 	}
 	return res
-}
-
-// ForestEdges is a convenience wrapper for graph.Edge batches over vertex
-// ids; it returns the indices of the chosen edges.
-func ForestEdges(es []graph.Edge) []int {
-	us := make([]uint64, len(es))
-	vs := make([]uint64, len(es))
-	for i, e := range es {
-		us[i] = uint64(uint32(e.U))
-		vs[i] = uint64(uint32(e.V))
-	}
-	r := Forest(us, vs)
-	return parallel.PackIndex(len(es), func(i int) bool { return r.Chosen[i] })
 }

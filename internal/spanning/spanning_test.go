@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/graph"
 	"repro/internal/unionfind"
 )
 
@@ -114,14 +113,6 @@ func TestForestMatchesSequentialComponents(t *testing.T) {
 				t.Fatalf("trial %d: chosen edges contain a cycle", trial)
 			}
 		}
-	}
-}
-
-func TestForestEdgesWrapper(t *testing.T) {
-	es := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 4}}
-	idx := ForestEdges(es)
-	if len(idx) != 3 {
-		t.Fatalf("ForestEdges chose %d, want 3", len(idx))
 	}
 }
 
