@@ -367,18 +367,19 @@ func runE11(cfg config) {
 		}
 	}
 	// Treap.
-	var troot *treap.Node
-	tnodes := make([]*treap.Node, n)
+	ts := treap.NewSlab(n)
+	var troot int32
+	tnodes := make([]int32, n)
 	for i := 0; i < n; i++ {
-		tnodes[i] = treap.NewNode(treap.Value{Cnt: 1}, int32(i))
-		troot = treap.Join(troot, tnodes[i])
+		tnodes[i] = ts.NewNode(treap.Value{Cnt: 1}, int32(i))
+		troot = ts.Join(troot, tnodes[i])
 	}
 	next := rng(cfg.seed)
 	dTreap := timeIt(func() {
 		for i := 0; i < ops; i++ {
 			x := tnodes[next()]
-			a, b := treap.SplitBefore(x)
-			troot = treap.Join(b, a)
+			a, b := ts.SplitBefore(x)
+			troot = ts.Join(b, a)
 		}
 	})
 	// Skip list.
@@ -403,7 +404,7 @@ func runE11(cfg config) {
 	next = rng(cfg.seed + 1)
 	dTreapIdx := timeIt(func() {
 		for i := 0; i < ops; i++ {
-			_ = treap.Index(tnodes[next()])
+			_ = ts.Index(tnodes[next()])
 		}
 	})
 	next = rng(cfg.seed + 1)

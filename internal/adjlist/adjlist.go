@@ -218,7 +218,7 @@ type Delta struct {
 // appears in exactly two groups (once per endpoint): index i stands for
 // endpoint i%2 of recs[i/2]. Groups are laid out as parallel.GroupBy returns
 // them.
-func endpointGroups(recs []*Rec) (order, start []int) {
+func endpointGroups(recs []*Rec) (order, start []int32) {
 	keys := make([]uint64, 2*len(recs))
 	parallel.For(len(recs), 2048, func(i int) {
 		keys[2*i] = uint64(uint32(recs[i].E.U))

@@ -86,7 +86,7 @@ func TestTreePushBudget(t *testing.T) {
 //     16-op frame without its 2 queries), averaged over 50 rounds.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under -race")
+		t.Skip("-race changes allocation counts")
 	}
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	const runs = 50
@@ -130,9 +130,12 @@ func TestAllocBudget(t *testing.T) {
 			c.BatchDelete(es[lo : lo+delta])
 			lo += delta
 		})
-		// Measured 1174 on go1.24.0, 1384 when the semisort still built a
-		// slice per group; the budget is 1174 plus 25 %.
-		const budget = 1467
+		// Measured 792 on go1.24.0; 1174 while treap nodes were heap
+		// objects (every loop element a cut or counter update released
+		// was a fresh allocation on its next touch), 1384 when the
+		// semisort still built a slice per group. The budget is 792 plus
+		// 25 %.
+		const budget = 990
 		t.Logf("7 + 7 churn round: %v allocations", got)
 		if got > budget {
 			t.Fatalf("a 7 + 7 churn round makes %v allocations, budget %v", got, budget)

@@ -50,7 +50,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/pdict"
 	"repro/internal/spanning"
-	"repro/internal/treap"
 )
 
 // Algorithm selects the level-search strategy used by BatchDelete.
@@ -247,11 +246,7 @@ func (c *Conn) BatchConnected(qs []graph.Edge) []bool {
 //
 //conn:readonly
 func (c *Conn) ComponentOf(u graph.Vertex) any {
-	r := c.f[c.top].Rep(u)
-	if r == nil {
-		return u // isolated vertex: itself
-	}
-	return r
+	return c.ComponentID(u)
 }
 
 // Components returns a dense labelling: lbl[u] == lbl[v] iff connected.
@@ -260,10 +255,10 @@ func (c *Conn) ComponentOf(u graph.Vertex) any {
 func (c *Conn) Components() []int32 {
 	lbl := make([]int32, c.n)
 	next := int32(0)
-	byRep := make(map[*treap.Node]int32)
+	byRep := make(map[int32]int32)
 	for u := 0; u < c.n; u++ {
 		r := c.f[c.top].Rep(graph.Vertex(u))
-		if r == nil {
+		if r == 0 {
 			lbl[u] = next
 			next++
 			continue
@@ -303,7 +298,7 @@ func (c *Conn) ComponentSize(u graph.Vertex) int64 {
 // ComponentID returns a hashable component identifier for u: equal for two
 // vertices iff they are connected, unique per component, invalidated by any
 // update touching the component. Unlike ComponentOf it is a plain uint64
-// (the top-forest representative's node id, or a synthetic id for untouched
+// (the top-forest representative's slot, or a synthetic id for untouched
 // singletons), so callers can dedup components without pointer handles.
 //
 //conn:readonly
@@ -318,7 +313,7 @@ func (c *Conn) ComponentID(u graph.Vertex) uint64 {
 //conn:readonly
 func (c *Conn) ComponentVertices(u graph.Vertex) []graph.Vertex {
 	r := c.f[c.top].Rep(u)
-	if r == nil {
+	if r == 0 {
 		return []graph.Vertex{u}
 	}
 	return c.f[c.top].Vertices(r)
@@ -336,10 +331,10 @@ func (c *Conn) ComponentLabels(dst []int32) {
 	if len(dst) != c.n {
 		panic("core: ComponentLabels: dst length != n")
 	}
-	byRep := make(map[*treap.Node]int32)
+	byRep := make(map[int32]int32)
 	for u := 0; u < c.n; u++ {
 		r := c.f[c.top].Rep(graph.Vertex(u))
-		if r == nil {
+		if r == 0 {
 			dst[u] = int32(u)
 			continue
 		}
@@ -410,18 +405,20 @@ func (c *Conn) LevelHistogram() []int64 {
 	return h
 }
 
-// repKey maps a vertex's representative at forest f to a hashable id; an
-// untouched (singleton) vertex gets a unique synthetic key.
+// repKey maps a vertex's representative at forest f to a hashable id: the
+// representative's slot, or for an untouched (singleton) vertex a unique
+// synthetic key with the top bit set.
 func repKey(f *ett.Forest, v graph.Vertex) uint64 {
-	if r := f.Rep(v); r != nil {
-		return r.ID()
+	if r := f.Rep(v); r != 0 {
+		return uint64(r)
 	}
 	return 1<<63 | uint64(uint32(v))
 }
 
 // applyDeltas repairs the augmented counters of the level forests after a
 // batch adjacency mutation. Deltas are grouped by (forest, component) so
-// that each treap is updated by exactly one goroutine.
+// that each treap is updated by exactly one goroutine. Slots are per
+// forest, so a representative's key carries its level.
 func (c *Conn) applyDeltas(deltas []adjlist.Delta) {
 	if len(deltas) == 0 {
 		return
@@ -429,8 +426,8 @@ func (c *Conn) applyDeltas(deltas []adjlist.Delta) {
 	keys := make([]uint64, len(deltas))
 	parallel.For(len(deltas), 512, func(i int) {
 		d := deltas[i]
-		if r := c.f[d.Level].Rep(d.V); r != nil {
-			keys[i] = r.ID()
+		if r := c.f[d.Level].Rep(d.V); r != 0 {
+			keys[i] = uint64(uint32(d.Level))<<32 | uint64(r)
 		} else {
 			// Unique per (vertex, level): singleton trees.
 			keys[i] = 1<<63 | uint64(uint32(d.V))<<6 | uint64(uint32(d.Level))
@@ -454,6 +451,7 @@ func (c *Conn) applyDeltas(deltas []adjlist.Delta) {
 // depth. The paper's O(k lg(1+n/k)) work with a batch-parallel link is the
 // target, not what runs here.
 func (c *Conn) BatchInsert(es []graph.Edge) int {
+	defer c.reclaim()
 	es = graph.Dedup(es)
 	{
 		keys := graph.Keys(es)
@@ -495,6 +493,15 @@ func (c *Conn) BatchInsert(es []graph.Edge) int {
 		ftop.BatchLink(treeEdges)
 	}
 	return len(es)
+}
+
+// reclaim recycles the loop-element slots the forests released during a
+// batch operation. Called when the operation returns: until then the level
+// searches may hold a released element as a representative.
+func (c *Conn) reclaim() {
+	for _, f := range c.f[1:] {
+		f.Reclaim()
+	}
 }
 
 // promote converts the given non-tree records into tree records at the given

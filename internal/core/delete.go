@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/spanning"
-	"repro/internal/treap"
 )
 
 // BatchDelete removes a batch of edges (Algorithm 3). Edges not present are
@@ -17,6 +16,7 @@ import (
 // the level search (Algorithm 4 or 5 per the configured Algorithm),
 // restoring a valid spanning forest hierarchy.
 func (c *Conn) BatchDelete(es []graph.Edge) int {
+	defer c.reclaim()
 	es = graph.Dedup(es)
 	recs := c.takeRecs(graph.Keys(es))
 	if len(recs) == 0 {
@@ -75,19 +75,19 @@ func (c *Conn) BatchDelete(es []graph.Edge) int {
 // compInfo is one distinct disconnected piece at the current level.
 type compInfo struct {
 	w   graph.Vertex // witness vertex
-	rep *treap.Node  // its F_i representative (stable while F_i is unmodified)
+	rep int32        // its F_i representative (stable while F_i is unmodified)
 }
 
 // dedupeComponents resolves witness vertices to distinct components of fi,
 // dropping vertices sharing a representative. Vertices untouched at this
-// level (nil rep) are singletons with no level-i edges; they are returned in
+// level (rep 0) are singletons with no level-i edges; they are returned in
 // the carry list to stay in D for higher levels.
 func dedupeComponents(fi *ett.Forest, ws []graph.Vertex) (comps []compInfo, carry []graph.Vertex) {
 	if len(ws) <= 24 {
 		// Small-batch fast path: linear scans, no map allocation.
 		for _, w := range ws {
 			r := fi.Rep(w)
-			if r == nil {
+			if r == 0 {
 				dup := false
 				for _, c := range carry {
 					if c == w {
@@ -113,11 +113,11 @@ func dedupeComponents(fi *ett.Forest, ws []graph.Vertex) (comps []compInfo, carr
 		}
 		return comps, carry
 	}
-	seen := make(map[*treap.Node]bool, len(ws))
+	seen := make(map[int32]bool, len(ws))
 	seenV := make(map[graph.Vertex]bool)
 	for _, w := range ws {
 		r := fi.Rep(w)
-		if r == nil {
+		if r == 0 {
 			if !seenV[w] {
 				seenV[w] = true
 				carry = append(carry, w)
@@ -216,7 +216,7 @@ func (c *Conn) pushTreeEdges(i int32, comps []compInfo) {
 // the component with representative rep, deduplicated into distinct records
 // in tour order. consumed reports how many slot entries were covered
 // (== limit unless the component ran out).
-func (c *Conn) fetchCandidates(fi *ett.Forest, i int32, rep *treap.Node, limit int64) (out []*adjlist.Rec, consumed int64) {
+func (c *Conn) fetchCandidates(fi *ett.Forest, i, rep int32, limit int64) (out []*adjlist.Rec, consumed int64) {
 	if limit <= 0 {
 		return nil, 0
 	}
@@ -382,7 +382,7 @@ func (c *Conn) searchSimple(i int32, L []graph.Vertex, S []graph.Edge) ([]graph.
 // candidates preceding the first replacement are pushed to level i-1
 // immediately; on exhaustion everything is pushed. Returns the replacement
 // record (nil if none) and whether the component is exhausted.
-func (c *Conn) doublingSearch(i int32, rep *treap.Node) (*adjlist.Rec, bool) {
+func (c *Conn) doublingSearch(i, rep int32) (*adjlist.Rec, bool) {
 	fi := c.f[i]
 	cmax := fi.RepNonTree(rep)
 	if cmax == 0 {

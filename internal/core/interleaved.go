@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/spanning"
-	"repro/internal/treap"
 )
 
 // superSet tracks the contracted supercomponents of Algorithm 5 (the map M):
@@ -17,13 +16,13 @@ import (
 // the duration of the level search. Sizes of supercomponents gate both the
 // active-component check and the legality of pushing a round's edges down.
 type superSet struct {
-	byRep  map[*treap.Node]int32
+	byRep  map[int32]int32
 	parent []int32
 	size   []int64
 }
 
 func newSuperSet() *superSet {
-	return &superSet{byRep: make(map[*treap.Node]int32)}
+	return &superSet{byRep: make(map[int32]int32)}
 }
 
 // find resolves a super index to its current root.
@@ -37,7 +36,7 @@ func (s *superSet) find(x int32) int32 {
 
 // of returns (creating if needed) the super root of the F_i component with
 // representative rep, whose vertex count is sz.
-func (s *superSet) of(rep *treap.Node, sz int64) int32 {
+func (s *superSet) of(rep int32, sz int64) int32 {
 	if idx, ok := s.byRep[rep]; ok {
 		return s.find(idx)
 	}

@@ -14,11 +14,8 @@ import (
 // nothing to repair, the ack) against the same BatchInsert on a twin
 // core.Conn in the same state. The core's own share (over 95 % of the
 // epoch) is subtracted, so a regression of a few allocations per epoch in
-// the pipeline is not lost in it.
+// the pipeline is not lost in it. The counts are the same under -race.
 func TestEpochAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under -race")
-	}
 	const n, batch, runs = 1024, 64, 50
 	// Round 0 is the path 0..n-1; round r > 0 is 64 fresh chords of it,
 	// all intra-component and all new, so every one is credited and none

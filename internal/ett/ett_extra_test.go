@@ -171,17 +171,17 @@ func TestReleaseIsolatedLoop(t *testing.T) {
 	f.AddCounts(2, 0, 1)
 	f.Cut(0, 1) // 0 is isolated with zero counters
 	f.Cut(1, 2) // 2 is isolated but holds a non-tree count
-	if f.Rep(0) != nil {
+	if f.Rep(0) != 0 {
 		t.Fatal("isolated zero-counter vertex kept its loop element")
 	}
-	if f.Rep(2) == nil {
+	if f.Rep(2) == 0 {
 		t.Fatal("vertex with a non-tree count lost its loop element")
 	}
-	if f.Rep(1) != nil {
+	if f.Rep(1) != 0 {
 		t.Fatal("vertex isolated by its last cut kept its loop element")
 	}
 	f.AddCounts(2, 0, -1)
-	if f.Rep(2) != nil {
+	if f.Rep(2) != 0 {
 		t.Fatal("vertex whose counters reached zero kept its loop element")
 	}
 	if f.Size(0) != 1 || f.Connected(0, 1) || !f.Connected(0, 0) {
@@ -194,7 +194,7 @@ func TestReleaseIsolatedLoop(t *testing.T) {
 	f.Link(3, 4)
 	f.BatchCut([]graph.Edge{{U: 0, V: 2}, {U: 3, V: 4}})
 	for _, v := range []graph.Vertex{0, 2, 3, 4} {
-		if f.Rep(v) != nil {
+		if f.Rep(v) != 0 {
 			t.Fatalf("BatchCut kept vertex %d's isolated zero-counter loop element", v)
 		}
 	}

@@ -304,13 +304,13 @@ func TestRandomLinkCutAgainstDSU(t *testing.T) {
 				t.Fatalf("trial %d: Connected(%d,%d) = %v, want %v", trial, u, v, got, want)
 			}
 		}
-		// Sizes must sum to n. Untouched vertices report a nil rep and
+		// Sizes must sum to n. Untouched vertices report a 0 rep and
 		// are singletons.
 		sum := int64(0)
 		reps := map[any]bool{}
 		for u := 0; u < n; u++ {
 			r := f.Rep(graph.Vertex(u))
-			if r == nil {
+			if r == 0 {
 				sum++
 				continue
 			}

@@ -17,7 +17,7 @@ func TestForestConcurrentReadOnlyQueries(t *testing.T) {
 	const n = 2048
 	f := New(n)
 	// Components: a path over [0,512), a star at 512 over [512,1024), and
-	// vertices [1024,2048) left untouched (nil-rep singletons).
+	// vertices [1024,2048) left untouched (0-rep singletons).
 	var es []graph.Edge
 	for u := 1; u < 512; u++ {
 		es = append(es, graph.Edge{U: graph.Vertex(u - 1), V: graph.Vertex(u)})
@@ -62,11 +62,11 @@ func TestForestConcurrentReadOnlyQueries(t *testing.T) {
 					return
 				}
 				r := f.Rep(graph.Vertex(u))
-				if (r == nil) != (u >= 1024) {
+				if (r == 0) != (u >= 1024) {
 					t.Errorf("Rep(%d) nil-ness wrong", u)
 					return
 				}
-				if r != nil && f.RepSize(r) != wantSize {
+				if r != 0 && f.RepSize(r) != wantSize {
 					t.Errorf("RepSize(Rep(%d)) = %d", u, f.RepSize(r))
 					return
 				}
@@ -91,7 +91,7 @@ func TestForestConcurrentReadOnlyQueries(t *testing.T) {
 				t.Errorf("BatchConnected = %v, want [true false false]", ans)
 			}
 			reps := f.BatchFindRep([]graph.Vertex{3, 300, 1500})
-			if reps[0] != reps[1] || reps[0] == nil || reps[2] != nil {
+			if reps[0] != reps[1] || reps[0] == 0 || reps[2] != 0 {
 				t.Error("BatchFindRep inconsistent")
 			}
 			tr, ntr := f.Counts(600)

@@ -110,6 +110,13 @@ func (c *Conn) Delete(u, v graph.Vertex) bool {
 		return false
 	}
 	c.stats.Deletes++
+	// The replacement search holds representatives across counter
+	// updates; slots those updates release are recycled once it returns.
+	defer func() {
+		for _, f := range c.f[1:] {
+			f.Reclaim()
+		}
+	}()
 	delete(c.edges, e.Key())
 	c.adj.Delete(r)
 	lvl := r.Level
@@ -152,7 +159,7 @@ func (c *Conn) replace(u, v graph.Vertex, lvl int32) {
 // i-1 (legal because the searched side has size <= 2^(i-1)).
 func (c *Conn) pushTreeEdges(w graph.Vertex, i int32) {
 	rep := c.f[i].Rep(w)
-	if rep == nil {
+	if rep == 0 {
 		return
 	}
 	slots := c.f[i].FetchTreeSlots(rep, 1<<62)
@@ -182,7 +189,7 @@ func (c *Conn) pushTreeEdges(w graph.Vertex, i int32) {
 // whether a replacement was found.
 func (c *Conn) scanNonTree(w graph.Vertex, i int32) bool {
 	rep := c.f[i].Rep(w)
-	if rep == nil {
+	if rep == 0 {
 		return false
 	}
 	for c.f[i].CompNonTree(w) > 0 {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/adjlist"
 	"repro/internal/ett"
 	"repro/internal/graph"
-	"repro/internal/treap"
 	"repro/internal/unionfind"
 )
 
@@ -21,8 +20,8 @@ import (
 //     at level i;
 //  5. F_top's connectivity equals union-find connectivity over all edges;
 //  6. adjacency position back-pointers are intact;
-//  7. every tour's treap has heap order, parent pointers and subtree
-//     aggregates intact (treap.CheckInvariants on each distinct root).
+//  7. every tour's treap has heap order, parent links and subtree
+//     aggregates intact (ett.Forest.CheckTour on each distinct root).
 //
 // (7) is what makes (4) cover the component counters, not only the
 // per-vertex ones: the level searches read a component's non-tree count off
@@ -33,17 +32,17 @@ func Check(n, top int, f []*ett.Forest, adj *adjlist.Store, edges []*adjlist.Rec
 	// (1) component size bounds, (7) treap invariants per tour.
 	for i := 1; i <= top; i++ {
 		bound := int64(1) << uint(i)
-		seen := make(map[*treap.Node]bool)
+		seen := make(map[int32]bool)
 		for v := 0; v < n; v++ {
 			if s := f[i].Size(graph.Vertex(v)); s > bound {
 				return fmt.Errorf("level %d: component of %d has size %d > 2^%d", i, v, s, i)
 			}
 			r := f[i].Rep(graph.Vertex(v))
-			if r == nil || seen[r] {
+			if r == 0 || seen[r] {
 				continue
 			}
 			seen[r] = true
-			if msg := treap.CheckInvariants(r); msg != "" {
+			if msg := f[i].CheckTour(r); msg != "" {
 				return fmt.Errorf("level %d: tour of %d: treap %s", i, v, msg)
 			}
 		}

@@ -71,8 +71,8 @@ func TestGroupBySmallFastPath(t *testing.T) {
 	// indices ascending within each.
 	keys := []uint64{9, 9, 3, 9, 3, 7}
 	order, start := GroupBy(keys)
-	want := []int{0, 1, 3, 2, 4, 5}
-	wantStart := []int{0, 3, 5, 6}
+	want := []int32{0, 1, 3, 2, 4, 5}
+	wantStart := []int32{0, 3, 5, 6}
 	if !slices.Equal(order, want) || !slices.Equal(start, wantStart) {
 		t.Fatalf("GroupBy = %v, %v; want %v, %v", order, start, want, wantStart)
 	}

@@ -1,6 +1,9 @@
 package parallel
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // hash64 is a fixed xorshift-multiply mix (splitmix64 finalizer). The paper's
 // semisort assumes a uniformly random hash on keys; splitmix64's avalanche
@@ -23,14 +26,18 @@ func Hash64(x uint64) uint64 { return hash64(x) }
 // returns them flat. Group g is order[start[g]:start[g+1]], its indices in
 // ascending input order; len(start) is the group count plus one. Groups are
 // in no particular order (semisorted, not sorted). O(n) expected work, and a
-// fixed number of allocations whatever the number of groups.
-func GroupBy(keys []uint64) (order, start []int) {
+// fixed number of allocations whatever the number of groups. Indices are
+// int32, which halves the buffers: a batch holds fewer than 2³¹ keys.
+func GroupBy(keys []uint64) (order, start []int32) {
 	n := len(keys)
 	if n == 0 {
 		return nil, nil
 	}
+	if n > math.MaxInt32 {
+		panic("parallel: GroupBy of 2³¹ or more keys")
+	}
 	// order and start share one allocation; start has room for n groups.
-	buf := make([]int, 2*n+1)
+	buf := make([]int32, 2*n+1)
 	order, start = buf[:0:n], buf[n:n]
 	if n <= 24 {
 		// Small-batch fast path: a quadratic scan beats allocating the
@@ -40,25 +47,25 @@ func GroupBy(keys []uint64) (order, start []int) {
 			if used&(1<<uint(i)) != 0 {
 				continue
 			}
-			start = append(start, len(order))
-			order = append(order, i)
+			start = append(start, int32(len(order)))
+			order = append(order, int32(i))
 			for j := i + 1; j < n; j++ {
 				if used&(1<<uint(j)) == 0 && keys[j] == keys[i] {
-					order = append(order, j)
+					order = append(order, int32(j))
 					used |= 1 << uint(j)
 				}
 			}
 		}
-		return order, append(start, n)
+		return order, append(start, int32(n))
 	}
 	// Bucket count: next power of two >= 2n for short collision chains.
 	// scratch holds each key's bucket, then the bucket offsets, then the
 	// indices scattered by bucket.
 	nb := 1 << bits.Len(uint(2*n-1))
 	mask := uint64(nb - 1)
-	scratch := make([]int, 2*n+nb+1)
+	scratch := make([]int32, 2*n+nb+1)
 	bkt, off, byBucket := scratch[:n], scratch[n:n+nb+1], scratch[n+nb+1:]
-	For(n, 4096, func(i int) { bkt[i] = int(hash64(keys[i]) & mask) })
+	For(n, 4096, func(i int) { bkt[i] = int32(hash64(keys[i]) & mask) })
 	for _, b := range bkt {
 		off[b+1]++
 	}
@@ -68,12 +75,12 @@ func GroupBy(keys []uint64) (order, start []int) {
 	// A stable scatter: afterwards off[b] is where bucket b+1 begins, and
 	// each bucket lists its indices in ascending order.
 	for i, b := range bkt {
-		byBucket[off[b]] = i
+		byBucket[off[b]] = int32(i)
 		off[b]++
 	}
 	// Within each bucket, split by exact key (buckets are tiny in
 	// expectation, so a quadratic-in-bucket pass is linear overall).
-	lo := 0
+	lo := int32(0)
 	for b := 0; b < nb; b++ {
 		hi := off[b]
 		for i := lo; i < hi; i++ {
@@ -82,7 +89,7 @@ func GroupBy(keys []uint64) (order, start []int) {
 				continue
 			}
 			k := keys[idx]
-			start = append(start, len(order))
+			start = append(start, int32(len(order)))
 			order = append(order, idx)
 			for j := i + 1; j < hi; j++ {
 				if idx2 := byBucket[j]; idx2 >= 0 && keys[idx2] == k {
@@ -93,5 +100,5 @@ func GroupBy(keys []uint64) (order, start []int) {
 		}
 		lo = hi
 	}
-	return order, append(start, n)
+	return order, append(start, int32(n))
 }

@@ -70,10 +70,10 @@ func TestForRangeCoversPartition(t *testing.T) {
 // keys: every index appears exactly once, each group holds one key and no two
 // groups share one, and indices ascend within each group. It returns "" when
 // the result is a correct semisort of keys.
-func groupingError(keys []uint64, order, start []int) string {
-	oracle := map[uint64][]int{}
+func groupingError(keys []uint64, order, start []int32) string {
+	oracle := map[uint64][]int32{}
 	for i, k := range keys {
-		oracle[k] = append(oracle[k], i)
+		oracle[k] = append(oracle[k], int32(i))
 	}
 	if len(keys) == 0 {
 		if order != nil || start != nil {
@@ -84,7 +84,7 @@ func groupingError(keys []uint64, order, start []int) string {
 	if len(order) != len(keys) {
 		return fmt.Sprintf("order has %d indices, want %d", len(order), len(keys))
 	}
-	if len(start) != len(oracle)+1 || start[0] != 0 || start[len(start)-1] != len(keys) {
+	if len(start) != len(oracle)+1 || start[0] != 0 || start[len(start)-1] != int32(len(keys)) {
 		return fmt.Sprintf("start = %v, want %d groups spanning [0, %d)", start, len(oracle), len(keys))
 	}
 	seen := map[uint64]bool{}
@@ -107,13 +107,13 @@ func groupingError(keys []uint64, order, start []int) string {
 
 // checkGroups runs GroupBy on keys, fails t unless groupingError accepts the
 // result, and returns it as key -> indices.
-func checkGroups(t *testing.T, keys []uint64) map[uint64][]int {
+func checkGroups(t *testing.T, keys []uint64) map[uint64][]int32 {
 	t.Helper()
 	order, start := GroupBy(keys)
 	if msg := groupingError(keys, order, start); msg != "" {
 		t.Fatalf("n=%d: %s", len(keys), msg)
 	}
-	out := make(map[uint64][]int, len(start))
+	out := make(map[uint64][]int32, len(start))
 	for g := 0; g+1 < len(start); g++ {
 		grp := order[start[g]:start[g+1]]
 		out[keys[grp[0]]] = grp

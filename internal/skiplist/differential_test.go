@@ -20,17 +20,18 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		sl := NewList()
-		var tr *treap.Node
+		ts := treap.NewSlab(len(ops))
+		var tr int32
 		var sNodes []*Node
-		var tNodes []*treap.Node
+		var tNodes []int32
 		next := 0
 		for _, o := range ops {
 			switch o.Kind % 4 {
 			case 0: // append
 				sn := NewNode(Value{Cnt: 1}, next)
-				tn := treap.NewNode(treap.Value{Cnt: 1}, int32(next))
+				tn := ts.NewNode(treap.Value{Cnt: 1}, int32(next))
 				Append(sl, sn)
-				tr = treap.Join(tr, tn)
+				tr = ts.Join(tr, tn)
 				sNodes = append(sNodes, sn)
 				tNodes = append(tNodes, tn)
 				next++
@@ -41,13 +42,13 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 				k := 1 + int(o.Pos)%(len(sNodes)-1)
 				// Identify the node at rank k in CURRENT order via the
 				// treap, then split both structures before it.
-				tn := treap.At(tr, int64(k))
+				tn := ts.At(tr, int64(k))
 				sn := sl.At(int64(k))
-				if int(tn.Data) != sn.Data.(int) {
+				if int(ts.Data(tn)) != sn.Data.(int) {
 					return false // order diverged
 				}
-				ta, tb := treap.SplitBefore(tn)
-				tr = treap.Join(tb, ta)
+				ta, tb := ts.SplitBefore(tn)
+				tr = ts.Join(tb, ta)
 				sa, sb := SplitBefore(sn)
 				nl := NewList()
 				Join(nl, sb)
@@ -60,20 +61,20 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 				i := int(o.Pos) % len(sNodes)
 				delta := int64(o.Amt % 5)
 				AddVal(sNodes[i], Value{NonTree: delta})
-				treap.AddVal(tNodes[i], treap.Value{NonTree: int32(delta)})
+				ts.AddVal(tNodes[i], treap.Value{NonTree: int32(delta)})
 			case 3: // rank check of a random node
 				if len(sNodes) == 0 {
 					continue
 				}
 				i := int(o.Pos) % len(sNodes)
-				if Index(sNodes[i]) != treap.Index(tNodes[i]) {
+				if Index(sNodes[i]) != ts.Index(tNodes[i]) {
 					return false
 				}
 			}
 			// Aggregates must agree at every step.
 			var ta treap.Value
-			if tr != nil {
-				ta = treap.Agg(tr)
+			if tr != 0 {
+				ta = ts.Agg(tr)
 			}
 			sa := sl.Agg()
 			if sa.Cnt != int64(ta.Cnt) || sa.NonTree != int64(ta.NonTree) {
@@ -81,14 +82,14 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 			}
 		}
 		// Final order comparison.
-		if tr == nil {
+		if tr == 0 {
 			return sl.Len() == 0
 		}
 		i := int64(0)
 		ok := true
-		treap.Walk(tr, func(n *treap.Node) {
+		ts.Walk(tr, func(n int32) {
 			sn := sl.At(i)
-			if sn == nil || sn.Data.(int) != int(n.Data) {
+			if sn == nil || sn.Data.(int) != int(ts.Data(n)) {
 				ok = false
 			}
 			i++
@@ -100,14 +101,14 @@ func TestDifferentialAgainstTreap(t *testing.T) {
 		proj := func(v Value) int64 { return v.NonTree }
 		tproj := func(v treap.Value) int64 { return int64(v.NonTree) }
 		var sOut []*Node
-		var tOut []*treap.Node
+		var tOut []int32
 		sGot := sl.Collect(1<<60, proj, &sOut)
-		tGot := treap.Collect(tr, 1<<60, tproj, &tOut)
+		tGot := ts.Collect(tr, 1<<60, tproj, &tOut)
 		if sGot != tGot || len(sOut) != len(tOut) {
 			return false
 		}
 		for j := range sOut {
-			if sOut[j].Data.(int) != int(tOut[j].Data) {
+			if sOut[j].Data.(int) != int(ts.Data(tOut[j])) {
 				return false
 			}
 		}

@@ -5,55 +5,56 @@ import (
 	"testing"
 )
 
-func benchSequence(n int) (*Node, []*Node) {
-	var root *Node
-	nodes := make([]*Node, n)
+func benchSequence(n int) (*Slab, int32, []int32) {
+	s := NewSlab(n)
+	var root int32
+	nodes := make([]int32, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = NewNode(Value{Cnt: 1}, int32(i))
-		root = Join(root, nodes[i])
+		nodes[i] = s.NewNode(Value{Cnt: 1}, int32(i))
+		root = s.Join(root, nodes[i])
 	}
-	return root, nodes
+	return s, root, nodes
 }
 
 func BenchmarkRotate(b *testing.B) {
 	n := 1 << 16
-	root, nodes := benchSequence(n)
+	s, root, nodes := benchSequence(n)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := nodes[rng.Intn(n)]
-		a, c := SplitBefore(x)
-		root = Join(c, a)
+		a, c := s.SplitBefore(x)
+		root = s.Join(c, a)
 	}
 	_ = root
 }
 
 func BenchmarkIndex(b *testing.B) {
 	n := 1 << 16
-	_, nodes := benchSequence(n)
+	s, _, nodes := benchSequence(n)
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Index(nodes[rng.Intn(n)])
+		_ = s.Index(nodes[rng.Intn(n)])
 	}
 }
 
 func BenchmarkRoot(b *testing.B) {
 	n := 1 << 16
-	_, nodes := benchSequence(n)
+	s, _, nodes := benchSequence(n)
 	rng := rand.New(rand.NewSource(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Root(nodes[rng.Intn(n)])
+		_ = s.Root(nodes[rng.Intn(n)])
 	}
 }
 
 func BenchmarkAddVal(b *testing.B) {
 	n := 1 << 16
-	_, nodes := benchSequence(n)
+	s, _, nodes := benchSequence(n)
 	rng := rand.New(rand.NewSource(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AddVal(nodes[rng.Intn(n)], Value{NonTree: 1})
+		s.AddVal(nodes[rng.Intn(n)], Value{NonTree: 1})
 	}
 }

@@ -12,13 +12,14 @@ import (
 // rebalancing, caching) would be flagged by the race detector.
 func TestConcurrentReadOnlyQueries(t *testing.T) {
 	const n = 4096
-	nodes := make([]*Node, n)
-	var root *Node
+	s := NewSlab(n)
+	nodes := make([]int32, n)
+	var root int32
 	for i := 0; i < n; i++ {
-		nodes[i] = NewNode(Value{Cnt: 1, Size: 1, Tree: int32(i % 3)}, int32(i))
-		root = Join(root, nodes[i])
+		nodes[i] = s.NewNode(Value{Cnt: 1, Size: 1, Tree: int32(i % 3)}, int32(i))
+		root = s.Join(root, nodes[i])
 	}
-	wantAgg := Agg(root)
+	wantAgg := s.Agg(root)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -27,43 +28,43 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < n; i += goroutines {
-				if Root(nodes[i]) != root {
+				if s.Root(nodes[i]) != root {
 					t.Errorf("Root(nodes[%d]) != root", i)
 					return
 				}
-				if got := Agg(nodes[i]); got != wantAgg {
+				if got := s.Agg(nodes[i]); got != wantAgg {
 					t.Errorf("Agg(nodes[%d]) = %+v, want %+v", i, got, wantAgg)
 					return
 				}
-				if got := Index(nodes[i]); got != int64(i) {
+				if got := s.Index(nodes[i]); got != int64(i) {
 					t.Errorf("Index(nodes[%d]) = %d", i, got)
 					return
 				}
-				if got := At(root, int64(i)); got != nodes[i] {
+				if got := s.At(root, int64(i)); got != nodes[i] {
 					t.Errorf("At(root, %d) wrong node", i)
 					return
 				}
-				if Len(nodes[i]) != n {
-					t.Errorf("Len = %d, want %d", Len(nodes[i]), n)
+				if s.Len(nodes[i]) != n {
+					t.Errorf("Len = %d, want %d", s.Len(nodes[i]), n)
 					return
 				}
 			}
-			if First(root) != nodes[0] {
-				t.Error("First(root) != nodes[0]")
+			if s.First(root) != nodes[0] {
+				t.Error("s.First(root) != nodes[0]")
 			}
-			var out []*Node
-			Collect(root, 16, func(v Value) int64 { return int64(v.Tree) }, &out)
+			var out []int32
+			s.Collect(root, 16, func(v Value) int64 { return int64(v.Tree) }, &out)
 			for _, nd := range out {
-				if nd.Val().Tree == 0 {
+				if s.Val(nd).Tree == 0 {
 					t.Error("Collect returned a zero-projection node")
 				}
 			}
 			count := 0
-			Walk(root, func(*Node) { count++ })
+			s.Walk(root, func(int32) { count++ })
 			if count != n {
 				t.Errorf("Walk visited %d nodes, want %d", count, n)
 			}
-			if msg := CheckInvariants(root); msg != "" {
+			if msg := s.CheckInvariants(root); msg != "" {
 				t.Errorf("CheckInvariants: %s", msg)
 			}
 		}(g)

@@ -8,24 +8,25 @@ import (
 
 // build constructs a sequence whose elements carry Data = their build index
 // and Size = that index (so aggregate checks catch reordering).
-func build(n int) *Node {
-	var root *Node
+func build(n int) (*Slab, int32) {
+	s := NewSlab(n)
+	var root int32
 	for i := 0; i < n; i++ {
-		nd := NewNode(Value{Cnt: 1, Size: int32(i)}, int32(i))
-		root = Join(root, nd)
+		nd := s.NewNode(Value{Cnt: 1, Size: int32(i)}, int32(i))
+		root = s.Join(root, nd)
 	}
-	return root
+	return s, root
 }
 
-func contents(t *Node) []int {
+func contents(s *Slab, t int32) []int {
 	var out []int
-	Walk(t, func(n *Node) { out = append(out, int(n.Data)) })
+	s.Walk(t, func(n int32) { out = append(out, int(s.Data(n))) })
 	return out
 }
 
-func assertSeq(t *testing.T, root *Node, want []int) {
+func assertSeq(t *testing.T, s *Slab, root int32, want []int) {
 	t.Helper()
-	got := contents(root)
+	got := contents(s, root)
 	if len(got) != len(want) {
 		t.Fatalf("sequence length %d, want %d (%v vs %v)", len(got), len(want), got, want)
 	}
@@ -34,23 +35,23 @@ func assertSeq(t *testing.T, root *Node, want []int) {
 			t.Fatalf("sequence[%d] = %d, want %d (%v)", i, got[i], want[i], want)
 		}
 	}
-	if err := CheckInvariants(root); err != "" {
+	if err := s.CheckInvariants(root); err != "" {
 		t.Fatalf("invariants: %s", err)
 	}
 }
 
 func TestJoinBuildsOrderedSequence(t *testing.T) {
-	root := build(10)
-	assertSeq(t, root, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	if Len(root) != 10 {
-		t.Fatalf("Len = %d", Len(root))
+	s, root := build(10)
+	assertSeq(t, s, root, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	if s.Len(root) != 10 {
+		t.Fatalf("Len = %d", s.Len(root))
 	}
 }
 
 func TestSplitAtEveryPosition(t *testing.T) {
 	for k := int64(0); k <= 8; k++ {
-		root := build(8)
-		a, b := SplitAt(root, k)
+		s, root := build(8)
+		a, b := s.SplitAt(root, k)
 		var want1, want2 []int
 		for i := 0; i < 8; i++ {
 			if int64(i) < k {
@@ -59,136 +60,136 @@ func TestSplitAtEveryPosition(t *testing.T) {
 				want2 = append(want2, i)
 			}
 		}
-		assertSeq(t, a, want1)
-		assertSeq(t, b, want2)
-		back := Join(a, b)
-		assertSeq(t, back, []int{0, 1, 2, 3, 4, 5, 6, 7})
+		assertSeq(t, s, a, want1)
+		assertSeq(t, s, b, want2)
+		back := s.Join(a, b)
+		assertSeq(t, s, back, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	}
 }
 
 func TestIndexAndAt(t *testing.T) {
-	root := build(100)
+	s, root := build(100)
 	for i := int64(0); i < 100; i++ {
-		nd := At(root, i)
-		if nd == nil || int(nd.Data) != int(i) {
+		nd := s.At(root, i)
+		if nd == 0 || int(s.Data(nd)) != int(i) {
 			t.Fatalf("At(%d) wrong", i)
 		}
-		if Index(nd) != i {
-			t.Fatalf("Index(At(%d)) = %d", i, Index(nd))
+		if s.Index(nd) != i {
+			t.Fatalf("Index(At(%d)) = %d", i, s.Index(nd))
 		}
 	}
-	if At(root, 100) != nil || At(root, -1) != nil {
+	if s.At(root, 100) != 0 || s.At(root, -1) != 0 {
 		t.Fatal("At out of range should be nil")
 	}
 }
 
 func TestRootSharedWithinSequence(t *testing.T) {
-	root := build(50)
-	r0 := Root(At(root, 0))
+	s, root := build(50)
+	r0 := s.Root(s.At(root, 0))
 	for i := int64(1); i < 50; i++ {
-		if Root(At(root, i)) != r0 {
+		if s.Root(s.At(root, i)) != r0 {
 			t.Fatalf("element %d has different root", i)
 		}
 	}
-	a, b := SplitAt(root, 25)
-	if Root(First(a)) == Root(First(b)) {
+	a, b := s.SplitAt(root, 25)
+	if s.Root(s.First(a)) == s.Root(s.First(b)) {
 		t.Fatal("split halves share a root")
 	}
 }
 
 func TestSplitBefore(t *testing.T) {
-	root := build(10)
-	x := At(root, 4)
-	a, b := SplitBefore(x)
-	assertSeq(t, a, []int{0, 1, 2, 3})
-	assertSeq(t, b, []int{4, 5, 6, 7, 8, 9})
-	if First(b) != x {
+	s, root := build(10)
+	x := s.At(root, 4)
+	a, b := s.SplitBefore(x)
+	assertSeq(t, s, a, []int{0, 1, 2, 3})
+	assertSeq(t, s, b, []int{4, 5, 6, 7, 8, 9})
+	if s.First(b) != x {
 		t.Fatal("suffix does not start at x")
 	}
 }
 
 func TestRemove(t *testing.T) {
-	root := build(6)
-	x := At(root, 3)
-	rest := Remove(x)
-	assertSeq(t, rest, []int{0, 1, 2, 4, 5})
-	if x.p != nil || x.l != nil || x.r != nil {
+	s, root := build(6)
+	x := s.At(root, 3)
+	rest := s.Remove(x)
+	assertSeq(t, s, rest, []int{0, 1, 2, 4, 5})
+	if n := s.nd(x); s.par(x) != 0 || n.l != 0 || n.r != 0 {
 		t.Fatal("removed node not detached")
 	}
-	if x.sum != x.Val() {
+	if s.Agg(x) != s.Val(x) {
 		t.Fatal("removed node aggregate not reset")
 	}
 	// Removing the only element yields nil.
-	single := NewNode(Value{Cnt: 1}, 0)
-	if Remove(single) != nil {
+	single := s.NewNode(Value{Cnt: 1}, 0)
+	if s.Remove(single) != 0 {
 		t.Fatal("removing a singleton should return nil")
 	}
 }
 
 func TestSetValPropagates(t *testing.T) {
-	root := build(20)
-	before := Agg(First(root)).Size
-	x := At(root, 7)
-	SetVal(x, Value{Cnt: 1, Size: 1000})
-	after := Agg(First(Root(x))).Size
+	s, root := build(20)
+	before := s.Agg(s.First(root)).Size
+	x := s.At(root, 7)
+	s.SetVal(x, Value{Cnt: 1, Size: 1000})
+	after := s.Agg(s.First(s.Root(x))).Size
 	if after != before-7+1000 {
 		t.Fatalf("aggregate after SetVal = %d, want %d", after, before-7+1000)
 	}
-	if err := CheckInvariants(Root(x)); err != "" {
+	if err := s.CheckInvariants(s.Root(x)); err != "" {
 		t.Fatalf("invariants: %s", err)
 	}
 }
 
 func TestAddVal(t *testing.T) {
-	root := build(5)
-	x := At(root, 2)
-	AddVal(x, Value{NonTree: 3})
-	if Agg(x).NonTree != 3 {
-		t.Fatalf("NonTree aggregate = %d", Agg(x).NonTree)
+	s, root := build(5)
+	x := s.At(root, 2)
+	s.AddVal(x, Value{NonTree: 3})
+	if s.Agg(x).NonTree != 3 {
+		t.Fatalf("NonTree aggregate = %d", s.Agg(x).NonTree)
 	}
-	AddVal(x, Value{NonTree: -3})
-	if Agg(x).NonTree != 0 {
-		t.Fatalf("NonTree aggregate = %d after undo", Agg(x).NonTree)
+	s.AddVal(x, Value{NonTree: -3})
+	if s.Agg(x).NonTree != 0 {
+		t.Fatalf("NonTree aggregate = %d after undo", s.Agg(x).NonTree)
 	}
 }
 
 func TestCollectFindsMarkedNodes(t *testing.T) {
-	root := build(100)
+	s, root := build(100)
 	// Mark nodes 10, 40, 70 with NonTree counts 2, 3, 4.
 	marks := map[int]int32{10: 2, 40: 3, 70: 4}
 	for idx, c := range marks {
-		nd := At(root, int64(idx))
-		AddVal(nd, Value{NonTree: c})
-		root = Root(nd)
+		nd := s.At(root, int64(idx))
+		s.AddVal(nd, Value{NonTree: c})
+		root = s.Root(nd)
 	}
 	proj := func(v Value) int64 { return int64(v.NonTree) }
-	var out []*Node
-	got := Collect(root, 4, proj, &out)
+	var out []int32
+	got := s.Collect(root, 4, proj, &out)
 	if got < 4 {
 		t.Fatalf("Collect accumulated %d, want >= 4", got)
 	}
-	if len(out) != 2 || out[0].Data != 10 || out[1].Data != 40 {
+	if len(out) != 2 || s.Data(out[0]) != 10 || s.Data(out[1]) != 40 {
 		t.Fatalf("Collect chose wrong nodes: %v", out)
 	}
 	// Asking for more than available returns everything.
 	out = nil
-	got = Collect(root, 100, proj, &out)
+	got = s.Collect(root, 100, proj, &out)
 	if got != 9 || len(out) != 3 {
 		t.Fatalf("Collect(all) got %d over %d nodes", got, len(out))
 	}
 }
 
 func TestCollectEmptyAndZeroLimit(t *testing.T) {
-	root := build(10)
+	s, root := build(10)
 	proj := func(v Value) int64 { return int64(v.NonTree) }
-	var out []*Node
-	if got := Collect(root, 5, proj, &out); got != 0 || len(out) != 0 {
+	var out []int32
+	if got := s.Collect(root, 5, proj, &out); got != 0 || len(out) != 0 {
 		t.Fatal("Collect on zero-projection tree should gather nothing")
 	}
-	if got := Collect(root, 0, proj, &out); got != 0 {
+	if got := s.Collect(root, 0, proj, &out); got != 0 {
 		t.Fatal("Collect with limit 0 should gather nothing")
 	}
-	if got := Collect(nil, 5, proj, &out); got != 0 {
+	if got := s.Collect(0, 5, proj, &out); got != 0 {
 		t.Fatal("Collect(nil) should gather nothing")
 	}
 }
@@ -201,43 +202,44 @@ func TestQuickSplitJoinModel(t *testing.T) {
 		Pos  uint16
 	}
 	f := func(ops []op) bool {
+		s := NewSlab(len(ops))
 		model := []int{}
-		var root *Node
+		var root int32
 		next := 0
 		for _, o := range ops {
 			switch o.Kind % 3 {
 			case 0: // append new element
-				nd := NewNode(Value{Cnt: 1}, int32(next))
+				nd := s.NewNode(Value{Cnt: 1}, int32(next))
 				model = append(model, next)
 				next++
-				root = Join(root, nd)
+				root = s.Join(root, nd)
 			case 1: // split and rejoin swapped (rotate)
 				if len(model) == 0 {
 					continue
 				}
 				k := int64(int(o.Pos) % (len(model) + 1))
-				a, b := SplitAt(root, k)
-				root = Join(b, a)
+				a, b := s.SplitAt(root, k)
+				root = s.Join(b, a)
 				model = append(model[k:], model[:k]...)
 			case 2: // remove element at pos
 				if len(model) == 0 {
 					continue
 				}
 				i := int(o.Pos) % len(model)
-				nd := At(root, int64(i))
-				root = Remove(nd)
+				nd := s.At(root, int64(i))
+				root = s.Remove(nd)
 				model = append(model[:i], model[i+1:]...)
 			}
-			if root == nil {
+			if root == 0 {
 				if len(model) != 0 {
 					return false
 				}
 				continue
 			}
-			if CheckInvariants(root) != "" {
+			if s.CheckInvariants(root) != "" {
 				return false
 			}
-			got := contents(root)
+			got := contents(s, root)
 			if len(got) != len(model) {
 				return false
 			}
@@ -255,18 +257,18 @@ func TestQuickSplitJoinModel(t *testing.T) {
 }
 
 func TestExpectedDepthLogarithmic(t *testing.T) {
-	root := build(1 << 14)
+	s, root := build(1 << 14)
 	var maxDepth int
-	var walk func(n *Node, d int)
-	walk = func(n *Node, d int) {
-		if n == nil {
+	var walk func(x int32, d int)
+	walk = func(x int32, d int) {
+		if x == 0 {
 			return
 		}
 		if d > maxDepth {
 			maxDepth = d
 		}
-		walk(n.l, d+1)
-		walk(n.r, d+1)
+		walk(s.nd(x).l, d+1)
+		walk(s.nd(x).r, d+1)
 	}
 	walk(root, 1)
 	// Expected depth ~ 3 lg n; fail only on gross degradation.
@@ -276,31 +278,32 @@ func TestExpectedDepthLogarithmic(t *testing.T) {
 }
 
 func TestJoinNilCases(t *testing.T) {
-	if Join(nil, nil) != nil {
+	s := NewSlab(1)
+	if s.Join(0, 0) != 0 {
 		t.Fatal("Join(nil,nil) != nil")
 	}
-	n := NewNode(Value{Cnt: 1}, 0)
-	if Join(n, nil) != n || Join(nil, n) != n {
+	n := s.NewNode(Value{Cnt: 1}, 0)
+	if s.Join(n, 0) != n || s.Join(0, n) != n {
 		t.Fatal("Join with nil should return the other root")
 	}
 }
 
 func TestLargeRandomSplitJoinStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	root := build(5000)
+	s, root := build(5000)
 	for iter := 0; iter < 500; iter++ {
-		k := rng.Int63n(Len(root) + 1)
-		a, b := SplitAt(root, k)
+		k := rng.Int63n(s.Len(root) + 1)
+		a, b := s.SplitAt(root, k)
 		if rng.Intn(2) == 0 {
-			root = Join(a, b)
+			root = s.Join(a, b)
 		} else {
-			root = Join(b, a)
+			root = s.Join(b, a)
 		}
 	}
-	if Len(root) != 5000 {
-		t.Fatalf("lost elements: %d", Len(root))
+	if s.Len(root) != 5000 {
+		t.Fatalf("lost elements: %d", s.Len(root))
 	}
-	if err := CheckInvariants(root); err != "" {
+	if err := s.CheckInvariants(root); err != "" {
 		t.Fatalf("invariants: %s", err)
 	}
 }
