@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -110,9 +111,9 @@ func TestAllocBudget(t *testing.T) {
 			}
 			r++
 		})
-		// Measured 234 on go1.24.0, 455 when the semisort still built a
-		// slice per group; the budget is 234 plus 25 %.
-		const budget = 292
+		// Measured 207 on go1.24.0 (206 when the whole package runs); the
+		// budget is 207 plus 25 %.
+		const budget = 259
 		t.Logf("64-chord BatchInsert: %v allocations", got)
 		if got > budget {
 			t.Fatalf("64-chord BatchInsert makes %v allocations, budget %v", got, budget)
@@ -130,15 +131,42 @@ func TestAllocBudget(t *testing.T) {
 			c.BatchDelete(es[lo : lo+delta])
 			lo += delta
 		})
-		// Measured 792 on go1.24.0; 1174 while treap nodes were heap
-		// objects (every loop element a cut or counter update released
-		// was a fresh allocation on its next touch), 1384 when the
-		// semisort still built a slice per group. The budget is 792 plus
-		// 25 %.
-		const budget = 990
+		// Measured 737 on go1.24.0; the budget is 737 plus 25 %.
+		const budget = 921
 		t.Logf("7 + 7 churn round: %v allocations", got)
 		if got > budget {
 			t.Fatalf("a 7 + 7 churn round makes %v allocations, budget %v", got, budget)
 		}
 	})
+}
+
+// TestHeapBudget pins the heap the structure retains per live edge: n = 2^14,
+// a 2n-edge preload, then 64 rounds that insert 256 new random edges and
+// delete the 256 oldest, one parallel worker, then a forced GC. HeapAlloc
+// over the baseline taken before New is divided by the live edge count.
+func TestHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("8 s under -race, which retains the same heap; the plain run checks it")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	const n, m, delta, rounds = 1 << 14, 2 << 14, 256, 64
+	es := graphgen.RandomGraph(n, m+rounds*delta, 45)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(n)
+	c.BatchInsert(es[:m])
+	for r := 0; r < rounds; r++ {
+		c.BatchInsert(es[m+r*delta : m+(r+1)*delta])
+		c.BatchDelete(es[r*delta : (r+1)*delta])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	got := float64(after.HeapAlloc-before.HeapAlloc) / float64(c.NumEdges())
+	// Measured 645-647 B per edge on go1.24.0; the budget is 646 plus 25 %.
+	const budget = 808
+	t.Logf("%d live edges retain %.0f B each", c.NumEdges(), got)
+	if got > budget {
+		t.Fatalf("%.0f B retained per live edge, budget %d", got, budget)
+	}
 }

@@ -35,11 +35,11 @@
 // each other, provided no mutation (BatchInsert, BatchDelete) is in flight.
 // Queries run on the engine's dispatcher between epochs, not beside it, so
 // the contract guards the parallel workers inside one batch operation
-// (BatchConnected and the ETT and dictionary batch lookups fan out over
-// parallel.For), not concurrent readers of a live structure. HasEdge and
-// NumEdges additionally read the edge dictionary, which is phase-concurrent
-// and safe for concurrent lookups under the same no-writer condition.
-// Enforced under -race by TestConnConcurrentReadOnlyQueries.
+// (BatchConnected and the ETT batch lookups fan out over parallel.For), not
+// concurrent readers of a live structure. HasEdge, EdgeInfo and NumEdges
+// additionally read the edge map, a Go map, which any number of goroutines
+// may read at once while nothing writes it. Enforced under -race by
+// TestConnConcurrentReadOnlyQueries.
 package core
 
 import (
@@ -48,7 +48,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/levelcheck"
 	"repro/internal/parallel"
-	"repro/internal/pdict"
 	"repro/internal/spanning"
 )
 
@@ -82,9 +81,10 @@ type Stats struct {
 
 // Conn is the parallel batch-dynamic connectivity structure.
 //
-// The edge dictionary ED (the paper's parallel dictionary) is a
-// phase-concurrent hash table mapping canonical edge keys to indices in the
-// record arena, so membership filtering of whole batches runs in parallel.
+// The edge dictionary ED is a Go map from canonical edge key to a slot in
+// the record arena. The paper assumes a parallel dictionary here; every
+// batch already passes through graph.Dedup's sequential map first, so a
+// sequential map costs no depth that Dedup does not already cost.
 //
 //conn:readonly-queries
 type Conn struct {
@@ -92,9 +92,9 @@ type Conn struct {
 	top   int32
 	f     []*ett.Forest
 	adj   *adjlist.Store
-	edges *pdict.Dict    // canonical edge key -> arena index
-	arena []*adjlist.Rec // live records; nil entries are free slots
-	freed []uint64       // free arena indices
+	edges map[uint64]int32 // canonical edge key -> arena slot
+	arena []*adjlist.Rec   // live records; nil entries are free slots
+	freed []int32          // free arena slots, reused last freed first
 	alg   Algorithm
 	stats Stats
 }
@@ -115,7 +115,7 @@ func New(n int, opts ...Option) *Conn {
 		top:   int32(l),
 		f:     make([]*ett.Forest, l+1),
 		adj:   adjlist.New(n, l+1),
-		edges: pdict.New(64),
+		edges: make(map[uint64]int32),
 		alg:   SearchInterleaved,
 	}
 	for i := 1; i <= l; i++ {
@@ -140,55 +140,50 @@ func (c *Conn) Top() int { return int(c.top) }
 // NumEdges returns the number of edges currently present.
 //
 //conn:readonly
-func (c *Conn) NumEdges() int { return c.edges.Len() }
+func (c *Conn) NumEdges() int { return len(c.edges) }
 
 // recFor returns the live record for a canonical edge key, or nil.
 //
 //conn:readonly
 func (c *Conn) recFor(key uint64) *adjlist.Rec {
-	idx, ok := c.edges.Get(key)
-	if !ok {
-		return nil
+	if idx, ok := c.edges[key]; ok {
+		return c.arena[idx]
 	}
-	return c.arena[idx]
+	return nil
 }
 
-// addRecs registers new records under their canonical keys; the dictionary
-// insertion is a parallel batch.
-func (c *Conn) addRecs(keys []uint64, recs []*adjlist.Rec) {
-	idxs := make([]uint64, len(recs))
-	for i, r := range recs {
-		var idx uint64
+// addRecs stores new records in arena slots, the last freed slot first, and
+// registers each under its canonical key.
+func (c *Conn) addRecs(recs []*adjlist.Rec) {
+	for _, r := range recs {
+		var idx int32
 		if k := len(c.freed); k > 0 {
 			idx = c.freed[k-1]
 			c.freed = c.freed[:k-1]
 		} else {
-			idx = uint64(len(c.arena))
+			idx = int32(len(c.arena))
 			c.arena = append(c.arena, nil)
 		}
 		c.arena[idx] = r
-		idxs[i] = idx
+		c.edges[r.E.Key()] = idx
 	}
-	c.edges.BatchInsert(keys, idxs)
 }
 
-// takeRecs removes the given keys from the dictionary, returning the records
-// that were present. Lookup is a parallel batch; arena bookkeeping is
-// sequential O(k).
-func (c *Conn) takeRecs(keys []uint64) []*adjlist.Rec {
-	idxs, ok := c.edges.BatchLookup(keys)
+// takeRecs removes the given edges, returning the records that were present
+// in batch order and freeing their arena slots.
+func (c *Conn) takeRecs(es []graph.Edge) []*adjlist.Rec {
 	var out []*adjlist.Rec
-	var present []uint64
-	for i, k := range keys {
-		if !ok[i] {
+	for _, e := range es {
+		k := e.Key()
+		idx, ok := c.edges[k]
+		if !ok {
 			continue
 		}
-		out = append(out, c.arena[idxs[i]])
-		c.arena[idxs[i]] = nil
-		c.freed = append(c.freed, idxs[i])
-		present = append(present, k)
+		out = append(out, c.arena[idx])
+		c.arena[idx] = nil
+		c.freed = append(c.freed, idx)
+		delete(c.edges, k)
 	}
-	c.edges.BatchDelete(present)
 	return out
 }
 
@@ -416,30 +411,12 @@ func repKey(f *ett.Forest, v graph.Vertex) uint64 {
 }
 
 // applyDeltas repairs the augmented counters of the level forests after a
-// batch adjacency mutation. Deltas are grouped by (forest, component) so
-// that each treap is updated by exactly one goroutine. Slots are per
-// forest, so a representative's key carries its level.
+// batch adjacency mutation, one counter update per delta. Every caller runs
+// outside any parallel loop, so the updates run in order on one goroutine.
 func (c *Conn) applyDeltas(deltas []adjlist.Delta) {
-	if len(deltas) == 0 {
-		return
+	for _, d := range deltas {
+		c.f[d.Level].AddCounts(d.V, d.Tree, d.NonTree)
 	}
-	keys := make([]uint64, len(deltas))
-	parallel.For(len(deltas), 512, func(i int) {
-		d := deltas[i]
-		if r := c.f[d.Level].Rep(d.V); r != 0 {
-			keys[i] = uint64(uint32(d.Level))<<32 | uint64(r)
-		} else {
-			// Unique per (vertex, level): singleton trees.
-			keys[i] = 1<<63 | uint64(uint32(d.V))<<6 | uint64(uint32(d.Level))
-		}
-	})
-	order, start := parallel.GroupBy(keys)
-	parallel.For(len(start)-1, 0, func(g int) {
-		for _, idx := range order[start[g]:start[g+1]] {
-			d := deltas[idx]
-			c.f[d.Level].AddCounts(d.V, d.Tree, d.NonTree)
-		}
-	})
 }
 
 // BatchInsert adds a batch of edges (Algorithm 2). Self-loops, duplicates
@@ -452,12 +429,15 @@ func (c *Conn) applyDeltas(deltas []adjlist.Delta) {
 // target, not what runs here.
 func (c *Conn) BatchInsert(es []graph.Edge) int {
 	defer c.reclaim()
+	// Dedup returns a fresh slice, so the absent edges are packed in place.
 	es = graph.Dedup(es)
-	{
-		keys := graph.Keys(es)
-		_, present := c.edges.BatchLookup(keys) // parallel membership filter
-		es = parallel.Pack(es, parallel.Map(present, func(p bool) bool { return !p }))
+	fresh := es[:0]
+	for _, e := range es {
+		if _, ok := c.edges[e.Key()]; !ok {
+			fresh = append(fresh, e)
+		}
 	}
+	es = fresh
 	if len(es) == 0 {
 		return 0
 	}
@@ -468,7 +448,7 @@ func (c *Conn) BatchInsert(es []graph.Edge) int {
 	parallel.For(len(es), 1024, func(i int) {
 		recs[i] = &adjlist.Rec{E: es[i], Level: c.top}
 	})
-	c.addRecs(graph.Keys(es), recs)
+	c.addRecs(recs)
 	deltas := c.adj.BatchInsert(recs)
 	c.applyDeltas(deltas)
 	// Contract components and compute a spanning forest of the batch over

@@ -18,14 +18,13 @@ import (
 func (c *Conn) BatchDelete(es []graph.Edge) int {
 	defer c.reclaim()
 	es = graph.Dedup(es)
-	recs := c.takeRecs(graph.Keys(es))
+	recs := c.takeRecs(es)
 	if len(recs) == 0 {
 		return 0
 	}
 	c.stats.DeleteBatches++
 	c.stats.Deletes += int64(len(recs))
-	// Remove from adjacency lists and repair counters (forests untouched
-	// yet, so delta grouping by component is stable).
+	// Remove from adjacency lists and repair counters, before any cut.
 	deltas := c.adj.BatchDelete(recs)
 	c.applyDeltas(deltas)
 	// Collect the deleted tree edges.

@@ -192,8 +192,7 @@ func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge) ([]g
 				panic("core: interleaved push below level 1")
 			}
 			// Remove from level i now; the records enter level i-1 at
-			// the end of the level. Counter repair groups by the
-			// still-stable F_i components.
+			// the end of the level.
 			deltas := c.adj.BatchDelete(pushRound)
 			c.applyDeltas(deltas)
 			EP = append(EP, pushRound...)

@@ -13,7 +13,7 @@ import (
 // query contract under -race: after a quiesced mix of inserts and deletes,
 // concurrent goroutines run every query entry point and check answers
 // against a union-find oracle. A write anywhere on a query path — in core,
-// ett, treap, adjlist or pdict lookups — would be flagged.
+// ett, treap, adjlist or the edge map — would be flagged.
 func TestConnConcurrentReadOnlyQueries(t *testing.T) {
 	const n = 4096
 	c := New(n)

@@ -51,15 +51,6 @@ func (e Edge) Other(x Vertex) Vertex {
 // IsLoop reports whether the edge is a self-loop.
 func (e Edge) IsLoop() bool { return e.U == e.V }
 
-// Keys maps a batch of edges to their canonical keys.
-func Keys(es []Edge) []uint64 {
-	out := make([]uint64, len(es))
-	for i, e := range es {
-		out[i] = e.Key()
-	}
-	return out
-}
-
 // Dedup returns the batch with duplicate (canonical) edges and self-loops
 // removed, preserving first-occurrence order. O(k) expected time.
 func Dedup(es []Edge) []Edge {

@@ -63,14 +63,6 @@ func TestOtherAndLoop(t *testing.T) {
 	}
 }
 
-func TestKeysBatch(t *testing.T) {
-	es := []Edge{{U: 2, V: 1}, {U: 3, V: 4}}
-	ks := Keys(es)
-	if len(ks) != 2 || ks[0] != es[0].Key() || ks[1] != es[1].Key() {
-		t.Fatal("Keys wrong")
-	}
-}
-
 func TestDedupSmallAndLargePaths(t *testing.T) {
 	// Small (<=16): linear path.
 	small := []Edge{{U: 1, V: 2}, {U: 2, V: 1}, {U: 3, V: 3}, {U: 4, V: 5}}
