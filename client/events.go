@@ -62,8 +62,9 @@ func (k EventKind) String() string {
 
 // Event is one connectivity event. Epoch is the hub's transition counter
 // and Seq the durable WAL position of the transition's epoch (zero on
-// memory-only and sharded namespaces); Label/U/V/Others are populated per
-// kind as documented on the EventKind constants.
+// memory-only namespaces); Label/U/V/Others are populated per kind as
+// documented on the EventKind constants. A sharded namespace publishes no
+// events: the server refuses its subscriptions as a bad request.
 type Event struct {
 	Kind   EventKind
 	Epoch  uint64

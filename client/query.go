@@ -18,8 +18,9 @@ import (
 // Query executes one structural query against the namespace. The request
 // and result types are the conn package's (conn.QueryRequest selects the
 // kind, operands and consistency tier; conn.QueryResult is the uniform
-// answer). Result.Seq is the replication position the answer reflects —
-// zero on sharded namespaces.
+// answer). Result.Seq is the replication position the answer reflects. A
+// sharded namespace answers no structural query: the server refuses it as a
+// bad request.
 func (ns *Namespace) Query(req conn.QueryRequest) (conn.QueryResult, error) {
 	wreq := &wire.Request{Cmd: wire.CmdQuery, NS: ns.name,
 		QKind: uint8(req.Kind), Linearized: req.Linearized,

@@ -244,7 +244,7 @@ func (h *Hub) Cancel(s *Sub) {
 // labellings, and delivers without ever blocking — an event that does not
 // fit a subscriber's buffer is dropped and counted, and the subscriber is
 // owed a single KindGap. Runs on the engine dispatcher via the diff
-// subscription; also safe from the sharded composer's serialized callback.
+// subscription.
 //
 //conn:dispatcher-only
 func (h *Hub) Feed(seq uint64, d *snapshot.Diff) {

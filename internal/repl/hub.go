@@ -62,8 +62,8 @@ var ErrStopped = errors.New("repl: hub stopped")
 var ErrLagging = errors.New("repl: follower too slow, dropped from live stream")
 
 // Source is the primary-side surface the Hub needs from a durable engine
-// (*engine.Engine; each shard engine of a sharded namespace gets its own
-// hub): the epoch tee, the fsynced frontier bounding what may be
+// (*engine.Engine; one per plain durable namespace, as sharded namespaces
+// do not replicate): the epoch tee, the fsynced frontier bounding what may be
 // shipped, and the truncation floor bounding what is still on disk.
 type Source interface {
 	SubscribeEpochs(fn func(conn.EpochRecord)) (cancel func())

@@ -1,18 +1,19 @@
 package server
 
 import (
+	"errors"
+
 	"repro/internal/coalesce"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/shard"
-	"repro/internal/snapshot"
 )
 
 // backend is a namespace's connectivity structure: one engine, or k shard
-// engines plus a boundary engine composed by a shard.Coordinator. It is the
-// one place the server tells a plain namespace from a sharded one — every
-// request path, the drain and the stats talk to this interface alone.
+// engines plus a boundary engine composed by a shard.Coordinator. Every
+// request path, the drain and the stats talk to this interface; beyond it,
+// a sharded namespace only lacks the event and replication hubs.
 type backend interface {
 	N() int
 	// Apply commits one frame's ops and returns one result per op plus the
@@ -22,7 +23,6 @@ type backend interface {
 	// ReadBatch answers connectivity pairs from the committed tier.
 	ReadBatch(qs []graph.Edge) ([]bool, error)
 	Query(req query.Request) (query.Result, error)
-	SubscribeDiffs(fn func(seq uint64, d *snapshot.Diff)) (cancel func())
 	// Checkpoint snapshots durable state and returns the path it names.
 	Checkpoint() (string, error)
 	AppliedSeq() uint64
@@ -42,9 +42,9 @@ func (p plain) Query(req query.Request) (query.Result, error) { return query.Run
 
 func (p plain) Engines() []*engine.Engine { return []*engine.Engine{p.Engine} }
 
-// sharded is a hash-partitioned namespace. It has k+1 WAL streams and no
-// single position, so its batch and read responses carry Seq 0 (clients
-// cannot fence replica reads on it; the replica manager skips it).
+// sharded is a hash-partitioned namespace: writes and pair reads only. It
+// has k+1 WAL streams and no single position, so its batch and read
+// responses carry Seq 0 (clients cannot fence replica reads on it).
 type sharded struct {
 	*shard.Coordinator
 	dir string // the namespace directory; "" when memory-only
@@ -56,6 +56,11 @@ func (s sharded) Apply(ops []coalesce.Op) ([]bool, uint64, error) {
 }
 
 func (s sharded) ReadBatch(qs []graph.Edge) ([]bool, error) { return s.ConnectedBatch(qs) }
+
+// errShardedQuery is CmdQuery's refusal on a sharded namespace.
+var errShardedQuery = errors.New("sharded namespaces serve no structural queries; read pairs with ReadNow or ReadRecent")
+
+func (sharded) Query(query.Request) (query.Result, error) { return query.Result{}, errShardedQuery }
 
 // Checkpoint snapshots every engine and names the namespace directory,
 // which now holds one fresh checkpoint per engine.

@@ -1,10 +1,7 @@
 // Differential tests for the live event stream: a union-find oracle replays
 // every batch, recomputes the canonical min-vertex labelling, and the pushed
-// event stream must match the oracle's partition changes — exactly, event
-// for event, on an unsharded namespace (one batch = one epoch = one
-// transition), and by cumulative pair-state and component-count agreement on
-// a sharded one (a multi-shard batch legitimately surfaces as several
-// composed transitions through intermediate states).
+// event stream must match the oracle's partition changes exactly, event for
+// event (one batch = one epoch = one transition).
 //
 // Synchronization uses the stream's own ordering guarantee: a beacon edge
 // between two sentinel vertices is toggled after each batch, and because
@@ -136,14 +133,6 @@ func sameEvent(a, b client.Event) bool {
 }
 
 func TestEventStreamDifferentialUnsharded(t *testing.T) {
-	testEventStreamDifferential(t, 0)
-}
-
-func TestEventStreamDifferentialSharded(t *testing.T) {
-	testEventStreamDifferential(t, 3)
-}
-
-func testEventStreamDifferential(t *testing.T, shards int) {
 	const (
 		nFabric = 48
 		rounds  = 40
@@ -158,12 +147,7 @@ func testEventStreamDifferential(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if shards > 0 {
-		err = cl.CreateSharded("g", n, false, shards)
-	} else {
-		err = cl.Create("g", n, false)
-	}
-	if err != nil {
+	if err := cl.Create("g", n, false); err != nil {
 		t.Fatal(err)
 	}
 	ns := cl.Namespace("g")
@@ -274,8 +258,8 @@ func testEventStreamDifferential(t *testing.T, shards int) {
 			}
 		}
 
-		// Cumulative checks, both topologies: every watched pair's believed
-		// state equals the oracle's, and the served component count agrees.
+		// Cumulative checks: every watched pair's believed state equals the
+		// oracle's, and the served component count agrees.
 		for _, p := range watch {
 			want := curLbl[p.U] == curLbl[p.V]
 			if believed[ekey(p.U, p.V)] != want {
@@ -291,21 +275,19 @@ func testEventStreamDifferential(t *testing.T, shards int) {
 			t.Fatalf("round %d: served %d components, oracle %d", round, count, want)
 		}
 
-		// Exact stream equality on the unsharded path: one batch is one
-		// epoch is one transition, so the round's stream is the batch's
-		// transition followed by the beacon's.
-		if shards == 0 {
-			want := append(expectEvents(prevLbl, midLbl, watch),
-				expectEvents(midLbl, curLbl, watch)...)
-			if len(got) != len(want) {
-				t.Fatalf("round %d: %d events %v, want %d %v",
-					round, len(got), got, len(want), want)
-			}
-			for i := range got {
-				if !sameEvent(got[i], want[i]) {
-					t.Fatalf("round %d event %d: got %+v, want %+v",
-						round, i, got[i], want[i])
-				}
+		// Exact stream equality: one batch is one epoch is one transition,
+		// so the round's stream is the batch's transition followed by the
+		// beacon's.
+		want := append(expectEvents(prevLbl, midLbl, watch),
+			expectEvents(midLbl, curLbl, watch)...)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d events %v, want %d %v",
+				round, len(got), got, len(want), want)
+		}
+		for i := range got {
+			if !sameEvent(got[i], want[i]) {
+				t.Fatalf("round %d event %d: got %+v, want %+v",
+					round, i, got[i], want[i])
 			}
 		}
 		prevLbl = curLbl
@@ -314,8 +296,8 @@ func testEventStreamDifferential(t *testing.T, shards int) {
 
 // TestEventSubscriptionLifecycle covers the wire-path plumbing around the
 // stream itself: stats surface the live subscriber and delivery counters,
-// and a closed subscription detaches server-side (the refcounted hub wiring
-// releases once the pump notices the dead connection).
+// and a closed subscription detaches server-side (the hub drops the
+// subscriber once the pump notices the dead connection).
 func TestEventSubscriptionLifecycle(t *testing.T) {
 	srv, addr, _ := start(t, Options{DataDir: t.TempDir()})
 	defer srv.Shutdown()

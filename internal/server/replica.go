@@ -101,12 +101,8 @@ func (m *replicaManager) run() {
 			want := make(map[string]bool, len(infos))
 			for _, info := range infos {
 				if info.Shards > 0 {
-					// A sharded namespace has k+1 independent epoch streams
-					// and no composed follower yet: a replica applying them
-					// into one flat graph would answer cross-shard queries
-					// with boundary edges mixed into shard-local state.
-					// Skipped until a sharded follower composes per-shard
-					// labels the way the primary's coordinator does.
+					// A sharded namespace does not replicate: the primary
+					// refuses its subscriptions.
 					continue
 				}
 				if info.Durable {

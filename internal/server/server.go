@@ -105,37 +105,35 @@ type namespace struct {
 	// epoch fully applied from the primary's stream.
 	applied atomic.Uint64
 
-	// hubs, on a primary-side durable namespace, holds one replication hub
-	// per backend engine (index-aligned with be.Engines()): each tees its
-	// engine's committed epochs to subscribed followers and serves their
-	// catch-up (internal/repl). CmdSubscribe's shard selector indexes it.
-	hubs []*repl.Hub
+	// hub, on a primary-side plain durable namespace, tees the engine's
+	// committed epochs to subscribed followers and serves their catch-up
+	// (internal/repl). Nil otherwise: memory-only and sharded namespaces do
+	// not replicate.
+	hub *repl.Hub
 
-	// ehub fans connectivity events out to CmdSubscribeEvents streams. Every
-	// primary-side namespace has one (nil on a replica — event subscriptions
-	// redirect to the primary, whose epoch pipeline orders the events). The
-	// hub is wired into the namespace's diff stream lazily, while at least
-	// one subscriber exists (evRefs/evCancel under evMu), so an idle sharded
-	// namespace never pays the per-epoch global label recompose.
-	ehub     *pubsub.Hub
-	evMu     sync.Mutex
-	evRefs   int
-	evCancel func()
+	// ehub fans connectivity events out to CmdSubscribeEvents streams on a
+	// primary-side plain namespace. Nil on a sharded namespace, which
+	// publishes no events, and on a replica, which redirects them.
+	ehub *pubsub.Hub
 
 	mu     sync.RWMutex
 	closed bool
 	be     backend
 }
 
-// newNamespace wraps a primary-side backend: an event hub, and — when dir
-// is non-empty, i.e. the namespace is durable — one replication hub per
-// engine, rooted in that engine's own durability directory so catch-up
-// reads the right checkpoint and WAL.
+// newNamespace wraps a primary-side backend. A plain one gets an event hub
+// fed by its engine's diff stream and, when durable, a replication hub
+// rooted in the engine's directory. A sharded one gets neither.
 func newNamespace(name, dir string, be backend) *namespace {
-	ns := &namespace{name: name, durable: dir != "", be: be, ehub: pubsub.NewHub()}
-	if ns.durable {
-		for _, e := range be.Engines() {
-			ns.hubs = append(ns.hubs, repl.NewHub(e, e.Dir(), e.N()))
+	ns := &namespace{name: name, durable: dir != "", be: be}
+	if p, ok := be.(plain); ok {
+		ns.ehub = pubsub.NewHub()
+		// Feed runs on the dispatcher and never blocks; with no subscriber
+		// it returns after one lock. The engine closes with the namespace,
+		// so the cancel is not kept.
+		p.SubscribeDiffs(ns.ehub.Feed) //conn:dispatcher-entry
+		if ns.durable {
+			ns.hub = repl.NewHub(p.Engine, p.Dir(), p.N())
 		}
 	}
 	return ns
@@ -154,34 +152,11 @@ func (ns *namespace) seq() uint64 {
 	return ns.be.AppliedSeq()
 }
 
-// retainEvents wires the namespace's diff stream into its event hub when the
-// first event subscriber arrives; releaseEvents unwires it when the last one
-// leaves. Feed runs on the dispatcher (or, sharded, on the composing
-// engine's dispatcher) and never blocks — subscriber buffers absorb or drop.
-func (ns *namespace) retainEvents() {
-	ns.evMu.Lock()
-	defer ns.evMu.Unlock()
-	ns.evRefs++
-	if ns.evRefs == 1 {
-		ns.evCancel = ns.be.SubscribeDiffs(ns.ehub.Feed) //conn:dispatcher-entry
-	}
-}
-
-func (ns *namespace) releaseEvents() {
-	ns.evMu.Lock()
-	defer ns.evMu.Unlock()
-	ns.evRefs--
-	if ns.evRefs == 0 && ns.evCancel != nil {
-		ns.evCancel()
-		ns.evCancel = nil
-	}
-}
-
-// stopHubs ends every subscription stream on the namespace: replication
-// hubs, and the event hub (which wakes event pumps via their Done channels).
+// stopHubs ends every subscription stream on the namespace: the replication
+// hub, and the event hub (which wakes event pumps via their Done channels).
 func (ns *namespace) stopHubs() {
-	for _, h := range ns.hubs {
-		h.Stop()
+	if ns.hub != nil {
+		ns.hub.Stop()
 	}
 	if ns.ehub != nil {
 		ns.ehub.Close()
@@ -531,24 +506,26 @@ func (s *Server) subscribe(req *wire.Request, write func(*wire.Response) error) 
 		return
 	}
 	ns.mu.RLock()
-	closed, hubs := ns.closed, ns.hubs
+	closed, hub := ns.closed, ns.hub
+	_, isSharded := ns.be.(sharded)
 	ns.mu.RUnlock()
 	switch {
 	case closed:
 		write(fail(wire.StatusNotFound, "namespace %q: dropped", req.NS))
 		return
-	case hubs == nil:
+	case isSharded:
+		write(fail(wire.StatusBadRequest,
+			"namespace %q is sharded; sharded namespaces do not replicate", req.NS))
+		return
+	case hub == nil:
 		write(fail(wire.StatusBadRequest,
 			"namespace %q is not durable; only durable namespaces replicate", req.NS))
 		return
-	case int(req.Shards) >= len(hubs):
-		// One stream per engine: shard 0 alone on a plain namespace; shards
-		// 0..k-1 then the boundary engine k on a sharded one.
-		write(fail(wire.StatusBadRequest, "namespace %q: shard %d out of range [0, %d]",
-			req.NS, req.Shards, len(hubs)-1))
+	case req.Shards != 0:
+		write(fail(wire.StatusBadRequest,
+			"namespace %q: engine selector %d on a subscription must be 0", req.NS, req.Shards))
 		return
 	}
-	hub := hubs[req.Shards]
 	// The stream deliberately runs outside the namespace read-lock: Drop
 	// and Shutdown stop the hub first, which terminates this pump before
 	// the backend closes.
@@ -563,8 +540,7 @@ func (s *Server) subscribe(req *wire.Request, write func(*wire.Response) error) 
 }
 
 // subscribeEvents serves one CmdSubscribeEvents stream: register the
-// subscriber with the namespace's event hub, wire the hub into the diff
-// stream (first subscriber only — retainEvents), acknowledge with a hello
+// subscriber with the namespace's event hub, acknowledge with a hello
 // event, then pump the subscriber's buffer into the connection until the
 // peer goes away or the namespace does. It runs on the request's goroutine;
 // the caller closes the connection when it returns.
@@ -587,8 +563,13 @@ func (s *Server) subscribeEvents(req *wire.Request, write func(*wire.Response) e
 	ns.mu.RLock()
 	closed, n := ns.closed, int32(ns.be.N())
 	ns.mu.RUnlock()
-	if closed {
+	switch {
+	case closed:
 		write(fail(wire.StatusNotFound, "namespace %q: dropped", req.NS))
+		return
+	case ns.ehub == nil: // on a primary, only a sharded namespace has none
+		write(fail(wire.StatusBadRequest,
+			"namespace %q is sharded; sharded namespaces publish no connectivity events", req.NS))
 		return
 	}
 	if !req.Comps && len(req.Pairs) == 0 {
@@ -611,8 +592,6 @@ func (s *Server) subscribeEvents(req *wire.Request, write func(*wire.Response) e
 		return
 	}
 	defer ns.ehub.Cancel(sub)
-	ns.retainEvents()
-	defer ns.releaseEvents()
 	// Hello first: it acknowledges the subscription, and every event that
 	// follows reflects a transition that committed after it was sent.
 	if write(&wire.Response{ID: req.ID,
@@ -828,13 +807,13 @@ func namespaceStats(ns *namespace) wire.Stats {
 			})
 		}
 	}
-	for _, h := range ns.hubs {
-		subs, shipped, lag := h.Stats()
-		ws.Subscribers += uint64(subs)
-		ws.LastShippedSeq = max(ws.LastShippedSeq, shipped)
-		ws.MaxFollowerLag = max(ws.MaxFollowerLag, lag)
+	if ns.hub != nil {
+		subs, shipped, lag := ns.hub.Stats()
+		ws.Subscribers = uint64(subs)
+		ws.LastShippedSeq = shipped
+		ws.MaxFollowerLag = lag
 	}
-	if ns.ehub != nil { // a replica namespace has no event hub
+	if ns.ehub != nil { // sharded and replica namespaces have no event hub
 		subs, delivered, dropped := ns.ehub.Stats()
 		ws.EventSubscribers = uint64(subs)
 		ws.EventsDelivered = uint64(delivered)

@@ -11,6 +11,7 @@ import (
 
 	conn "repro"
 	"repro/client"
+	"repro/internal/query"
 	"repro/internal/unionfind"
 	"repro/internal/wire"
 )
@@ -350,10 +351,10 @@ func TestShardedReadFramesReuseIndex(t *testing.T) {
 	}
 }
 
-// subscribeOnce opens a dedicated connection, sends one CmdSubscribe for
-// the given engine of ns, and returns the first response frame: an epoch
-// when the subscription was accepted, an error status when it was not.
-func subscribeOnce(t *testing.T, addr, ns string, engine uint32) *wire.Response {
+// firstResponse opens a dedicated connection, sends req and returns the
+// first response frame: for a subscription, an epoch or a hello event when
+// it was accepted, an error status when it was not.
+func firstResponse(t *testing.T, addr string, req *wire.Request) *wire.Response {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -361,7 +362,7 @@ func subscribeOnce(t *testing.T, addr, ns string, engine uint32) *wire.Response 
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(10 * time.Second))
-	payload, err := wire.EncodeRequest(&wire.Request{ID: 1, Cmd: wire.CmdSubscribe, NS: ns, Shards: engine})
+	payload, err := wire.EncodeRequest(req)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -374,7 +375,7 @@ func subscribeOnce(t *testing.T, addr, ns string, engine uint32) *wire.Response 
 	}
 	raw, err := wire.ReadFrame(bufio.NewReader(c))
 	if err != nil {
-		t.Fatalf("subscribe %s/%d: read: %v", ns, engine, err)
+		t.Fatalf("cmd %d on %s: read: %v", req.Cmd, req.NS, err)
 	}
 	resp, err := wire.DecodeResponse(raw)
 	if err != nil {
@@ -383,11 +384,15 @@ func subscribeOnce(t *testing.T, addr, ns string, engine uint32) *wire.Response 
 	return resp
 }
 
-// TestSubscribeShardSelector pins CmdSubscribe's shard selector: one epoch
-// stream per engine — shard 0 alone on a plain durable namespace, shards
-// 0..k-1 plus the boundary engine k on a k-shard one — and no stream at all
-// on a memory-only namespace.
-func TestSubscribeShardSelector(t *testing.T) {
+// TestShardedRefusesQueryEventsAndReplication pins what a sharded
+// namespace does not serve: every structural query kind in both modes,
+// connectivity events, and replication streams each get a bad request
+// with a fixed message, and so does a nonzero engine selector on a plain
+// namespace's subscription. A plain durable namespace still streams, a
+// memory-only one is still refused as not durable, and the sharded
+// namespace still takes partition-routed writes and pair reads on the
+// same connection afterwards.
+func TestShardedRefusesQueryEventsAndReplication(t *testing.T) {
 	const n = 64
 	s, addr, serveErr := start(t, Options{DataDir: t.TempDir()})
 	defer func() { s.Shutdown(); <-serveErr }()
@@ -405,9 +410,9 @@ func TestSubscribeShardSelector(t *testing.T) {
 	if err := cl.Create("mem", n, false); err != nil {
 		t.Fatal(err)
 	}
-	// One committed epoch per engine, so every accepted stream opens with
-	// a catch-up epoch: an edge inside shard 0, one inside shard 1, and one
-	// across them (the boundary engine).
+	// An edge inside shard 0, one inside shard 1 and one across them, so
+	// every engine of the sharded namespace has committed an epoch and the
+	// plain namespace's stream opens with a catch-up epoch.
 	byShard := [2][]int32{}
 	for v := int32(0); v < n; v++ {
 		p := client.Partition(v, 2)
@@ -418,40 +423,58 @@ func TestSubscribeShardSelector(t *testing.T) {
 		{U: byShard[1][0], V: byShard[1][1]},
 		{U: byShard[0][0], V: byShard[1][0]},
 	}
-	if _, err := cl.Namespace("sharded").InsertEdges(edges); err != nil {
+	sharded, plain := cl.Namespace("sharded"), cl.Namespace("plain")
+	if _, err := sharded.InsertEdges(edges); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Namespace("plain").InsertEdges(edges); err != nil {
+	if _, err := plain.InsertEdges(edges); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		ns     string
-		engine uint32
-		want   string // "" accepts; otherwise a fragment of the rejection
-	}{
-		{"plain", 0, ""},
-		{"plain", 1, "shard 1 out of range [0, 0]"},
-		{"sharded", 0, ""},
-		{"sharded", 1, ""},
-		{"sharded", 2, ""}, // the boundary engine
-		{"sharded", 3, "shard 3 out of range [0, 2]"},
-		{"mem", 0, "not durable"},
-	} {
-		resp := subscribeOnce(t, addr, tc.ns, tc.engine)
-		if tc.want == "" {
-			if resp.Status != wire.StatusOK || resp.EpochRaw == nil {
-				t.Fatalf("%s shard %d: status %d (%s), epoch %v; want an epoch frame",
-					tc.ns, tc.engine, resp.Status, resp.Msg, resp.EpochRaw != nil)
-			}
-			continue
-		}
-		if resp.Status != wire.StatusBadRequest || !strings.Contains(resp.Msg, tc.want) {
-			t.Fatalf("%s shard %d: status %d %q; want a bad request naming %q",
-				tc.ns, tc.engine, resp.Status, resp.Msg, tc.want)
+	refuse := func(req *wire.Request, want string) {
+		t.Helper()
+		resp := firstResponse(t, addr, req)
+		if resp.Status != wire.StatusBadRequest || resp.Msg != want {
+			t.Fatalf("cmd %d on %s: status %d %q; want a bad request %q",
+				req.Cmd, req.NS, resp.Status, resp.Msg, want)
 		}
 	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("ping after subscriptions: %v", err)
+	for kind := query.KindKHop; kind <= query.KindAggregate; kind++ {
+		for _, lin := range []bool{false, true} {
+			refuse(&wire.Request{ID: 1, Cmd: wire.CmdQuery, NS: "sharded", QKind: uint8(kind),
+				Linearized: lin, U: edges[0].U, V: edges[2].V, K: 2},
+				"sharded namespaces serve no structural queries; read pairs with ReadNow or ReadRecent")
+		}
+	}
+	refuse(&wire.Request{ID: 1, Cmd: wire.CmdSubscribeEvents, NS: "sharded", Comps: true},
+		`namespace "sharded" is sharded; sharded namespaces publish no connectivity events`)
+	for _, engine := range []uint32{0, 2} {
+		refuse(&wire.Request{ID: 1, Cmd: wire.CmdSubscribe, NS: "sharded", Shards: engine},
+			`namespace "sharded" is sharded; sharded namespaces do not replicate`)
+	}
+	refuse(&wire.Request{ID: 1, Cmd: wire.CmdSubscribe, NS: "plain", Shards: 1},
+		`namespace "plain": engine selector 1 on a subscription must be 0`)
+	refuse(&wire.Request{ID: 1, Cmd: wire.CmdSubscribe, NS: "mem"},
+		`namespace "mem" is not durable; only durable namespaces replicate`)
+
+	if resp := firstResponse(t, addr, &wire.Request{ID: 1, Cmd: wire.CmdSubscribe, NS: "plain"}); resp.Status != wire.StatusOK || resp.EpochRaw == nil {
+		t.Fatalf("plain shard 0: status %d (%s), epoch %v; want an epoch frame",
+			resp.Status, resp.Msg, resp.EpochRaw != nil)
+	}
+
+	// Through the client's own connection the query refusal is an error,
+	// and that connection and the sharded namespace keep serving after it:
+	// a partition-routed write, then both pair-read tiers.
+	if _, err := sharded.ComponentSize(0); err == nil || !strings.Contains(err.Error(), "serve no structural queries") {
+		t.Fatalf("ComponentSize on a sharded namespace: %v; want the refusal", err)
+	}
+	u, v := byShard[1][1], byShard[0][1]
+	if got, err := sharded.DoSharded(2, []conn.Op{{Kind: conn.OpInsert, U: u, V: v}}); err != nil || !got[0] {
+		t.Fatalf("DoSharded after the refusals = %v, %v; want the insert credited", got, err)
+	}
+	for _, read := range []func(u, v int32) (bool, error){sharded.ReadNow, sharded.ReadRecent} {
+		if ok, err := read(byShard[0][1], byShard[1][1]); err != nil || !ok {
+			t.Fatalf("pair read after the refusals = %v, %v; want connected", ok, err)
+		}
 	}
 }

@@ -6,7 +6,9 @@
 // to one extra pipeline, the boundary engine. Global connectivity is read
 // from one composed labelling: the k+1 engines' published min-vertex
 // labellings contracted by a union-find over vertices, composed once per
-// acknowledged mutation and shared by every reader (see index.go).
+// acknowledged mutation and shared by every reader (see index.go). Pair
+// connectivity is the only read: the coordinator has no structural query,
+// no event feed and no replication stream.
 //
 // The paper's batch-dynamic structure makes this decomposition clean:
 // every engine is a full dynamic-connectivity structure over the same
@@ -96,10 +98,6 @@ type Coordinator struct {
 	buildMu sync.Mutex // serializes index composes
 	idx     atomic.Pointer[compIndex]
 
-	// comp re-derives global labelling transitions from per-engine snapshot
-	// diffs — the sharded connectivity-event feed (see events.go).
-	comp *composer
-
 	closed atomic.Bool
 }
 
@@ -155,7 +153,6 @@ func New(n, k int, o Options) (*Coordinator, error) {
 			return nil, fmt.Errorf("shard: opening %s: %w", dirName(i, k), err)
 		}
 	}
-	c.initComposer()
 	return c, nil
 }
 
@@ -236,8 +233,7 @@ func (c *Coordinator) N() int { return c.n }
 
 // Engines returns the coordinator's pipelines: index 0..k-1 are the shard
 // engines, index k the boundary engine. The slice is owned by the
-// Coordinator and must not be mutated; the server attaches one replication
-// hub and sums stats per entry.
+// Coordinator and must not be mutated; the server sums stats per entry.
 func (c *Coordinator) Engines() []*engine.Engine { return c.engines }
 
 func (c *Coordinator) checkRange(u, v int32) error {

@@ -86,10 +86,10 @@ func (l *Labels) Len() int { return len(l.lbl) }
 //conn:readonly
 func (l *Labels) CopyTo(dst []int32) { copy(dst, l.lbl) }
 
-// NewLabels wraps a caller-built labelling as an immutable Labels — the
-// constructor the sharded composer uses for the globally-composed labelling
-// it diffs and hands to the event hub. Ownership of lbl transfers: the
-// caller must never write to it again.
+// NewLabels wraps a caller-built labelling as an immutable Labels, so a
+// caller can build a Diff by hand (the event tests derive their expected
+// streams this way). Ownership of lbl transfers: the caller must never
+// write to it again.
 func NewLabels(lbl []int32, epoch uint64) *Labels { return &Labels{lbl: lbl, epoch: epoch} }
 
 // Diff describes one published transition: the labelling that was current

@@ -58,9 +58,8 @@ func TestAllocBudget(t *testing.T) {
 		measured float64
 		run      func()
 	}{
-		// The payload buffer starts at 64 bytes and grows by append to
-		// hold the 64 ops.
-		{"encode-request", 6, func() { encode(EncodeRequest(req)) }},
+		// The presized payload buffer, and WriteFrame's header.
+		{"encode-request", 2, func() { encode(EncodeRequest(req)) }},
 		{"decode-request", 5, func() {
 			in.Reset(reqFrame)
 			p, err := ReadFrame(&in)

@@ -42,9 +42,9 @@
 //	CmdSubscribeEvents : ns | comps uint8 | nPairs uint32 | (u,v)*
 //	                → event stream (below)
 //
-// A subscription against a sharded namespace names the shard engine to
-// stream (0..k-1, or k for the boundary engine); against an unsharded
-// namespace the shard field must be zero.
+// A subscription's shard field must be zero: only plain durable namespaces
+// replicate, one stream each. Servers refuse CmdSubscribe, CmdQuery and
+// CmdSubscribeEvents on a sharded namespace with StatusBadRequest.
 //
 // CmdQuery's qkind selects a structural query (internal/query's Kind enum:
 // k-hop, members, size, tree path, aggregate); linearized selects the fenced
@@ -436,7 +436,10 @@ func EncodeRequest(r *Request) ([]byte, error) {
 	if len(r.NS) > maxName {
 		return nil, fmt.Errorf("%w: namespace name of %d bytes", ErrDecode, len(r.NS))
 	}
-	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 64), r.ID)
+	// Presize to the payload: id and command, the length-prefixed name, at
+	// most 14 bytes of fixed fields, 9 bytes per op and 8 per pair.
+	size := 9 + 2 + len(r.NS) + 14 + 9*len(r.Ops) + 8*len(r.Pairs)
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, size), r.ID)
 	buf = append(buf, byte(r.Cmd))
 	switch r.Cmd {
 	case CmdBatch:
