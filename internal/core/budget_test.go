@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graphgen"
+	"repro/internal/hdt"
 	"repro/internal/parallel"
 )
 
@@ -14,18 +15,21 @@ import (
 // churn: n = 2^12 vertices, a preload of m = n random edges, then
 // rounds that insert Δ new edges and delete the Δ oldest until 8192 edges
 // have been deleted. Only components holding a level-i non-tree edge push
-// their level-i tree edges (withNonTree); pushing every searched component,
-// as HDT's pseudocode does, costs 11.6–11.8 pushes per deleted edge
-// at Δ ≤ 16 and 4.4–4.6 at Δ = 512 here, and fails this budget.
+// their level-i tree edges, and only where another piece of the same
+// pre-batch tree holds one too (meetingPieces). Pushing every searched
+// component, as HDT's pseudocode does, costs 11.6–11.8 pushes per deleted
+// edge at Δ ≤ 16 and 4.4–4.6 at Δ = 512 here, and fails this budget. So
+// does Algorithm 4 without the second condition: 4.75–5.08 at Δ = 1 and
+// 4.58–4.86 at Δ = 16.
 //
 // The count is not exact. With GOMAXPROCS > 1, spanning.Forest's parallel
 // union sweep picks which of several equivalent edges becomes a tree edge
 // in scheduling order, starting with the preload's, and every later search
-// meets a different forest. Measured at GOMAXPROCS 1 and 2, three runs
-// each: Algorithm 4 gives 4.75–5.08 at Δ = 1, 4.58–4.86 at Δ = 16 and
-// 1.30–1.31 at Δ = 512; Algorithm 5 gives 4.61–4.82, 4.30–4.51 and
-// 0.98–1.07. GOMAXPROCS 1 repeats exactly. Each budget below is therefore
-// 1.25× the largest value seen at its Δ, not an exact pin.
+// meets a different forest. Measured on go1.24.0 at GOMAXPROCS 1 and 2
+// (seven runs): Algorithm 4 gives 3.43–3.77 at Δ = 1, 3.36–3.56 at Δ = 16
+// and 1.29–1.31 at Δ = 512; Algorithm 5 gives 3.19–3.32, 2.97–3.20 and
+// 1.00–1.04. GOMAXPROCS 1 repeats exactly. Each budget below is
+// therefore 1.25× the largest value seen at its Δ, not an exact pin.
 //
 // After every batch it also checks the charging bound behind Theorem 1:
 // every level decrease is paid by an insertion, so the cumulative
@@ -40,9 +44,9 @@ func TestTreePushBudget(t *testing.T) {
 		delta int
 		max   float64 // TreePushes per deleted edge, both algorithms
 	}{
-		{1, 6.35},
-		{16, 6.1},
-		{512, 1.65},
+		{1, 4.71},
+		{16, 4.45},
+		{512, 1.64},
 	}
 	es := graphgen.RandomGraph(n, m+deletes, 36)
 	for _, b := range budgets {
@@ -131,8 +135,9 @@ func TestAllocBudget(t *testing.T) {
 			c.BatchDelete(es[lo : lo+delta])
 			lo += delta
 		})
-		// Measured 737 on go1.24.0; the budget is 737 plus 25 %.
-		const budget = 921
+		// Measured 608 on go1.24.0 (737 before the level searches skipped
+		// pieces that cannot meet); the budget is 608 plus 25 %.
+		const budget = 760
 		t.Logf("7 + 7 churn round: %v allocations", got)
 		if got > budget {
 			t.Fatalf("a 7 + 7 churn round makes %v allocations, budget %v", got, budget)
@@ -163,10 +168,98 @@ func TestHeapBudget(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	got := float64(after.HeapAlloc-before.HeapAlloc) / float64(c.NumEdges())
-	// Measured 645-647 B per edge on go1.24.0; the budget is 646 plus 25 %.
-	const budget = 808
+	// Measured 553-555 B per edge on go1.24.0 (645-647 before the level
+	// searches skipped pieces that cannot meet); the budget is 555 plus 25 %.
+	const budget = 694
 	t.Logf("%d live edges retain %.0f B each", c.NumEdges(), got)
 	if got > budget {
 		t.Fatalf("%.0f B retained per live edge, budget %d", got, budget)
+	}
+}
+
+// TestWorkVsHDT runs one churn stream through the core (Algorithm 5, one
+// parallel worker) and, one edge at a time, through internal/hdt, the
+// sequential algorithm the core parallelizes, and pins the core/hdt ratio
+// of four work counts. The stream: n = 2^12, a 2n-edge preload, then rounds
+// that insert Δ new random edges and delete the Δ oldest until 4096 edges
+// have been deleted. The counts are tree-edge pushes, non-tree pushdowns,
+// candidates examined (EdgesExamined against hdt's EdgesSeen) and heap
+// allocations per updated pair, all taken after the preload. They are
+// counts, not clocks, and repeat exactly at one worker.
+//
+// Measured on go1.24.0 at Δ = 1, 7, 16 and 512, core/hdt: tree pushes 1.19,
+// 1.23, 1.16 and 0.48; non-tree pushdowns 1.24, 2.54, 3.50 and 13.4;
+// candidates 0.96, 1.00, 1.01 and 1.50; allocations 12.5, 4.69, 3.18 and
+// 1.17. Each cap is its measured ratio plus 25 %. Before the level searches
+// skipped pieces that cannot meet (meetingPieces) the tree-push ratios were
+// 1.70, 1.83 and 1.59 at Δ ≤ 16, above their caps.
+func TestWorkVsHDT(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	const n, m, deletes = 1 << 12, 2 << 12, 4096
+	es := graphgen.RandomGraph(n, m+deletes, 47)
+	caps := []struct {
+		delta                            int
+		tree, pushdowns, examined, alloc float64
+	}{
+		{1, 1.49, 1.55, 1.2, 15.67},
+		{7, 1.54, 3.18, 1.26, 5.87},
+		{16, 1.46, 4.38, 1.27, 3.98},
+		{512, 0.61, 16.75, 1.89, 1.46},
+	}
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	for _, b := range caps {
+		if testing.Short() && b.delta == 1 {
+			continue // 4096 single-edge batches; the race job runs -short
+		}
+		t.Run(fmt.Sprintf("delta=%d", b.delta), func(t *testing.T) {
+			c := New(n)
+			c.BatchInsert(es[:m])
+			before, a0 := c.Stats(), mallocs()
+			for lo := 0; lo+b.delta <= deletes; lo += b.delta {
+				c.BatchInsert(es[m+lo : m+lo+b.delta])
+				c.BatchDelete(es[lo : lo+b.delta])
+			}
+			cAllocs, cs := mallocs()-a0, c.Stats()
+
+			h := hdt.New(n)
+			for _, e := range es[:m] {
+				h.Insert(e.U, e.V)
+			}
+			hBefore, a0 := h.Stats(), mallocs()
+			for lo := 0; lo+b.delta <= deletes; lo += b.delta {
+				for _, e := range es[m+lo : m+lo+b.delta] {
+					h.Insert(e.U, e.V)
+				}
+				for _, e := range es[lo : lo+b.delta] {
+					h.Delete(e.U, e.V)
+				}
+			}
+			hAllocs, hs := mallocs()-a0, h.Stats()
+
+			ratios := []struct {
+				name      string
+				core, hdt int64
+				cap       float64
+			}{
+				{"tree pushes", cs.TreePushes - before.TreePushes, hs.TreePushes - hBefore.TreePushes, b.tree},
+				{"non-tree pushdowns", cs.Pushdowns - before.Pushdowns, hs.Pushdowns - hBefore.Pushdowns, b.pushdowns},
+				{"candidates examined", cs.EdgesExamined - before.EdgesExamined, hs.EdgesSeen - hBefore.EdgesSeen, b.examined},
+				{"allocations", int64(cAllocs), int64(hAllocs), b.alloc},
+			}
+			for _, r := range ratios {
+				if r.name == "allocations" && raceEnabled {
+					continue // -race changes allocation counts
+				}
+				got := float64(r.core) / float64(r.hdt)
+				t.Logf("%s: core %d, hdt %d, ratio %.2f (cap %.2f)", r.name, r.core, r.hdt, got, r.cap)
+				if got > r.cap {
+					t.Errorf("%s: core/hdt = %.2f, cap %.2f", r.name, got, r.cap)
+				}
+			}
+		})
 	}
 }

@@ -14,16 +14,26 @@
 //
 // # Lazy tree-edge pushes
 //
-// Both searches depart from the pseudocode in one place: a searched
-// component pushes its level-i tree edges down to level i-1 only if it holds
-// a level-i non-tree edge (its root aggregate's non-tree count is nonzero).
-// A component without one can neither find nor receive a replacement at
-// level i, so it keeps its tree edges where they are and leaves the search
-// in round 0. Skipping only leaves F_{i-1} finer and only removes level
-// decreases, so the invariants and the charging argument behind Theorem 1
-// stand; on sliding-window churn it removes most of a deletion's tree-edge
-// pushes (TestTreePushBudget). DESIGN.md §2, "Level-search amortization",
+// Both searches depart from the pseudocode in two places, both decided by
+// meetingPieces. First, a searched component pushes its level-i tree edges
+// down to level i-1 only if it holds a level-i non-tree edge (its root
+// aggregate's non-tree count is nonzero). A component without one can
+// neither find nor receive a replacement at level i, so it keeps its tree
+// edges where they are and is not searched. Skipping only leaves F_{i-1}
+// finer and only removes level decreases, so the invariants and the
+// charging argument behind Theorem 1 stand; on sliding-window churn it
+// removes most of a deletion's tree-edge pushes (TestTreePushBudget). DESIGN.md §2, "Level-search amortization",
 // has the argument, together with the soundness guard of pushNonTree.
+//
+// # Meeting pieces
+//
+// Second, before pushing anything at level i, both searches group the
+// pieces that the batch's deleted tree edges of level <= i join, one group
+// per pre-batch F_i tree. A replacement joins two pieces of one
+// group that both hold a level-i non-tree edge, so the active pieces of a
+// group with fewer than two such pieces are neither pushed nor searched and
+// go on to level i+1. Like the lazy pushes, this only removes level
+// decreases (DESIGN.md §2, "Meeting pieces").
 //
 // # Read-only query contract
 //

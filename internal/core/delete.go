@@ -63,9 +63,9 @@ func (c *Conn) BatchDelete(es []graph.Edge) int {
 		C = append(C, witnessesAt[i]...)
 		c.stats.LevelSearches++
 		if c.alg == SearchSimple {
-			C, S = c.searchSimple(i, C, S)
+			C, S = c.searchSimple(i, C, S, treeRecs)
 		} else {
-			C, S = c.searchInterleaved(i, C, S)
+			C, S = c.searchInterleaved(i, C, S, treeRecs)
 		}
 	}
 	return len(recs)
@@ -139,30 +139,61 @@ func (c *Conn) insertFoundForest(fi *ett.Forest, S []graph.Edge) {
 	fi.BatchLink(S)
 }
 
-// withNonTree keeps the active components that hold a level-i non-tree
-// edge: the only ones whose tree edges the search pushes down (see
-// pushTreeEdges). The callers keep the others active, and they exhaust in
-// round 0.
-func withNonTree(fi *ett.Forest, active []compInfo) []compInfo {
-	var out []compInfo
-	for _, ci := range active {
-		if fi.RepNonTree(ci.rep) > 0 {
-			out = append(out, ci)
+// meetingPieces splits the active pieces of level i into those the search
+// pushes and searches and the witnesses of the rest, which go on to level
+// i+1 untouched. A replacement is a level-i non-tree edge between two
+// pieces; it counts at both endpoints, and its endpoints lie in one
+// pre-batch F_i tree. The deleted tree edges of level <= i, all cut from
+// F_i, join that tree's pieces back into one group, and the replacements S
+// linked at lower levels only merge pieces of one such tree. So a piece is
+// searched only if it holds a level-i non-tree edge and another piece of its
+// group holds one too. Every piece of the group counts, the ones too big to
+// search included: a big piece can still be the far end of a replacement.
+// An endpoint with representative 0 is an isolated vertex, a piece of its
+// own without edges that keeps its group joined. DESIGN.md §2,
+// "Level-search amortization", has the argument.
+func meetingPieces(fi *ett.Forest, i int32, treeRecs []*adjlist.Rec, active []compInfo) (meet []compInfo, alone []graph.Vertex) {
+	// A superSet over piece keys whose size is the number of the group's
+	// pieces holding a level-i non-tree edge.
+	groups := newSuperSet()
+	piece := func(v graph.Vertex) int32 {
+		r := fi.Rep(v)
+		if r == 0 {
+			return groups.of(-1-v, 0)
+		}
+		var holds int64
+		if fi.RepNonTree(r) > 0 {
+			holds = 1
+		}
+		return groups.of(r, holds)
+	}
+	for _, r := range treeRecs {
+		if r.Level <= i {
+			groups.union(piece(r.E.U), piece(r.E.V))
 		}
 	}
-	return out
+	for _, ci := range active {
+		// Every active piece holds a witness, an endpoint of a deleted
+		// tree edge of level <= i, so of finds its group.
+		if fi.RepNonTree(ci.rep) > 0 && groups.sizeOf(groups.of(ci.rep, 0)) >= 2 {
+			meet = append(meet, ci)
+		} else {
+			alone = append(alone, ci.w)
+		}
+	}
+	return meet, alone
 }
 
 // pushTreeEdges moves every level-i tree edge of the given active components
 // down to level i-1 (line 5), so that their failed level-i candidates can
-// follow. Callers pass only the components withNonTree keeps: one without a
-// level-i non-tree edge can neither find nor receive a replacement at level
-// i, and keeping its tree edges at level i leaves F_{i-1} finer without
-// breaking any invariant (DESIGN.md §2, "Level-search amortization"). The
-// adjacency moves and counter updates run in parallel per component
-// (components are vertex-disjoint, and F_{i-1} trees are sub-components);
-// the F_{i-1} links follow, one group per component, through
-// BatchLinkDisjoint.
+// follow. Callers pass only the components meetingPieces keeps: one
+// without a level-i non-tree edge, or without another piece holding one to
+// meet, can neither find nor receive a replacement at level i, and keeping
+// its tree edges at level i leaves F_{i-1} finer without breaking any
+// invariant (DESIGN.md §2, "Level-search amortization"). The adjacency
+// moves and counter updates run in parallel per component (components are
+// vertex-disjoint, and F_{i-1} trees are sub-components); the F_{i-1} links
+// follow, one group per component, through BatchLinkDisjoint.
 func (c *Conn) pushTreeEdges(i int32, comps []compInfo) {
 	if len(comps) == 0 {
 		return
@@ -289,7 +320,7 @@ func (c *Conn) pushNonTree(i int32, recs []*adjlist.Rec) {
 // candidates immediately, then commits a spanning forest of the found
 // replacements. Returns the components for the next level (D) and the
 // accumulated found tree edges (S).
-func (c *Conn) searchSimple(i int32, L []graph.Vertex, S []graph.Edge) ([]graph.Vertex, []graph.Edge) {
+func (c *Conn) searchSimple(i int32, L []graph.Vertex, S []graph.Edge, treeRecs []*adjlist.Rec) ([]graph.Vertex, []graph.Edge) {
 	fi := c.f[i]
 	c.insertFoundForest(fi, S)
 	comps, carry := dedupeComponents(fi, L)
@@ -307,7 +338,9 @@ func (c *Conn) searchSimple(i int32, L []graph.Vertex, S []graph.Edge) ([]graph.
 	if len(active) == 0 {
 		return D, S
 	}
-	c.pushTreeEdges(i, withNonTree(fi, active))
+	active, alone := meetingPieces(fi, i, treeRecs, active)
+	D = append(D, alone...)
+	c.pushTreeEdges(i, active)
 	guard := 0
 	for len(active) > 0 {
 		guard++

@@ -28,6 +28,9 @@ func FuzzCoreOps(f *testing.F) {
 	f.Add([]byte{62, 0x3c, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 7, 1, 8, 1, 9, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8,
 		8, 9, 9, 2, 0x3d, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12,
 		0, 13, 0, 14, 0, 15, 0x1e, 1, 9, 2, 8, 3, 7, 4, 6, 5, 5, 1, 2, 40, 41, 2, 9})
+	// TestMeetingPiecesIsolatedEndpoint: the path 0–1–2–3–4 and the chord
+	// 0–4, then one batch deleting 1–2 and 2–3, which isolates vertex 2.
+	f.Add([]byte{3, 0x0c, 0, 1, 1, 2, 2, 3, 3, 4, 0x00, 0, 4, 0x05, 0, 1, 0, 2, 0x02, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, alg := range []Algorithm{SearchSimple, SearchInterleaved} {
 			runCoreOps(t, alg, data)

@@ -15,6 +15,7 @@ import (
 // here — without touching F_i itself, whose components must stay stable for
 // the duration of the level search. Sizes of supercomponents gate both the
 // active-component check and the legality of pushing a round's edges down.
+// meetingPieces reuses it to group the pieces of each pre-batch F_i tree.
 type superSet struct {
 	byRep  map[int32]int32
 	parent []int32
@@ -65,7 +66,7 @@ func (s *superSet) sizeOf(x int32) int64 { return s.size[s.find(x)] }
 // the push-down of examined edges are deferred to the end of the level.
 // Components keep searching from their original (stable) F_i pieces until
 // their supercomponent grows past 2^(i-1) or they run out of edges.
-func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge) ([]graph.Vertex, []graph.Edge) {
+func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge, treeRecs []*adjlist.Rec) ([]graph.Vertex, []graph.Edge) {
 	fi := c.f[i]
 	c.insertFoundForest(fi, S)
 	comps, carry := dedupeComponents(fi, L)
@@ -83,7 +84,12 @@ func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge) ([]g
 	if len(active) == 0 {
 		return D, S
 	}
-	c.pushTreeEdges(i, withNonTree(fi, active))
+	active, alone := meetingPieces(fi, i, treeRecs, active)
+	D = append(D, alone...)
+	if len(active) == 0 {
+		return D, S
+	}
+	c.pushTreeEdges(i, active)
 
 	supers := newSuperSet()
 	for _, ci := range active {

@@ -7,25 +7,38 @@ import (
 	"repro/internal/snapshot"
 )
 
-// mkDiff builds a labelling transition from two explicit labellings,
-// computing Changed the way the differ defines it: every vertex whose label
-// differs, exactly once.
+// mkDiff builds a labelling transition from two explicit canonical
+// (min-vertex) labellings the way the server does: a snapshot.Store starts
+// from prev and publishes cur. The result is nil when the two are equal.
 func mkDiff(t *testing.T, prev, cur []int32) *snapshot.Diff {
 	t.Helper()
 	if len(prev) != len(cur) {
 		t.Fatalf("labelling length mismatch: %d vs %d", len(prev), len(cur))
 	}
-	var changed []int32
-	for v := range cur {
-		if prev[v] != cur[v] {
-			changed = append(changed, int32(v))
+	src := &labelling{lbl: prev}
+	st := snapshot.NewStore(len(prev), 0, src)
+	src.lbl = cur
+	touched := make([]int32, len(cur))
+	for v := range touched {
+		touched[v] = int32(v)
+	}
+	return st.Publish(touched)
+}
+
+// labelling serves a fixed labelling as a snapshot.Source.
+type labelling struct{ lbl []int32 }
+
+func (s *labelling) ComponentID(u int32) uint64  { return uint64(s.lbl[u]) }
+func (s *labelling) ComponentSize(u int32) int64 { return int64(len(s.ComponentVertices(u))) }
+func (s *labelling) ComponentLabels(dst []int32) { copy(dst, s.lbl) }
+func (s *labelling) ComponentVertices(u int32) []int32 {
+	var vs []int32
+	for v, l := range s.lbl {
+		if l == s.lbl[u] {
+			vs = append(vs, int32(v))
 		}
 	}
-	return &snapshot.Diff{
-		Prev:    snapshot.NewLabels(prev, 1),
-		Cur:     snapshot.NewLabels(cur, 2),
-		Changed: changed,
-	}
+	return vs
 }
 
 func eventsEqual(t *testing.T, got, want []Event) {
@@ -51,8 +64,9 @@ func TestDeriveMerge(t *testing.T) {
 		{Kind: KindMerge, Label: 0, Others: []int32{2, 4}},
 	})
 	for _, ev := range got {
-		if ev.Epoch != 2 || ev.Seq != 7 {
-			t.Fatalf("event carries epoch=%d seq=%d, want 2/7", ev.Epoch, ev.Seq)
+		// mkDiff's store publishes cur as its epoch 1.
+		if ev.Epoch != 1 || ev.Seq != 7 {
+			t.Fatalf("event carries epoch=%d seq=%d, want 1/7", ev.Epoch, ev.Seq)
 		}
 	}
 }

@@ -86,23 +86,19 @@ func countComponents(lbl []int32) uint64 {
 // the oracle's from scratch replay; equal streams mean equal partitions)
 // followed by pair flips in watch order.
 func expectEvents(prev, cur []int32, watch []conn.Edge) []client.Event {
-	var changed []int32
-	for v := range cur {
-		if prev[v] != cur[v] {
-			changed = append(changed, int32(v))
-		}
+	// The transition as a snapshot.Store publishes it: nil when nothing
+	// changed, which Derive turns into no events.
+	src := &labelling{lbl: prev}
+	st := snapshot.NewStore(len(prev), 0, src)
+	src.lbl = cur
+	touched := make([]int32, len(cur))
+	for v := range touched {
+		touched[v] = int32(v)
 	}
 	var out []client.Event
-	if len(changed) > 0 {
-		d := &snapshot.Diff{
-			Prev:    snapshot.NewLabels(prev, 0),
-			Cur:     snapshot.NewLabels(cur, 0),
-			Changed: changed,
-		}
-		for _, ev := range pubsub.Derive(d, 0) {
-			out = append(out, client.Event{Kind: client.EventKind(ev.Kind),
-				Label: ev.Label, Others: ev.Others})
-		}
+	for _, ev := range pubsub.Derive(st.Publish(touched), 0) {
+		out = append(out, client.Event{Kind: client.EventKind(ev.Kind),
+			Label: ev.Label, Others: ev.Others})
 	}
 	for _, p := range watch {
 		before := prev[p.U] == prev[p.V]
@@ -117,6 +113,22 @@ func expectEvents(prev, cur []int32, watch []conn.Edge) []client.Event {
 		out = append(out, client.Event{Kind: k, U: p.U, V: p.V})
 	}
 	return out
+}
+
+// labelling serves a fixed labelling as a snapshot.Source.
+type labelling struct{ lbl []int32 }
+
+func (s *labelling) ComponentID(u int32) uint64  { return uint64(s.lbl[u]) }
+func (s *labelling) ComponentSize(u int32) int64 { return int64(len(s.ComponentVertices(u))) }
+func (s *labelling) ComponentLabels(dst []int32) { copy(dst, s.lbl) }
+func (s *labelling) ComponentVertices(u int32) []int32 {
+	var vs []int32
+	for v, l := range s.lbl {
+		if l == s.lbl[u] {
+			vs = append(vs, int32(v))
+		}
+	}
+	return vs
 }
 
 func sameEvent(a, b client.Event) bool {

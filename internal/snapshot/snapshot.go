@@ -86,12 +86,6 @@ func (l *Labels) Len() int { return len(l.lbl) }
 //conn:readonly
 func (l *Labels) CopyTo(dst []int32) { copy(dst, l.lbl) }
 
-// NewLabels wraps a caller-built labelling as an immutable Labels, so a
-// caller can build a Diff by hand (the event tests derive their expected
-// streams this way). Ownership of lbl transfers: the caller must never
-// write to it again.
-func NewLabels(lbl []int32, epoch uint64) *Labels { return &Labels{lbl: lbl, epoch: epoch} }
-
 // Diff describes one published transition: the labelling that was current
 // before, the one published in its place, and the vertices whose label
 // changed (each exactly once, ascending within the rebuild path,
