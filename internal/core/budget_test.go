@@ -115,9 +115,8 @@ func TestAllocBudget(t *testing.T) {
 			}
 			r++
 		})
-		// Measured 207 on go1.24.0 (206 when the whole package runs); the
-		// budget is 207 plus 25 %.
-		const budget = 259
+		// Measured 188 on go1.24.0; the budget is 188 plus 25 %.
+		const budget = 235
 		t.Logf("64-chord BatchInsert: %v allocations", got)
 		if got > budget {
 			t.Fatalf("64-chord BatchInsert makes %v allocations, budget %v", got, budget)
@@ -135,9 +134,9 @@ func TestAllocBudget(t *testing.T) {
 			c.BatchDelete(es[lo : lo+delta])
 			lo += delta
 		})
-		// Measured 608 on go1.24.0 (737 before the level searches skipped
-		// pieces that cannot meet); the budget is 608 plus 25 %.
-		const budget = 760
+		// Measured 555 on go1.24.0 (737 before the level searches skipped
+		// pieces that cannot meet); the budget is 555 plus 25 %.
+		const budget = 694
 		t.Logf("7 + 7 churn round: %v allocations", got)
 		if got > budget {
 			t.Fatalf("a 7 + 7 churn round makes %v allocations, budget %v", got, budget)
@@ -189,8 +188,8 @@ func TestHeapBudget(t *testing.T) {
 //
 // Measured on go1.24.0 at Δ = 1, 7, 16 and 512, core/hdt: tree pushes 1.19,
 // 1.23, 1.16 and 0.48; non-tree pushdowns 1.24, 2.54, 3.50 and 13.4;
-// candidates 0.96, 1.00, 1.01 and 1.50; allocations 12.5, 4.69, 3.18 and
-// 1.17. Each cap is its measured ratio plus 25 %. Before the level searches
+// candidates 0.96, 1.00, 1.01 and 1.50; allocations 10.1, 3.96, 2.73 and
+// 1.14. Each cap is its measured ratio plus 25 %. Before the level searches
 // skipped pieces that cannot meet (meetingPieces) the tree-push ratios were
 // 1.70, 1.83 and 1.59 at Δ ≤ 16, above their caps.
 func TestWorkVsHDT(t *testing.T) {
@@ -201,10 +200,10 @@ func TestWorkVsHDT(t *testing.T) {
 		delta                            int
 		tree, pushdowns, examined, alloc float64
 	}{
-		{1, 1.49, 1.55, 1.2, 15.67},
-		{7, 1.54, 3.18, 1.26, 5.87},
-		{16, 1.46, 4.38, 1.27, 3.98},
-		{512, 0.61, 16.75, 1.89, 1.46},
+		{1, 1.49, 1.55, 1.2, 12.62},
+		{7, 1.54, 3.18, 1.26, 4.95},
+		{16, 1.46, 4.38, 1.27, 3.42},
+		{512, 0.61, 16.75, 1.89, 1.43},
 	}
 	mallocs := func() uint64 {
 		var ms runtime.MemStats

@@ -12,6 +12,17 @@
 // deferred pushes — the version achieving the improved
 // O(lg n · lg(1+n/Δ)) amortized work bound).
 //
+// # Shared level start
+//
+// Algorithms 4 and 5 begin each level alike, and levelStart runs those
+// lines once for both: link the replacements found at lower levels into
+// F_i, resolve the witnesses to distinct pieces and gate them by size
+// (resolvePieces, which Algorithm 4 also runs after each round), keep the
+// pieces that can meet and push their level-i tree edges down. Both
+// searches test a candidate with replaces, and Algorithm 4 commits a round's
+// replacements through linkForest, the helper BatchInsert uses to link a
+// spanning forest of its new edges.
+//
 // # Lazy tree-edge pushes
 //
 // Both searches depart from the pseudocode in two places, both decided by
@@ -37,7 +48,7 @@
 //
 // # Read-only query contract
 //
-// Connected, BatchConnected, ComponentOf, ComponentID, ComponentSize,
+// Connected, BatchConnected, ComponentID, ComponentSize,
 // ComponentVertices, Components, ComponentLabels, NumComponents, N, Top and
 // Stats are pure reads: they bottom out in internal/ett's (and so
 // internal/treap's) read-only root walks and touch none of the structure's
@@ -246,35 +257,22 @@ func (c *Conn) BatchConnected(qs []graph.Edge) []bool {
 	return c.f[c.top].BatchConnected(qs)
 }
 
-// ComponentOf returns an opaque component identifier for u, equal for two
-// vertices iff they are connected. Invalidated by updates.
-//
-//conn:readonly
-func (c *Conn) ComponentOf(u graph.Vertex) any {
-	return c.ComponentID(u)
-}
-
-// Components returns a dense labelling: lbl[u] == lbl[v] iff connected.
+// Components returns a dense labelling: lbl[u] == lbl[v] iff connected. A
+// component's label is the rank of its minimum vertex among the components'
+// minima.
 //
 //conn:readonly
 func (c *Conn) Components() []int32 {
 	lbl := make([]int32, c.n)
+	c.ComponentLabels(lbl)
 	next := int32(0)
-	byRep := make(map[int32]int32)
-	for u := 0; u < c.n; u++ {
-		r := c.f[c.top].Rep(graph.Vertex(u))
-		if r == 0 {
+	for u, m := range lbl {
+		if m == int32(u) {
 			lbl[u] = next
 			next++
-			continue
+		} else {
+			lbl[u] = lbl[m] // m < u is already relabelled
 		}
-		id, ok := byRep[r]
-		if !ok {
-			id = next
-			next++
-			byRep[r] = id
-		}
-		lbl[u] = id
 	}
 	return lbl
 }
@@ -283,14 +281,15 @@ func (c *Conn) Components() []int32 {
 //
 //conn:readonly
 func (c *Conn) NumComponents() int {
-	lbl := c.Components()
-	max := int32(-1)
-	for _, l := range lbl {
-		if l > max {
-			max = l
+	lbl := make([]int32, c.n)
+	c.ComponentLabels(lbl)
+	k := 0
+	for u, m := range lbl {
+		if m == int32(u) {
+			k++
 		}
 	}
-	return int(max + 1)
+	return k
 }
 
 // ComponentSize returns the number of vertices in u's connected component.
@@ -302,9 +301,8 @@ func (c *Conn) ComponentSize(u graph.Vertex) int64 {
 
 // ComponentID returns a hashable component identifier for u: equal for two
 // vertices iff they are connected, unique per component, invalidated by any
-// update touching the component. Unlike ComponentOf it is a plain uint64
-// (the top-forest representative's slot, or a synthetic id for untouched
-// singletons), so callers can dedup components without pointer handles.
+// update touching the component: the top-forest representative's slot, or a
+// synthetic id for untouched singletons.
 //
 //conn:readonly
 func (c *Conn) ComponentID(u graph.Vertex) uint64 {
@@ -461,28 +459,32 @@ func (c *Conn) BatchInsert(es []graph.Edge) int {
 	c.addRecs(recs)
 	deltas := c.adj.BatchInsert(recs)
 	c.applyDeltas(deltas)
-	// Contract components and compute a spanning forest of the batch over
-	// the contracted graph; its edges increase connectivity.
-	ftop := c.f[c.top]
-	us := make([]uint64, len(es))
-	vs := make([]uint64, len(es))
-	parallel.For(len(es), 256, func(i int) {
-		us[i] = repKey(ftop, es[i].U)
-		vs[i] = repKey(ftop, es[i].V)
-	})
-	sf := spanning.Forest(us, vs)
-	chosen := parallel.PackIndex(len(es), func(i int) bool { return sf.Chosen[i] })
-	if len(chosen) > 0 {
-		treeRecs := make([]*adjlist.Rec, len(chosen))
-		treeEdges := make([]graph.Edge, len(chosen))
-		for i, idx := range chosen {
-			treeRecs[i] = recs[idx]
-			treeEdges[i] = es[idx]
-		}
-		c.promote(treeRecs, c.top)
-		ftop.BatchLink(treeEdges)
-	}
+	// A spanning forest of the batch over the contracted components joins
+	// components; its edges become tree edges.
+	c.linkForest(c.top, recs)
 	return len(es)
+}
+
+// linkForest picks a spanning forest of recs over the pieces of F_lvl,
+// promotes its records to tree edges at level lvl and links them into F_lvl,
+// returning their edges. BatchInsert runs it at the top level over the new
+// edges, Algorithm 4 at level i over one round's replacements.
+func (c *Conn) linkForest(lvl int32, recs []*adjlist.Rec) []graph.Edge {
+	f := c.f[lvl]
+	us := make([]uint64, len(recs))
+	vs := make([]uint64, len(recs))
+	parallel.For(len(recs), 256, func(k int) {
+		us[k] = repKey(f, recs[k].E.U)
+		vs[k] = repKey(f, recs[k].E.V)
+	})
+	tree := parallel.Pack(recs, spanning.Forest(us, vs))
+	if len(tree) == 0 {
+		return nil
+	}
+	c.promote(tree, lvl)
+	edges := parallel.Map(tree, func(r *adjlist.Rec) graph.Edge { return r.E })
+	f.BatchLink(edges)
+	return edges
 }
 
 // reclaim recycles the loop-element slots the forests released during a
@@ -498,9 +500,6 @@ func (c *Conn) reclaim() {
 // level, updating adjacency lists and augmented counters. It does not touch
 // the forests; the caller links the edges.
 func (c *Conn) promote(recs []*adjlist.Rec, lvl int32) {
-	for _, r := range recs {
-		dbgTrace("promote", r, "")
-	}
 	d1 := c.adj.BatchDelete(recs)
 	parallel.For(len(recs), 1024, func(i int) {
 		recs[i].IsTree = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -321,14 +322,18 @@ func TestComponentsLabelling(t *testing.T) {
 	if lbl[0] == lbl[2] || lbl[4] == lbl[5] || lbl[4] == lbl[0] {
 		t.Fatal("distinct components share labels")
 	}
+	// A dense label is the rank of its component's minimum vertex.
+	if want := []int32{0, 0, 1, 1, 2, 3}; !slices.Equal(lbl, want) {
+		t.Fatalf("Components = %v, want %v", lbl, want)
+	}
 	if c.NumComponents() != 4 {
 		t.Fatalf("NumComponents = %d", c.NumComponents())
 	}
-	if c.ComponentOf(0) != c.ComponentOf(1) {
-		t.Fatal("ComponentOf disagrees within component")
+	if c.ComponentID(0) != c.ComponentID(1) {
+		t.Fatal("ComponentID disagrees within component")
 	}
-	if c.ComponentOf(4) == c.ComponentOf(5) {
-		t.Fatal("ComponentOf collides across singletons")
+	if c.ComponentID(4) == c.ComponentID(5) {
+		t.Fatal("ComponentID collides across singletons")
 	}
 }
 

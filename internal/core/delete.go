@@ -8,7 +8,6 @@ import (
 	"repro/internal/ett"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/spanning"
 )
 
 // BatchDelete removes a batch of edges (Algorithm 3). Edges not present are
@@ -131,12 +130,42 @@ func dedupeComponents(fi *ett.Forest, ws []graph.Vertex) (comps []compInfo, carr
 	return comps, carry
 }
 
-// insertFoundForest inserts the tree edges discovered at lower levels into
-// fi (line 2 of both search algorithms). Each S edge is inserted into each
-// forest above its discovery level exactly once, because each level is
-// visited once on the way up.
-func (c *Conn) insertFoundForest(fi *ett.Forest, S []graph.Edge) {
+// resolvePieces resolves the witnesses ws to distinct pieces of F_i and
+// applies the size gate: pieces of at most 2^(i-1) vertices are returned for
+// searching, and the witnesses of bigger pieces and of vertices untouched at
+// level i are appended to D, the witnesses that go on to level i+1.
+func resolvePieces(fi *ett.Forest, i int32, ws, D []graph.Vertex) ([]compInfo, []graph.Vertex) {
+	comps, carry := dedupeComponents(fi, ws)
+	D = append(D, carry...)
+	half := int64(1) << uint(i-1)
+	small := comps[:0]
+	for _, ci := range comps {
+		if fi.RepSize(ci.rep) <= half {
+			small = append(small, ci)
+		} else {
+			D = append(D, ci.w)
+		}
+	}
+	return small, D
+}
+
+// levelStart runs lines 1-5, which Algorithms 4 and 5 share: link the
+// replacements S found at lower levels into F_i (each S edge enters each
+// forest above its discovery level once, as each level is visited once on
+// the way up), resolve the witnesses L to pieces and gate them by size, keep
+// the pieces that can meet (meetingPieces) and push their level-i tree edges
+// down. It returns the pieces to search and the witnesses D that go on to
+// level i+1.
+func (c *Conn) levelStart(i int32, L []graph.Vertex, S []graph.Edge, treeRecs []*adjlist.Rec) ([]compInfo, []graph.Vertex) {
+	fi := c.f[i]
 	fi.BatchLink(S)
+	active, D := resolvePieces(fi, i, L, nil)
+	if len(active) == 0 {
+		return nil, D
+	}
+	active, alone := meetingPieces(fi, i, treeRecs, active)
+	c.pushTreeEdges(i, active)
+	return active, append(D, alone...)
 }
 
 // meetingPieces splits the active pieces of level i into those the search
@@ -155,7 +184,7 @@ func (c *Conn) insertFoundForest(fi *ett.Forest, S []graph.Edge) {
 func meetingPieces(fi *ett.Forest, i int32, treeRecs []*adjlist.Rec, active []compInfo) (meet []compInfo, alone []graph.Vertex) {
 	// A superSet over piece keys whose size is the number of the group's
 	// pieces holding a level-i non-tree edge.
-	groups := newSuperSet()
+	groups := newSuperSet(2 * len(treeRecs))
 	piece := func(v graph.Vertex) int32 {
 		r := fi.Rep(v)
 		if r == 0 {
@@ -242,16 +271,15 @@ func (c *Conn) pushTreeEdges(i int32, comps []compInfo) {
 	}
 }
 
-// fetchCandidates returns the first `limit` level-i non-tree edge slots of
-// the component with representative rep, deduplicated into distinct records
-// in tour order. consumed reports how many slot entries were covered
-// (== limit unless the component ran out).
-func (c *Conn) fetchCandidates(fi *ett.Forest, i, rep int32, limit int64) (out []*adjlist.Rec, consumed int64) {
+// fetchCandidates returns the records behind the first `limit` level-i
+// non-tree edge slots of the component with representative rep, in tour
+// order.
+func (c *Conn) fetchCandidates(fi *ett.Forest, i, rep int32, limit int64) (out []*adjlist.Rec) {
 	if limit <= 0 {
-		return nil, 0
+		return nil
 	}
-	slots := fi.FetchNonTreeSlots(rep, limit)
-	for _, s := range slots {
+	var consumed int64
+	for _, s := range fi.FetchNonTreeSlots(rep, limit) {
 		take := s.Cnt
 		if consumed+take > limit {
 			take = limit - consumed
@@ -268,7 +296,7 @@ func (c *Conn) fetchCandidates(fi *ett.Forest, i, rep int32, limit int64) (out [
 	// Downstream consumers are duplicate-tolerant: the replacement scan is
 	// order-based, and pushNonTree skips records already moved (level
 	// guard), so no dedup map is needed on this hot path.
-	return out, consumed
+	return out
 }
 
 // pushNonTree moves the given non-tree records from level i to level i-1,
@@ -299,10 +327,8 @@ func (c *Conn) pushNonTree(i int32, recs []*adjlist.Rec) {
 			continue // duplicate occurrence; already moved
 		}
 		if !fim1.Connected(r.E.U, r.E.V) {
-			dbgTrace("pushNonTree-skip", r, "not connected below")
 			continue
 		}
-		dbgTrace("pushNonTree", r, "")
 		c.adj.Delete(r)
 		fi.AddCounts(r.E.U, 0, -1)
 		fi.AddCounts(r.E.V, 0, -1)
@@ -318,32 +344,12 @@ func (c *Conn) pushNonTree(i int32, recs []*adjlist.Rec) {
 // searchSimple is ParallelLevelSearch (Algorithm 4): each round restarts a
 // doubling search in every remaining active component, pushes failed
 // candidates immediately, then commits a spanning forest of the found
-// replacements. Returns the components for the next level (D) and the
+// replacements and resolves the pieces still searching against the updated
+// forest. Returns the components for the next level (D) and the
 // accumulated found tree edges (S).
 func (c *Conn) searchSimple(i int32, L []graph.Vertex, S []graph.Edge, treeRecs []*adjlist.Rec) ([]graph.Vertex, []graph.Edge) {
-	fi := c.f[i]
-	c.insertFoundForest(fi, S)
-	comps, carry := dedupeComponents(fi, L)
-	half := int64(1) << uint(i-1)
-	var D []graph.Vertex
-	D = append(D, carry...)
-	var active []compInfo
-	for _, ci := range comps {
-		if fi.RepSize(ci.rep) <= half {
-			active = append(active, ci)
-		} else {
-			D = append(D, ci.w)
-		}
-	}
-	if len(active) == 0 {
-		return D, S
-	}
-	active, alone := meetingPieces(fi, i, treeRecs, active)
-	D = append(D, alone...)
-	c.pushTreeEdges(i, active)
-	guard := 0
-	for len(active) > 0 {
-		guard++
+	active, D := c.levelStart(i, L, S, treeRecs)
+	for guard := 1; len(active) > 0; guard++ {
 		if guard > 4*c.n+16 {
 			panic(fmt.Sprintf("core: searchSimple(level %d) did not converge", i))
 		}
@@ -372,38 +378,11 @@ func (c *Conn) searchSimple(i int32, L []graph.Vertex, S []graph.Edge, treeRecs 
 			}
 		}
 		if len(R) > 0 {
-			us := make([]uint64, len(R))
-			vs := make([]uint64, len(R))
-			parallel.For(len(R), 256, func(k int) {
-				us[k] = repKey(fi, R[k].E.U)
-				vs[k] = repKey(fi, R[k].E.V)
-			})
-			sf := spanning.Forest(us, vs)
-			var chosen []*adjlist.Rec
-			var chosenEdges []graph.Edge
-			for k := range R {
-				if sf.Chosen[k] {
-					chosen = append(chosen, R[k])
-					chosenEdges = append(chosenEdges, R[k].E)
-				}
-			}
-			c.promote(chosen, i)
-			fi.BatchLink(chosenEdges)
-			S = append(S, chosenEdges...)
+			chosen := c.linkForest(i, R)
+			S = append(S, chosen...)
 			atomic.AddInt64(&c.stats.Replaced, int64(len(chosen)))
 		}
-		// Recompute surviving components against the updated forest.
-		var nextActive []compInfo
-		comps, carry = dedupeComponents(fi, nextWitness)
-		D = append(D, carry...)
-		for _, ci := range comps {
-			if fi.RepSize(ci.rep) <= half {
-				nextActive = append(nextActive, ci)
-			} else {
-				D = append(D, ci.w)
-			}
-		}
-		active = nextActive
+		active, D = resolvePieces(c.f[i], i, nextWitness, D)
 	}
 	return D, S
 }
@@ -422,20 +401,12 @@ func (c *Conn) doublingSearch(i, rep int32) (*adjlist.Rec, bool) {
 	}
 	for w := 0; ; w++ {
 		atomic.AddInt64(&c.stats.Phases, 1)
-		csz := int64(1) << uint(min64(int64(w), 60))
-		if csz > cmax {
-			csz = cmax
-		}
-		ec, _ := c.fetchCandidates(fi, i, rep, csz)
+		csz := min(int64(1)<<uint(min(w, 60)), cmax)
+		ec := c.fetchCandidates(fi, i, rep, csz)
 		atomic.AddInt64(&c.stats.EdgesExamined, int64(len(ec)))
 		for k, r := range ec {
-			other := fi.Rep(r.E.U)
-			if other == rep {
-				other = fi.Rep(r.E.V)
-			}
-			if other != rep {
+			if replaces(fi, rep, r) {
 				// First replacement: push everything before it.
-				dbgTrace("foundReplacement", r, "")
 				c.pushNonTree(i, ec[:k])
 				return r, false
 			}
@@ -447,18 +418,9 @@ func (c *Conn) doublingSearch(i, rep int32) (*adjlist.Rec, bool) {
 	}
 }
 
-// debugEdge, when non-zero, traces one edge's level transitions (tests only).
-var debugEdge uint64
-
-func dbgTrace(where string, r *adjlist.Rec, extra string) {
-	if debugEdge != 0 && r.E.Key() == debugEdge {
-		fmt.Printf("TRACE %s: edge=%v level=%d tree=%v %s\n", where, r.E, r.Level, r.IsTree, extra)
-	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+// replaces reports whether the level-i non-tree record r, fetched from the
+// piece of F_i with representative rep, is a replacement: an endpoint lies
+// in another piece.
+func replaces(fi *ett.Forest, rep int32, r *adjlist.Rec) bool {
+	return fi.Rep(r.E.U) != rep || fi.Rep(r.E.V) != rep
 }

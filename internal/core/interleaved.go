@@ -22,8 +22,9 @@ type superSet struct {
 	size   []int64
 }
 
-func newSuperSet() *superSet {
-	return &superSet{byRep: make(map[int32]int32)}
+// newSuperSet returns an empty superSet with room for about n pieces.
+func newSuperSet(n int) *superSet {
+	return &superSet{byRep: make(map[int32]int32, n), parent: make([]int32, 0, n), size: make([]int64, 0, n)}
 }
 
 // find resolves a super index to its current root.
@@ -67,31 +68,13 @@ func (s *superSet) sizeOf(x int32) int64 { return s.size[s.find(x)] }
 // Components keep searching from their original (stable) F_i pieces until
 // their supercomponent grows past 2^(i-1) or they run out of edges.
 func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge, treeRecs []*adjlist.Rec) ([]graph.Vertex, []graph.Edge) {
+	active, D := c.levelStart(i, L, S, treeRecs)
+	if len(active) == 0 {
+		return D, S
+	}
 	fi := c.f[i]
-	c.insertFoundForest(fi, S)
-	comps, carry := dedupeComponents(fi, L)
 	half := int64(1) << uint(i-1)
-	var D []graph.Vertex
-	D = append(D, carry...)
-	var active []compInfo
-	for _, ci := range comps {
-		if fi.RepSize(ci.rep) <= half {
-			active = append(active, ci)
-		} else {
-			D = append(D, ci.w)
-		}
-	}
-	if len(active) == 0 {
-		return D, S
-	}
-	active, alone := meetingPieces(fi, i, treeRecs, active)
-	D = append(D, alone...)
-	if len(active) == 0 {
-		return D, S
-	}
-	c.pushTreeEdges(i, active)
-
-	supers := newSuperSet()
+	supers := newSuperSet(2 * len(active))
 	for _, ci := range active {
 		supers.of(ci.rep, fi.RepSize(ci.rep))
 	}
@@ -100,14 +83,12 @@ func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge, tree
 	var EP []*adjlist.Rec // records removed from level i, pushed at the end
 	inEP := make(map[*adjlist.Rec]bool)
 
-	guard := 0
 	for r := 0; len(active) > 0; r++ {
-		guard++
-		if guard > 4*c.n+64 {
+		if r >= 4*c.n+64 {
 			panic(fmt.Sprintf("core: searchInterleaved(level %d) did not converge", i))
 		}
 		atomic.AddInt64(&c.stats.Rounds, 1)
-		sz := int64(1) << uint(min64(int64(r), 60))
+		sz := int64(1) << uint(min(r, 60))
 		// Fetch candidates and classify replacements, per component in
 		// parallel. F_i is never modified inside this loop, so the
 		// representatives captured in `active` remain valid.
@@ -124,16 +105,12 @@ func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge, tree
 				results[ci] = roundRes{exhausted: true}
 				return
 			}
-			csz := min64(sz, cmax)
-			ec, _ := c.fetchCandidates(fi, i, rep, csz)
+			csz := min(sz, cmax)
+			ec := c.fetchCandidates(fi, i, rep, csz)
 			atomic.AddInt64(&c.stats.EdgesExamined, int64(len(ec)))
 			var repl []*adjlist.Rec
 			for _, rc := range ec {
-				other := fi.Rep(rc.E.U)
-				if other == rep {
-					other = fi.Rep(rc.E.V)
-				}
-				if other != rep {
+				if replaces(fi, rep, rc) {
 					repl = append(repl, rc)
 				}
 			}
@@ -163,9 +140,9 @@ func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge, tree
 				us[k] = uint64(su[k])
 				vs[k] = uint64(sv[k])
 			}
-			sf := spanning.Forest(us, vs)
+			chosen := spanning.Forest(us, vs)
 			for k, rc := range R {
-				if sf.Chosen[k] {
+				if chosen[k] {
 					chosenSet[rc] = true
 					T = append(T, rc)
 					supers.union(su[k], sv[k])
@@ -242,19 +219,16 @@ func (c *Conn) searchInterleaved(i int32, L []graph.Vertex, S []graph.Edge, tree
 			parallel.For(len(nonTreeEP), 64, func(k int) {
 				ok[k] = fim1.Connected(nonTreeEP[k].E.U, nonTreeEP[k].E.V)
 			})
-			down := int64(0)
 			for k, rc := range nonTreeEP {
 				if ok[k] {
 					rc.Level = i - 1
-					down++
 				} else {
 					rc.Level = i
-					atomic.AddInt64(&c.stats.Pushdowns, -1) // counted optimistically below
+					atomic.AddInt64(&c.stats.Pushdowns, -1) // counted when it left level i
 				}
 			}
 			deltas := c.adj.BatchInsert(nonTreeEP)
 			c.applyDeltas(deltas)
-			_ = down
 		}
 	}
 	// Promote chosen records still living at level i (those whose finder

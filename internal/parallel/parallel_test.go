@@ -87,7 +87,7 @@ func TestPackPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestFilterAndPackIndex(t *testing.T) {
+func TestFilter(t *testing.T) {
 	src := make([]int, 1000)
 	for i := range src {
 		src[i] = i
@@ -100,10 +100,6 @@ func TestFilterAndPackIndex(t *testing.T) {
 		if v != 2*i {
 			t.Fatalf("Filter[%d] = %d, want %d", i, v, 2*i)
 		}
-	}
-	idx := PackIndex(100, func(i int) bool { return i >= 90 })
-	if len(idx) != 10 || idx[0] != 90 || idx[9] != 99 {
-		t.Fatalf("PackIndex wrong: %v", idx)
 	}
 }
 

@@ -93,18 +93,6 @@ func Filter[T any](src []T, pred func(T) bool) []T {
 	return Pack(src, flags)
 }
 
-// PackIndex returns the indices i in [0, n) for which pred(i) holds.
-func PackIndex(n int, pred func(i int) bool) []int {
-	if n == 0 {
-		return nil
-	}
-	flags := make([]bool, n)
-	For(n, 2048, func(i int) { flags[i] = pred(i) })
-	idx := make([]int, n)
-	For(n, 4096, func(i int) { idx[i] = i })
-	return Pack(idx, flags)
-}
-
 // Map applies f to each element of src in parallel.
 func Map[T, U any](src []T, f func(T) U) []U {
 	out := make([]U, len(src))

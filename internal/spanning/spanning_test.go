@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,9 +9,39 @@ import (
 	"repro/internal/unionfind"
 )
 
+// forestError checks the chosen flags against a sequential union-find
+// oracle: the chosen edges form a forest, and every unchosen edge is a
+// self-loop or joins vertices that the chosen edges already connect. It
+// returns "" when both hold.
+func forestError(us, vs []uint64, chosen []bool) string {
+	id := make(map[uint64]int32)
+	dense := func(x uint64) int32 {
+		if _, ok := id[x]; !ok {
+			id[x] = int32(len(id))
+		}
+		return id[x]
+	}
+	a := make([]int32, len(us))
+	b := make([]int32, len(us))
+	for i := range us {
+		a[i], b[i] = dense(us[i]), dense(vs[i])
+	}
+	uf := unionfind.New(len(id))
+	for i := range us {
+		if chosen[i] && !uf.Union(a[i], b[i]) {
+			return fmt.Sprintf("chosen edge %d (%d, %d) closes a cycle or is a self-loop", i, us[i], vs[i])
+		}
+	}
+	for i := range us {
+		if !chosen[i] && !uf.Connected(a[i], b[i]) {
+			return fmt.Sprintf("unchosen edge %d (%d, %d) joins two trees", i, us[i], vs[i])
+		}
+	}
+	return ""
+}
+
 func TestForestEmpty(t *testing.T) {
-	r := Forest(nil, nil)
-	if len(r.Chosen) != 0 || len(r.Verts) != 0 {
+	if r := Forest(nil, nil); len(r) != 0 {
 		t.Fatal("empty input should produce empty result")
 	}
 }
@@ -20,7 +51,7 @@ func TestForestPath(t *testing.T) {
 	vs := []uint64{2, 3, 4}
 	r := Forest(us, vs)
 	chosen := 0
-	for _, c := range r.Chosen {
+	for _, c := range r {
 		if c {
 			chosen++
 		}
@@ -28,8 +59,8 @@ func TestForestPath(t *testing.T) {
 	if chosen != 3 {
 		t.Fatalf("path of 3 edges: chose %d, want 3", chosen)
 	}
-	if r.Label[1] != r.Label[4] {
-		t.Fatal("endpoints of path not in one component")
+	if err := forestError(us, vs, r); err != "" {
+		t.Fatal(err)
 	}
 }
 
@@ -38,7 +69,7 @@ func TestForestCycleDropsOneEdge(t *testing.T) {
 	vs := []uint64{2, 3, 1}
 	r := Forest(us, vs)
 	chosen := 0
-	for _, c := range r.Chosen {
+	for _, c := range r {
 		if c {
 			chosen++
 		}
@@ -53,7 +84,7 @@ func TestForestParallelEdgesAndLoops(t *testing.T) {
 	vs := []uint64{2, 2, 2, 5}
 	r := Forest(us, vs)
 	chosen := 0
-	for _, c := range r.Chosen {
+	for _, c := range r {
 		if c {
 			chosen++
 		}
@@ -61,8 +92,11 @@ func TestForestParallelEdgesAndLoops(t *testing.T) {
 	if chosen != 1 {
 		t.Fatalf("parallel edges + loop: chose %d, want 1", chosen)
 	}
-	if r.Label[1] != r.Label[2] || r.Label[1] == r.Label[5] {
-		t.Fatal("labels wrong")
+	if r[3] {
+		t.Fatal("self-loop chosen")
+	}
+	if err := forestError(us, vs, r); err != "" {
+		t.Fatal(err)
 	}
 }
 
@@ -78,20 +112,18 @@ func TestForestMatchesSequentialComponents(t *testing.T) {
 			vs[i] = uint64(rng.Intn(n)) * 7
 		}
 		r := Forest(us, vs)
-		// Sequential oracle over dense labels.
-		uf := unionfind.New(len(r.Verts))
-		id := make(map[uint64]int32)
-		for i, v := range r.Verts {
-			id[v] = int32(i)
-		}
+		// Sequential oracle: the forest size is n minus the component
+		// count, whichever maximal forest is chosen (ids are multiples of
+		// 7 below 7n).
+		uf := unionfind.New(7 * n)
 		chosen := 0
 		for i := 0; i < k; i++ {
-			if uf.Union(id[us[i]], id[vs[i]]) {
+			if uf.Union(int32(us[i]), int32(vs[i])) {
 				chosen++
 			}
 		}
 		got := 0
-		for _, c := range r.Chosen {
+		for _, c := range r {
 			if c {
 				got++
 			}
@@ -99,19 +131,8 @@ func TestForestMatchesSequentialComponents(t *testing.T) {
 		if got != chosen {
 			t.Fatalf("trial %d: chose %d edges, oracle says forest size %d", trial, got, chosen)
 		}
-		// Labels must agree with oracle connectivity.
-		for i := 0; i < k; i++ {
-			same := uf.Connected(id[us[i]], id[vs[i]])
-			if same != (r.Label[us[i]] == r.Label[vs[i]]) {
-				t.Fatalf("trial %d: label disagreement on edge %d", trial, i)
-			}
-		}
-		// Chosen edges must themselves form a forest (acyclic).
-		check := unionfind.New(len(r.Verts))
-		for i := 0; i < k; i++ {
-			if r.Chosen[i] && !check.Union(id[us[i]], id[vs[i]]) {
-				t.Fatalf("trial %d: chosen edges contain a cycle", trial)
-			}
+		if err := forestError(us, vs, r); err != "" {
+			t.Fatalf("trial %d: %s", trial, err)
 		}
 	}
 }
@@ -128,30 +149,9 @@ func TestQuickForestProperties(t *testing.T) {
 			us[i] = uint64(pairs[2*i] % 40)
 			vs[i] = uint64(pairs[2*i+1] % 40)
 		}
-		r := Forest(us, vs)
-		// Property 1: chosen edges acyclic.
-		id := make(map[uint64]int32)
-		for i, v := range r.Verts {
-			id[v] = int32(i)
-		}
-		uf := unionfind.New(len(r.Verts))
-		for i := 0; i < k; i++ {
-			if r.Chosen[i] {
-				if us[i] == vs[i] {
-					return false // self-loop chosen
-				}
-				if !uf.Union(id[us[i]], id[vs[i]]) {
-					return false // cycle
-				}
-			}
-		}
-		// Property 2: maximality — every unchosen edge is within a component.
-		for i := 0; i < k; i++ {
-			if !r.Chosen[i] && us[i] != vs[i] && !uf.Connected(id[us[i]], id[vs[i]]) {
-				return false
-			}
-		}
-		return true
+		// A forest (no cycle, no self-loop) that is maximal: every unchosen
+		// edge lies within a tree.
+		return forestError(us, vs, Forest(us, vs)) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
