@@ -54,29 +54,22 @@ func TestDeepLevelDescent(t *testing.T) {
 	}
 }
 
+// TestGridStormAgainstOracle deletes about a quarter of a 12x12 grid's live
+// edges in each of ten storms, checks 300 random pairs against a union-find
+// oracle, and re-inserts half of each storm's edges. The storms are picked
+// from a slice by a seeded rng, so every run plays the same batches.
 func TestGridStormAgainstOracle(t *testing.T) {
 	for name, alg := range algs() {
 		r, cdim := 12, 12
 		n := r * cdim
 		g := New(n, WithAlgorithm(alg))
-		grid := graphgen.Grid(r, cdim)
-		g.BatchInsert(grid)
+		live := graphgen.Grid(r, cdim)
+		g.BatchInsert(live)
 		rng := rand.New(rand.NewSource(8))
-		live := map[uint64]graph.Edge{}
-		for _, e := range grid {
-			live[e.Key()] = e
-		}
 		for storm := 0; storm < 10; storm++ {
-			var dead []graph.Edge
-			for _, e := range live {
-				if rng.Intn(4) == 0 {
-					dead = append(dead, e)
-				}
-			}
+			var dead, repair []graph.Edge
+			dead, live = pickStorm(rng, live)
 			g.BatchDelete(dead)
-			for _, e := range dead {
-				delete(live, e.Key())
-			}
 			uf := unionfind.New(n)
 			for _, e := range live {
 				uf.Union(e.U, e.V)
@@ -88,22 +81,35 @@ func TestGridStormAgainstOracle(t *testing.T) {
 					t.Fatalf("%s storm %d: query (%d,%d) wrong", name, storm, a, b)
 				}
 			}
-			// Repair half the dead links.
-			var repair []graph.Edge
-			for i, e := range dead {
-				if i%2 == 0 {
-					repair = append(repair, e)
-				}
-			}
+			repair, live = halfRepair(dead, live)
 			g.BatchInsert(repair)
-			for _, e := range repair {
-				live[e.Key()] = e
-			}
 			if err := g.CheckInvariants(); err != nil {
 				t.Fatalf("%s storm %d: %v", name, storm, err)
 			}
 		}
 	}
+}
+
+// pickStorm splits live, in its order, into about a quarter chosen by rng
+// (the storm) and the rest.
+func pickStorm(rng *rand.Rand, live []graph.Edge) (dead, kept []graph.Edge) {
+	for _, e := range live {
+		if rng.Intn(4) == 0 {
+			dead = append(dead, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	return dead, kept
+}
+
+// halfRepair returns every other edge of a storm, from the first, and live
+// with them appended.
+func halfRepair(dead, live []graph.Edge) (repair, grown []graph.Edge) {
+	for i := 0; i < len(dead); i += 2 {
+		repair = append(repair, dead[i])
+	}
+	return repair, append(live, repair...)
 }
 
 func TestSpanningForestIsValidCertificate(t *testing.T) {

@@ -43,8 +43,11 @@
 // per pre-batch F_i tree. A replacement joins two pieces of one
 // group that both hold a level-i non-tree edge, so the active pieces of a
 // group with fewer than two such pieces are neither pushed nor searched and
-// go on to level i+1. Like the lazy pushes, this only removes level
-// decreases (DESIGN.md §2, "Meeting pieces").
+// go on to level i+1. In a group of exactly two such pieces, both active,
+// only the smaller is pushed and searched, HDT's smaller-side rule: every
+// replacement has an endpoint in it. Like the lazy pushes, this only
+// removes level decreases (DESIGN.md §2, "Meeting pieces" and "The smaller
+// of two").
 //
 // # Read-only query contract
 //

@@ -179,8 +179,11 @@ func (c *Conn) levelStart(i int32, L []graph.Vertex, S []graph.Edge, treeRecs []
 // group holds one too. Every piece of the group counts, the ones too big to
 // search included: a big piece can still be the far end of a replacement.
 // An endpoint with representative 0 is an isolated vertex, a piece of its
-// own without edges that keeps its group joined. DESIGN.md §2,
-// "Level-search amortization", has the argument.
+// own without edges that keeps its group joined. In a group of exactly two
+// holders every replacement has an endpoint in each, so when both are
+// active only the smaller is kept (on a tie, the first in active), as HDT
+// searches the smaller side of a split. DESIGN.md §2, "Level-search
+// amortization", has the argument.
 func meetingPieces(fi *ett.Forest, i int32, treeRecs []*adjlist.Rec, active []compInfo) (meet []compInfo, alone []graph.Vertex) {
 	// A superSet over piece keys whose size is the number of the group's
 	// pieces holding a level-i non-tree edge.
@@ -201,14 +204,32 @@ func meetingPieces(fi *ett.Forest, i int32, treeRecs []*adjlist.Rec, active []co
 			groups.union(piece(r.E.U), piece(r.E.V))
 		}
 	}
+	// pairAt[g] is 1 + the index in meet of the first kept holder of the
+	// two-holder group with root g.
+	var pairAt []int32
 	for _, ci := range active {
 		// Every active piece holds a witness, an endpoint of a deleted
 		// tree edge of level <= i, so of finds its group.
-		if fi.RepNonTree(ci.rep) > 0 && groups.sizeOf(groups.of(ci.rep, 0)) >= 2 {
-			meet = append(meet, ci)
-		} else {
+		g := groups.of(ci.rep, 0)
+		holders := groups.sizeOf(g)
+		if fi.RepNonTree(ci.rep) == 0 || holders < 2 {
 			alone = append(alone, ci.w)
+			continue
 		}
+		if holders == 2 {
+			if pairAt == nil {
+				pairAt = make([]int32, len(groups.parent))
+			}
+			if k := pairAt[g] - 1; k >= 0 {
+				if fi.RepSize(ci.rep) < fi.RepSize(meet[k].rep) {
+					meet[k], ci = ci, meet[k]
+				}
+				alone = append(alone, ci.w)
+				continue
+			}
+			pairAt[g] = int32(len(meet)) + 1
+		}
+		meet = append(meet, ci)
 	}
 	return meet, alone
 }
@@ -217,8 +238,9 @@ func meetingPieces(fi *ett.Forest, i int32, treeRecs []*adjlist.Rec, active []co
 // down to level i-1 (line 5), so that their failed level-i candidates can
 // follow. Callers pass only the components meetingPieces keeps: one
 // without a level-i non-tree edge, or without another piece holding one to
-// meet, can neither find nor receive a replacement at level i, and keeping
-// its tree edges at level i leaves F_{i-1} finer without breaking any
+// meet, can neither find nor receive a replacement at level i, and the
+// larger of two such pieces is met by the smaller one's search. Keeping
+// their tree edges at level i leaves F_{i-1} finer without breaking any
 // invariant (DESIGN.md §2, "Level-search amortization"). The adjacency
 // moves and counter updates run in parallel per component (components are
 // vertex-disjoint, and F_{i-1} trees are sub-components); the F_{i-1} links

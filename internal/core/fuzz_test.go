@@ -31,6 +31,9 @@ func FuzzCoreOps(f *testing.F) {
 	// TestMeetingPiecesIsolatedEndpoint: the path 0–1–2–3–4 and the chord
 	// 0–4, then one batch deleting 1–2 and 2–3, which isolates vertex 2.
 	f.Add([]byte{3, 0x0c, 0, 1, 1, 2, 2, 3, 3, 4, 0x00, 0, 4, 0x05, 0, 1, 0, 2, 0x02, 1, 3})
+	// TestSmallerOfTwoPieces (a): at n = 16, the paths 0–1–2 and 3–…–7
+	// joined by 2–3, the chords 0–2, 3–7 and 0–7, then deleting 2–3.
+	f.Add([]byte{14, 0x18, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 0x08, 0, 2, 3, 7, 0, 7, 0x01, 0, 2, 0x02, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, alg := range []Algorithm{SearchSimple, SearchInterleaved} {
 			runCoreOps(t, alg, data)

@@ -142,3 +142,59 @@ func agreesWithHDT(c *Conn, h *hdt.Conn) error {
 	}
 	return nil
 }
+
+// TestSmallerOfTwoPieces cuts the bridge 2–3 between the path A = 0–1–2
+// (chord 0–2) and the path B = 3–4–5–6–7 (chord 3–7) at n = 16. Every edge
+// sits at the top level, whose pieces are searched up to 8 vertices, so A
+// and B are both small enough and both hold a level-top non-tree edge: one
+// group of exactly two holders. Only A, the smaller, is pushed and searched.
+//   - (a) With the chord 0–7 the only replacement, A's search finds it, and
+//     B's tree edges stay at the top level.
+//   - (b) Without it, A's search exhausts, B is untouched and the components
+//     split.
+func TestSmallerOfTwoPieces(t *testing.T) {
+	const n = 16
+	forest := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7}}
+	bridge := graph.Edge{U: 2, V: 3}
+	treeA, treeB := forest[:2], forest[3:]
+	for name, alg := range algs() {
+		for _, replace := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/replacement=%v", name, replace), func(t *testing.T) {
+				c := New(n, WithAlgorithm(alg))
+				top := c.top
+				if half := 1 << (top - 1); half < 5 {
+					t.Fatalf("pieces of 3 and 5 vertices must both be searchable at level %d", top)
+				}
+				c.BatchInsert(forest)
+				chords := []graph.Edge{{U: 0, V: 2}, {U: 3, V: 7}}
+				if replace {
+					chords = append(chords, graph.Edge{U: 0, V: 7})
+				}
+				c.BatchInsert(chords)
+				c.BatchDelete([]graph.Edge{bridge})
+				levels := func(es []graph.Edge, tree bool, want int32, what string) {
+					t.Helper()
+					for _, e := range es {
+						if r := c.recFor(e.Key()); r.IsTree != tree || r.Level != want {
+							t.Errorf("%s %v: tree %v at level %d, want tree %v at level %d", what, e, r.IsTree, r.Level, tree, want)
+						}
+					}
+				}
+				levels(treeA, true, top-1, "A's tree edge")
+				levels(treeB, true, top, "B's tree edge")
+				if got := c.Connected(2, 3); got != replace {
+					t.Errorf("Connected(2, 3) = %v, want %v", got, replace)
+				}
+				if replace && !c.recFor(graph.Edge{U: 0, V: 7}.Key()).IsTree {
+					t.Error("the replacement 0–7 is not a tree edge")
+				}
+				if !replace {
+					levels([]graph.Edge{{U: 3, V: 7}}, false, top, "B's chord")
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
